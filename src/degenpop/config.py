@@ -7,10 +7,10 @@ warnings, so a typo cannot silently fall back to a default.
 [model]      dispersion kind and parameters, rates, initial-datum shape
 [geometry]   cylinder extents, observation threshold, windows, cell counts
 [weights]    profile scale c1 / negativity offset c2 ("auto" supported),
-             bump gain, default strength and sweep range
+             bump gain, default strength
 [control]    penalty for single runs, penalty list for sweeps, CG knobs
 [lab]        ensemble sizes, seed, strength list for inequality sweeps
-[output]     output directory and formats
+[output]     output directory
 
 "auto" weight parameters resolve to 1.05 x the corresponding admissibility
 threshold (the multiplier is fixed and documented here so resolved runs are
@@ -64,7 +64,6 @@ _SCHEMA = {
         "negativity_offset": "auto",
         "bump_gain": "1.0",
         "strength": "20.0",
-        "strength_range": "5,50",
     },
     "control": {
         "penalty": None,
@@ -80,7 +79,6 @@ _SCHEMA = {
     },
     "output": {
         "directory": "runs/out",
-        "formats": "csv,summary",
     },
 }
 
@@ -111,7 +109,6 @@ class ExperimentConfig:
     seed: int
     strengths: tuple
     out_dir: str
-    formats: tuple
     raw: dict  # {section: {key: original string}}
 
     def snapshot_text(self) -> str:
@@ -355,9 +352,6 @@ def parse_config(path) -> ExperimentConfig:
     # weights -------------------------------------------------------------
     bump_gain = _parse_float(get("weights", "bump_gain"), "weights.bump_gain", errors)
     strength = _parse_float(get("weights", "strength"), "weights.strength", errors)
-    strength_range = _parse_floats(
-        get("weights", "strength_range"), "weights.strength_range", errors, 2
-    )
     weights = None
     if not errors and coeffs is not None and grid is not None:
         def scale_or_auto(key):
@@ -375,7 +369,6 @@ def parse_config(path) -> ExperimentConfig:
                     negativity_offset=c2,
                     bump_gain=bump_gain,
                     strength=strength,
-                    strength_range=strength_range,
                     headroom=AUTO_HEADROOM,
                 )
                 WeightFamily(coeffs, grid, weights)  # admissibility check
@@ -401,10 +394,6 @@ def parse_config(path) -> ExperimentConfig:
     strengths = _parse_floats(get("lab", "strengths"), "lab.strengths", errors)
 
     out_dir = get("output", "directory")
-    formats = tuple(f.strip() for f in get("output", "formats").split(",") if f.strip())
-    for fmt in formats:
-        if fmt not in ("csv", "summary"):
-            errors.append(f"output.formats: unknown format {fmt!r}")
 
     if errors:
         raise ConfigError(errors)
@@ -424,6 +413,5 @@ def parse_config(path) -> ExperimentConfig:
         seed=seed,
         strengths=strengths,
         out_dir=out_dir,
-        formats=formats,
         raw=raw,
     )

@@ -564,6 +564,7 @@ def run_inequality_lab(
     s_values=(5.0, 12.5, 20.0, 35.0, 50.0),
     trials: int = 20,
     seed: int | None = None,
+    observability_trials: int = 50,
 ) -> dict:
     """Run every inequality check once and collect the reports."""
     return {
@@ -572,6 +573,8 @@ def run_inequality_lab(
             coeffs, grid, family, s_values, trials, seed
         ),
         "caccioppoli": run_caccioppoli(coeffs, grid, family, s_values, trials, seed),
-        "observability": run_observability(coeffs, grid, trials=max(trials, 50), seed=seed),
+        "observability": run_observability(
+            coeffs, grid, trials=observability_trials, seed=seed
+        ),
         "hardy_poincare": run_hardy(coeffs, grid, trials=trials, seed=seed),
     }

@@ -14,7 +14,6 @@ the stage name but still persists the partial manifest.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -26,15 +25,7 @@ from .config import ExperimentConfig, initial_datum_values
 from .control import solve_control, verify_null_reach
 from .fieldio import write_field_csv
 from .forward import ForwardProblem, energy_report, solve_forward
-from .inequalities import (
-    grid_signature,
-    run_caccioppoli,
-    run_carleman_intermediate,
-    run_carleman_main,
-    run_hardy,
-    run_observability,
-    weight_sup_check,
-)
+from .inequalities import grid_signature, run_inequality_lab, weight_sup_check
 from .model import Field, l2_norm
 from .weights import WeightFamily
 
@@ -267,23 +258,18 @@ def _export_report(out, report, artifact):
 
 
 def _run_inequalities(config, out, seed, artifact, finish_stage):
-    coeffs, grid = config.coeffs, config.grid
-    family = WeightFamily(coeffs, grid, config.weights)
-    s_values = config.strengths
-    trials = config.trials
-
-    for runner, kwargs in (
-        (run_carleman_main, dict(s_values=s_values, trials=trials, seed=seed)),
-        (run_carleman_intermediate, dict(s_values=s_values, trials=trials, seed=seed)),
-        (run_caccioppoli, dict(s_values=s_values, trials=trials, seed=seed)),
-    ):
-        _export_report(out, runner(coeffs, grid, family, **kwargs), artifact)
-    _export_report(
-        out,
-        run_observability(coeffs, grid, trials=config.observability_trials, seed=seed),
-        artifact,
+    family = WeightFamily(config.coeffs, config.grid, config.weights)
+    reports = run_inequality_lab(
+        config.coeffs,
+        config.grid,
+        family,
+        s_values=config.strengths,
+        trials=config.trials,
+        seed=seed,
+        observability_trials=config.observability_trials,
     )
-    _export_report(out, run_hardy(coeffs, grid, trials=trials, seed=seed), artifact)
+    for report in reports.values():
+        _export_report(out, report, artifact)
 
     for power in (1, 2, 3):
         probe = weight_sup_check(family, power)
@@ -311,10 +297,7 @@ def _run_sweep(config, out, seed, artifact, finish_stage):
             reach.cost_quotient,
         )
 
-    penalties = sorted(config.penalties)
-    workers = min(4, len(penalties))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one_penalty, penalties))
+    rows = [one_penalty(eps) for eps in sorted(config.penalties)]
     _write_table(
         out,
         "sweep_control.csv",

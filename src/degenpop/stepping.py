@@ -25,20 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import rate_level_block
-
 
 def midpoint_dispersion(k, grid):
     """Dispersion sampled at the nx cell midpoints."""
     x_mid = 0.5 * (grid.x_nodes[1:] + grid.x_nodes[:-1])
     return np.asarray(k.value(x_mid), dtype=float)
-
-
-def diffusion_apply(k_mid, rows, dx):
-    """Flux-form L_k applied to full gene rows (..., nx+1) -> interior (..., nx-1)."""
-    rows = np.asarray(rows, dtype=float)
-    flux = k_mid * np.diff(rows, axis=-1)  # k_{i+1/2} (y_{i+1} - y_i), one per cell
-    return np.diff(flux, axis=-1) / (dx * dx)
 
 
 class TridiagonalOperator:
@@ -53,16 +44,16 @@ class TridiagonalOperator:
 
     def __init__(self, lower, diag, upper):
         self.lower = np.asarray(lower, dtype=float)
-        self.diag = np.asarray(diag, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        batch, m = self.diag.shape
+        diag = np.asarray(diag, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        batch, m = diag.shape
         cp = np.empty((batch, m))
         inv = np.empty((batch, m))
-        inv[:, 0] = 1.0 / self.diag[:, 0]
-        cp[:, 0] = self.upper[:, 0] * inv[:, 0]
+        inv[:, 0] = 1.0 / diag[:, 0]
+        cp[:, 0] = upper[:, 0] * inv[:, 0]
         for i in range(1, m):
-            inv[:, i] = 1.0 / (self.diag[:, i] - self.lower[:, i] * cp[:, i - 1])
-            cp[:, i] = self.upper[:, i] * inv[:, i]
+            inv[:, i] = 1.0 / (diag[:, i] - self.lower[:, i] * cp[:, i - 1])
+            cp[:, i] = upper[:, i] * inv[:, i]
         self._cp = cp
         self._inv = inv
         self.m = m
@@ -90,36 +81,6 @@ class TridiagonalOperator:
             y[..., i] -= cp[..., i] * y[..., i + 1]
         return y
 
-    def apply(self, vec, rows=None):
-        """M @ vec on interior nodes; vec has shape (..., m)."""
-        if rows is None or self.batch == 1:
-            lower, diag, upper = self.lower, self.diag, self.upper
-        else:
-            lower, diag, upper = self.lower[rows], self.diag[rows], self.upper[rows]
-        vec = np.asarray(vec, dtype=float)
-        out = diag * vec
-        out[..., 1:] += lower[..., 1:] * vec[..., :-1]
-        out[..., :-1] += upper[..., :-1] * vec[..., 1:]
-        return out
-
-
-def diffusion_matrix(k, mu_row, grid, dt):
-    """The implicit-step matrix I + dt*(-L_k + mu) for one gene row.
-
-    mu_row is a scalar or an array of nx+1 node values (interior entries are
-    used).  Returned as a single-matrix TridiagonalOperator.
-    """
-    k_mid = midpoint_dispersion(k, grid)
-    inv_dx2 = 1.0 / (grid.dx * grid.dx)
-    lower = -dt * k_mid[:-1] * inv_dx2
-    upper = -dt * k_mid[1:] * inv_dx2
-    if np.isscalar(mu_row) or np.ndim(mu_row) == 0:
-        mu_int = float(mu_row)
-    else:
-        mu_int = np.asarray(mu_row, dtype=float)[1:-1]
-    diag = 1.0 + dt * ((k_mid[:-1] + k_mid[1:]) * inv_dx2 + mu_int)
-    return TridiagonalOperator(lower[None, :], np.atleast_2d(diag), upper[None, :])
-
 
 class LevelOperators:
     """Per-time-level factorized batches of the implicit-step matrices.
@@ -135,10 +96,10 @@ class LevelOperators:
     serves every level.
     """
 
-    def __init__(self, coeffs, grid, dt=None):
+    def __init__(self, coeffs, grid):
         self.coeffs = coeffs
         self.grid = grid
-        self.dt = grid.dt if dt is None else float(dt)
+        self.dt = grid.dt
         self.k_mid = midpoint_dispersion(coeffs.dispersion, grid)
         inv_dx2 = 1.0 / (grid.dx * grid.dx)
         self._lower = -self.dt * self.k_mid[:-1] * inv_dx2
@@ -171,11 +132,3 @@ class LevelOperators:
             op = self._build(key)
             self._cache[key] = op
         return op
-
-    def apply(self, n, vec_interior, rows=None):
-        """M[n, rows] @ vec on interior nodes (diagnostic helper)."""
-        return self.level(n).apply(vec_interior, rows=rows)
-
-    def mu_rows(self, n):
-        """Mortality node values at level n as an (na+1, nx+1) block."""
-        return rate_level_block(self.coeffs.mu, n, self.grid)

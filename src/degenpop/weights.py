@@ -171,14 +171,13 @@ class WeightConfig:
 
     profile_scale (c1) and negativity_offset (c2) control the degenerate
     profile; bump_gain (kappa) the envelope contrast; strength (s) the
-    default Carleman parameter, with strength_range the sweep interval.
+    default Carleman parameter.
     """
 
     profile_scale: float
     negativity_offset: float
     bump_gain: float = 1.0
     strength: float = 20.0
-    strength_range: tuple = (1.0, 50.0)
 
     def __post_init__(self):
         if self.bump_gain <= 0.0:
@@ -245,9 +244,6 @@ class WeightFamily:
         """Psi(x) = e^{kappa sigma(x)} - e^{2 kappa sup sigma} < 0."""
         return bump_weight(x, self.bump, self.config.bump_gain)
 
-    def hardy(self, x):
-        return hardy_weight(x, self.coeffs.dispersion)
-
     # -- pole tables -------------------------------------------------------
     def pole_table(self):
         """Theta on all (t, a) node pairs; +inf on the faces t in {0,T}, a=0."""
@@ -281,8 +277,7 @@ class WeightFamily:
 
 def resolve_weight_config(coeffs, grid, profile_scale="auto",
                           negativity_offset="auto", bump_gain=1.0,
-                          strength=20.0, strength_range=(1.0, 50.0),
-                          headroom=1.05):
+                          strength=20.0, headroom=1.05):
     """Build an admissible WeightConfig, resolving "auto" thresholds.
 
     "auto" sets the negativity offset to headroom times its lower bound and
@@ -303,5 +298,4 @@ def resolve_weight_config(coeffs, grid, profile_scale="auto",
         negativity_offset=float(negativity_offset),
         bump_gain=float(bump_gain),
         strength=float(strength),
-        strength_range=(float(strength_range[0]), float(strength_range[1])),
     )

@@ -165,7 +165,6 @@ class TestParseConfig:
         assert cfg.cg_tol == 1e-6 and cfg.cg_maxit == 500
         assert cfg.initial_age == "hump" and cfg.initial_gene == "sin_pi"
         assert cfg.trials == 2 and cfg.observability_trials == 5
-        assert cfg.formats == ("csv", "summary")
         # optional envelope exponent defaults to min(exponent, bound)
         assert cfg.coeffs.theta == 0.5
 
@@ -188,6 +187,12 @@ class TestParseConfig:
                                                  "penalty = 1e-4\npenality = 2"))
         with pytest.raises(ConfigError, match="unknown key control.penality"):
             dp.parse_config(path)
+        for section, key in (("weights", "strength_range"), ("output", "formats")):
+            path = write_config(tmp_path)
+            path.write_text(path.read_text().replace(f"[{section}]\n",
+                                                     f"[{section}]\n{key} = 1\n"))
+            with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
+                dp.parse_config(path)
 
     def test_missing_file_and_missing_key(self, tmp_path):
         with pytest.raises(FileNotFoundError):

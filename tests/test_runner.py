@@ -130,6 +130,29 @@ class TestPipelines:
         header = (tmp_path / "sweep_control.csv").read_text().splitlines()[0]
         assert header.startswith("epsilon,")
 
+    def test_sweep_rows_match_direct_solves(self, coarse_config, tmp_path):
+        dp.run_experiment(coarse_config, "sweep", out_dir=tmp_path)
+        rows = (tmp_path / "sweep_control.csv").read_text().splitlines()[1:]
+        penalties = sorted(coarse_config.penalties)
+        assert len(rows) == len(penalties)
+        y0 = runner_module._initial_field(coarse_config)
+        for row, eps in zip(rows, penalties):
+            solution = dp.solve_control(
+                y0, eps, coarse_config.coeffs, coarse_config.grid,
+                tol=coarse_config.cg_tol, maxit=coarse_config.cg_maxit,
+            )
+            reach = dp.verify_null_reach(solution, y0, coarse_config.grid)
+            expected = [
+                repr(float(eps)),
+                repr(float(solution.y_final_norm_sq)),
+                repr(float(solution.control_cost)),
+                str(solution.cg_iterations),
+                repr(float(solution.cg_residual)),
+                repr(float(reach.box_decay_quotient)),
+                repr(float(reach.cost_quotient)),
+            ]
+            assert row.split(",") == expected
+
     def test_unknown_command_rejected(self, coarse_config, tmp_path):
         with pytest.raises(ValueError, match="unknown command"):
             dp.run_experiment(coarse_config, "optimize", out_dir=tmp_path)
