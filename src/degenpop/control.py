@@ -46,13 +46,14 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
     Returns the terminal box values of the forward flow started from zero
     and driven by the window restriction of the backward solution.
     """
-    probe = np.asarray(probe, dtype=float) * box_mask(grid)
+    mask = box_mask(grid)
+    probe = np.asarray(probe, dtype=float) * mask
     back = solve_adjoint(AdjointProblem(coeffs, grid, Field(probe, "age_gene", grid)))
     control = Field(back.values * grid.omega_mask[None, None, :], "trajectory", grid)
     flow = solve_forward(
         ForwardProblem(coeffs, grid, Field.zeros("age_gene", grid), control=control)
     )
-    return flow.values[grid.nt] * box_mask(grid)
+    return flow.values[grid.nt] * mask
 
 
 @dataclass

@@ -429,12 +429,15 @@ class SpaceTimeGrid:
     def wt(self):
         return self._trapz(self.nt, self.dt)
 
+    def x_window_slice(self, window):
+        """Slice of the gene nodes in a window (endpoints included)."""
+        lo, hi = window
+        return slice(self.x_index(lo), self.x_index(hi) + 1)
+
     def x_window_mask(self, window):
         """Indicator of a gene window on nodes (endpoints included)."""
-        lo, hi = window
-        i1, i2 = self.x_index(lo), self.x_index(hi)
         mask = np.zeros(self.nx + 1)
-        mask[i1:i2 + 1] = 1.0
+        mask[self.x_window_slice(window)] = 1.0
         return mask
 
     @property

@@ -19,6 +19,18 @@ batch {M[n, j] : j = 0..na-1} per time level and serves row-sliced solves.
 Both solvers, the age-zero trace oracle, and the characteristic-integral
 oracle all draw their solves from this class, in the same sweep arithmetic,
 so that quantities the theory says are equal come out bit-identical.
+
+The sweep is bound by the cost of each numpy call, not by arithmetic, so
+`TridiagonalOperator.solve` keeps the number of calls low.  A solve of many
+rows runs gene-major: the factorization is stored as (m, batch) arrays and
+the rhs is copied once into an (m, rows) buffer, so each elimination step is
+one contiguous vector operation written in place.  A solve of one row (the
+adjoint's age-zero row, every step of the trace and characteristic-integral
+oracles) runs the same recurrence on Python floats, which costs a few
+microseconds where the vector loop would spend hundreds on 1-element
+slices.  Both loops round every element through the same three IEEE double
+operations in the same order, with no fused multiply-add, so a row solved
+alone equals the same row of a batched solve bit for bit.
 """
 
 from __future__ import annotations
@@ -38,48 +50,85 @@ class TridiagonalOperator:
     lower/diag/upper have shape (batch, m); the first lower and last upper
     entries are ignored.  A batch of size 1 broadcasts over any number of
     right-hand-side rows.  Factorization is the standard Thomas forward
-    elimination; `solve` runs the same elementwise sweep whether it is given
-    one row or many, so identical rows produce bit-identical results.
+    elimination, stored gene-major: `_cp` and `_inv` have shape (m, batch),
+    so the coefficients of one gene index over the whole batch are contiguous.
+
+    `solve` has two loops.  A call with several rows runs the sweep
+    gene-major: the rhs is copied once into an (m, rows) buffer, and each
+    elimination step is one contiguous vector operation written in place.  A
+    call with a single row runs the same recurrence on Python floats.  Both
+    loops perform, for every element, exactly the three IEEE double
+    operations of the textbook sweep, y_0 = r_0 * inv_0, then
+    y_i = (r_i - lower_i * y_{i-1}) * inv_i, then y_i = y_i - cp_i * y_{i+1},
+    each rounded on its own with no fused multiply-add.  Layout and loop
+    therefore do not change a single bit: a row solved alone equals the same
+    row taken from a batched call.
     """
 
     def __init__(self, lower, diag, upper):
         self.lower = np.asarray(lower, dtype=float)
-        diag = np.asarray(diag, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        batch, m = diag.shape
-        cp = np.empty((batch, m))
-        inv = np.empty((batch, m))
-        inv[:, 0] = 1.0 / diag[:, 0]
-        cp[:, 0] = upper[:, 0] * inv[:, 0]
+        lower_t = self.lower.T
+        diag_t = np.asarray(diag, dtype=float).T
+        upper_t = np.asarray(upper, dtype=float).T
+        m, batch = diag_t.shape
+        cp = np.empty((m, batch))
+        inv = np.empty((m, batch))
+        inv[0] = 1.0 / diag_t[0]
+        cp[0] = upper_t[0] * inv[0]
         for i in range(1, m):
-            inv[:, i] = 1.0 / (diag[:, i] - self.lower[:, i] * cp[:, i - 1])
-            cp[:, i] = upper[:, i] * inv[:, i]
+            inv[i] = 1.0 / (diag_t[i] - lower_t[i] * cp[i - 1])
+            cp[i] = upper_t[i] * inv[i]
         self._cp = cp
         self._inv = inv
         self.m = m
         self.batch = batch
 
-    def _rows(self, rows):
-        if rows is None or self.batch == 1:
-            return self.lower, self._cp, self._inv
-        return self.lower[rows], self._cp[rows], self._inv[rows]
-
     def solve(self, rhs, rows=None):
-        """Solve M y = rhs; rhs has shape (..., m).
+        """Solve M y = rhs; rhs has shape (m,) or (r, m).
 
-        `rows` selects which matrices of the batch line up with the rhs rows
-        (ignored when the batch is shared).
+        `rows` (a slice or an index array) selects which matrices of the
+        batch line up with the rhs rows (ignored when the batch is shared).
+        The result has shape (r, m), with r = 1 for a 1-D rhs solved against
+        a shared batch and r = the number of selected matrices when a single
+        rhs row is solved against several.
         """
-        lower, cp, inv = self._rows(rows)
         rhs = np.asarray(rhs, dtype=float)
-        out_shape = np.broadcast_shapes(rhs.shape, inv.shape)
-        y = np.empty(out_shape)
-        y[..., 0] = rhs[..., 0] * inv[..., 0]
-        for i in range(1, self.m):
-            y[..., i] = (rhs[..., i] - lower[..., i] * y[..., i - 1]) * inv[..., i]
-        for i in range(self.m - 2, -1, -1):
-            y[..., i] -= cp[..., i] * y[..., i + 1]
-        return y
+        if rhs.ndim == 1:
+            rhs = rhs[None, :]
+        if rhs.ndim != 2 or rhs.shape[1] != self.m:
+            raise ValueError(f"rhs must have shape (m,) or (r, m) with m={self.m}, "
+                             f"got {rhs.shape}")
+        if self.batch == 1 or rows is None:
+            rows = slice(None)
+        lower, cp, inv = self.lower.T[:, rows], self._cp[:, rows], self._inv[:, rows]
+        n_coef = cp.shape[1]
+        n_rows = rhs.shape[0] if rhs.shape[0] != 1 else n_coef
+        if n_coef == 1:
+            # one coefficient row: its entries as Python floats serve both loops
+            lower, cp, inv = lower[:, 0].tolist(), cp[:, 0].tolist(), inv[:, 0].tolist()
+            if n_rows == 1:
+                r = rhs[0].tolist()
+                y = [0.0] * self.m
+                prev = y[0] = r[0] * inv[0]
+                for i in range(1, self.m):
+                    prev = y[i] = (r[i] - lower[i] * prev) * inv[i]
+                for i in range(self.m - 2, -1, -1):
+                    prev = y[i] = y[i] - cp[i] * prev
+                return np.array(y)[None, :]
+        y = np.empty((self.m, n_rows))
+        np.copyto(y, rhs.T)
+        ys = list(y)
+        tmp = np.empty(n_rows)
+        mul, sub = np.multiply, np.subtract
+        prev = mul(ys[0], inv[0], out=ys[0])
+        for yi, li, ii in zip(ys[1:], lower[1:], inv[1:]):
+            mul(li, prev, out=tmp)
+            sub(yi, tmp, out=yi)
+            prev = mul(yi, ii, out=yi)
+        for yi, ci in zip(ys[-2::-1], cp[-2::-1]):
+            mul(ci, prev, out=tmp)
+            prev = sub(yi, tmp, out=yi)
+        return y.T
 
 
 class LevelOperators:

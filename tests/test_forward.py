@@ -1,5 +1,7 @@
 """Forward solver: transport exactness, renewal quadrature, analytic oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,26 @@ class TestLinearityAndSources:
         clean = dp.solve_forward(dp.ForwardProblem(bench_coeffs, g, y0,
                                                    control=masked))
         assert np.array_equal(leaky.values, clean.values)
+
+    def test_masked_control_is_the_masked_product_bit_for_bit(self, bench_coeffs,
+                                                              coarse_grid):
+        g = coarse_grid
+        y0 = _separable_initial(g)
+        mask = g.omega_mask[None, None, :]
+        draw = dp.trajectory_draw(dp.make_rng(11), g).values
+        tiny = draw * mask + 1e-300 * (1.0 - mask)  # below the warning level
+        for values, leaks in ((draw, True), (draw * mask, False),
+                              (-np.abs(draw) * mask, False), (tiny, False)):
+            problem = dp.ForwardProblem(bench_coeffs, g, y0,
+                                        control=dp.Field(values, "trajectory", g))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = problem.masked_control()
+            assert len(caught) == int(leaks)
+            # bytes, so that the sign of every zero outside the window counts
+            assert got.tobytes() == (values * mask).tobytes()
+            # never a writable alias of the caller's control
+            assert not got.flags.writeable or not np.shares_memory(got, values)
 
     def test_problem_validation(self, bench_coeffs, coarse_grid):
         g = coarse_grid

@@ -1,0 +1,122 @@
+"""Tridiagonal kernel: both loops of `TridiagonalOperator.solve` against the
+row-major Thomas sweep, compared bit for bit."""
+
+import numpy as np
+import pytest
+
+import degenpop as dp
+from degenpop.stepping import LevelOperators, TridiagonalOperator
+from tests.conftest import make_benchmark_grid
+
+
+def _reference_solve(lower, diag, upper, rhs, rows=None):
+    """Row-major Thomas factorization and sweep, one gene index at a time."""
+    lower = np.asarray(lower, dtype=float)
+    diag = np.asarray(diag, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    batch, m = diag.shape
+    cp = np.empty((batch, m))
+    inv = np.empty((batch, m))
+    inv[:, 0] = 1.0 / diag[:, 0]
+    cp[:, 0] = upper[:, 0] * inv[:, 0]
+    for i in range(1, m):
+        inv[:, i] = 1.0 / (diag[:, i] - lower[:, i] * cp[:, i - 1])
+        cp[:, i] = upper[:, i] * inv[:, i]
+    if rows is not None and batch > 1:
+        lower, cp, inv = lower[rows], cp[rows], inv[rows]
+    rhs = np.asarray(rhs, dtype=float)
+    y = np.empty(np.broadcast_shapes(rhs.shape, inv.shape))
+    y[..., 0] = rhs[..., 0] * inv[..., 0]
+    for i in range(1, m):
+        y[..., i] = (rhs[..., i] - lower[..., i] * y[..., i - 1]) * inv[..., i]
+    for i in range(m - 2, -1, -1):
+        y[..., i] -= cp[..., i] * y[..., i + 1]
+    return y
+
+
+def _diffusion_batch(m, batch, rng):
+    """Degenerate flux-form diffusion plus an age-dependent mortality."""
+    x_mid = (np.arange(m + 1) + 0.5) / (m + 1)
+    k_mid = np.abs(x_mid - 0.5) ** 0.5
+    scale = 0.01 * (m + 1) ** 2
+    lower = np.broadcast_to(-scale * k_mid[:-1], (batch, m))
+    upper = np.broadcast_to(-scale * k_mid[1:], (batch, m))
+    diag = 1.0 + scale * (k_mid[:-1] + k_mid[1:]) + 0.01 * rng.uniform(0, 3, (batch, m))
+    return lower, diag, upper
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(20170404)
+
+
+class TestSharedBatch:
+    @pytest.mark.parametrize("shape", [(49,), (1, 49), (150, 49)])
+    def test_bit_identical_to_row_major_sweep(self, rng, shape):
+        lower, diag, upper = _diffusion_batch(49, 1, rng)
+        rhs = rng.standard_normal(shape)
+        got = TridiagonalOperator(lower, diag, upper).solve(rhs)
+        want = _reference_solve(lower, diag, upper, rhs)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_single_row_equals_row_of_batched_call(self, rng):
+        op = TridiagonalOperator(*_diffusion_batch(99, 1, rng))
+        rhs = rng.standard_normal((7, 99))
+        batched = op.solve(rhs)
+        for r in range(rhs.shape[0]):
+            assert np.array_equal(op.solve(rhs[r:r + 1])[0], batched[r])
+
+
+class TestAgeDependentBatch:
+    NA = 40
+
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(1, NA), None])
+    def test_bit_identical_to_row_major_sweep(self, rng, rows):
+        lower, diag, upper = _diffusion_batch(49, self.NA, rng)
+        n_rows = len(range(self.NA)[rows]) if rows is not None else self.NA
+        rhs = rng.standard_normal((n_rows, 49))
+        got = TridiagonalOperator(lower, diag, upper).solve(rhs, rows=rows)
+        want = _reference_solve(lower, diag, upper, rhs, rows=rows)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_single_row_equals_row_of_batched_call(self, rng):
+        op = TridiagonalOperator(*_diffusion_batch(49, self.NA, rng))
+        rhs = rng.standard_normal((self.NA, 49))
+        batched = op.solve(rhs)
+        for j in range(self.NA):
+            alone = op.solve(rhs[j:j + 1], rows=slice(j, j + 1))
+            assert np.array_equal(alone[0], batched[j])
+
+    def test_one_rhs_row_broadcasts_over_selected_matrices(self, rng):
+        lower, diag, upper = _diffusion_batch(49, self.NA, rng)
+        rhs = rng.standard_normal(49)
+        got = TridiagonalOperator(lower, diag, upper).solve(rhs, rows=slice(2, 9))
+        want = _reference_solve(lower, diag, upper, rhs, rows=slice(2, 9))
+        assert got.shape == (7, 49)
+        assert np.array_equal(got, want)
+
+
+def test_rejects_wrong_gene_length(rng):
+    op = TridiagonalOperator(*_diffusion_batch(49, 1, rng))
+    with pytest.raises(ValueError, match="m=49"):
+        op.solve(np.zeros((3, 48)))
+    with pytest.raises(ValueError, match="m=49"):
+        op.solve(np.zeros((2, 3, 49)))
+
+
+def test_level_operators_match_reference_on_an_age_dependent_mortality():
+    grid = make_benchmark_grid(50, 30, 12)
+    mu = dp.SeparableRate(age_factor=lambda a: 0.1 + a ** 2)
+    coeffs = dp.CoefficientSet(dispersion=dp.PowerLawDispersion(0.5, 0.5), mu=mu,
+                               beta=dp.ConstantRate(0.0), gamma=0.0)
+    ops = LevelOperators(coeffs, grid)
+    op = ops.level(3)
+    assert op.batch == grid.na and op.m == grid.nx - 1
+    rhs = np.random.default_rng(7).standard_normal((grid.na, grid.nx - 1))
+    mu_rows = np.asarray(mu.level(3, grid), dtype=float)[:grid.na, 1:-1]
+    diag = ops._diag0[None, :] + ops.dt * mu_rows
+    lower = np.broadcast_to(ops._lower, diag.shape)
+    upper = np.broadcast_to(ops._upper, diag.shape)
+    assert np.array_equal(op.solve(rhs), _reference_solve(lower, diag, upper, rhs))
