@@ -14,7 +14,8 @@ warnings, so a typo cannot silently fall back to a default.
 
 "auto" weight parameters resolve to 1.05 x the corresponding admissibility
 threshold (the multiplier is fixed and documented here so resolved runs are
-reproducible from the raw config).
+reproducible from the raw config).  The weight family that checks the
+resolved weights is kept on the parsed config for the runs to use.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ class ExperimentConfig:
     coeffs: CoefficientSet
     grid: SpaceTimeGrid
     weights: WeightConfig
+    family: WeightFamily  # built from coeffs, grid and weights at parse time
     initial_age: str
     initial_gene: str
     penalty: float
@@ -140,7 +142,7 @@ def _parse_int(text, where, errors):
 
 
 def _parse_floats(text, where, errors, count=None):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
     if count is not None and len(parts) != count:
         errors.append(f"{where}: expected {count} comma-separated numbers")
         return None
@@ -352,7 +354,7 @@ def parse_config(path) -> ExperimentConfig:
     # weights -------------------------------------------------------------
     bump_gain = _parse_float(get("weights", "bump_gain"), "weights.bump_gain", errors)
     strength = _parse_float(get("weights", "strength"), "weights.strength", errors)
-    weights = None
+    weights = family = None
     if not errors and coeffs is not None and grid is not None:
         def scale_or_auto(key):
             text = get("weights", key)
@@ -371,7 +373,7 @@ def parse_config(path) -> ExperimentConfig:
                     strength=strength,
                     headroom=AUTO_HEADROOM,
                 )
-                WeightFamily(coeffs, grid, weights)  # admissibility check
+                family = WeightFamily(coeffs, grid, weights)  # checks admissibility
             except ValueError as exc:
                 errors.append(f"weights: {exc}")
                 weights = None
@@ -381,10 +383,6 @@ def parse_config(path) -> ExperimentConfig:
     penalties = _parse_floats(get("control", "penalties"), "control.penalties", errors)
     cg_tol = _parse_float(get("control", "tolerance"), "control.tolerance", errors)
     cg_maxit = _parse_int(get("control", "max_iterations"), "control.max_iterations", errors)
-    if penalty is not None and penalty <= 0.0:
-        errors.append("control.penalty: must be positive")
-    if penalties is not None and any(p <= 0.0 for p in penalties):
-        errors.append("control.penalties: all entries must be positive")
 
     trials = _parse_int(get("lab", "trials"), "lab.trials", errors)
     obs_trials = _parse_int(
@@ -392,6 +390,21 @@ def parse_config(path) -> ExperimentConfig:
     )
     seed = _parse_int(get("lab", "seed"), "lab.seed", errors)
     strengths = _parse_floats(get("lab", "strengths"), "lab.strengths", errors)
+    # ranges; a value that failed to parse is None and already reported
+    for where, value in (("control.penalty", penalty), ("control.tolerance", cg_tol)):
+        if value is not None and not value > 0.0:
+            errors.append(f"{where}: must be positive")
+    for where, values in (("control.penalties", penalties), ("lab.strengths", strengths)):
+        if values is not None and not values:
+            errors.append(f"{where}: must list at least one value")
+        if values is not None and not all(v > 0.0 for v in values):
+            errors.append(f"{where}: all entries must be positive")
+    for where, value, least in (
+        ("control.max_iterations", cg_maxit, 1), ("lab.trials", trials, 1),
+        ("lab.observability_trials", obs_trials, 1), ("lab.seed", seed, 0),
+    ):
+        if value is not None and value < least:
+            errors.append(f"{where}: must be at least {least}")
 
     out_dir = get("output", "directory")
 
@@ -402,6 +415,7 @@ def parse_config(path) -> ExperimentConfig:
         coeffs=coeffs,
         grid=grid,
         weights=weights,
+        family=family,
         initial_age=initial_age,
         initial_gene=initial_gene,
         penalty=penalty,

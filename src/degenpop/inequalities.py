@@ -178,31 +178,8 @@ def grid_signature(grid: SpaceTimeGrid) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _face_weights(family: WeightFamily) -> np.ndarray:
-    """(nt+1, na+1) trapezoid weights, zeroed where the pole factor blows up."""
-    grid = family.grid
-    return grid.wt[:, None] * grid.wa[None, :] * family.interior_ta_mask()
-
-
-def _masked_pole(family: WeightFamily) -> np.ndarray:
-    """Pole factor with the blow-up faces replaced by zero for safe algebra."""
-    mask = family.interior_ta_mask() > 0
-    return np.where(mask, family.pole_table(), 0.0)
-
-
 def _gene_gradient(values: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     return np.gradient(values, grid.dx, axis=-1)
-
-
-def _distance_ratio(coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray:
-    """(x - x0)^2 / k on the nodes, with a degenerate node set to zero."""
-    x = grid.x_nodes
-    k = coeffs.dispersion.value(x)
-    dist_sq = (x - coeffs.x0) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = dist_sq / k
-    ratio[k == 0.0] = 0.0
-    return ratio
 
 
 def _lower_age_mask(grid: SpaceTimeGrid) -> np.ndarray:
@@ -216,8 +193,34 @@ def _log_weighted_volume(
     family: WeightFamily,
     x_weights: np.ndarray,
 ) -> float:
-    weights = _face_weights(family)[:, :, None] * x_weights[None, None, :]
+    weights = family.face_weights[:, :, None] * x_weights[None, None, :]
     return log_weighted_sum(log_poly + exponent, weights)
+
+
+def _weighted_energy(w: Field, s: float, family: WeightFamily):
+    """Log of the weighted energy, the lhs both Carleman bounds share.
+
+    The energy is the integral over the full cylinder of
+    (s * pole * k * w_x^2 + s^3 * pole^3 * (x-x0)^2/k * w^2) * exp(2 s phi),
+    with (x-x0)^2/k zero at a degenerate node.  Also returns w_x^2 and the
+    exponent 2 s phi, which the intermediate bound's rhs reuses.
+    """
+    grid = family.grid
+    th = family.masked_pole[:, :, None]
+    vals = w.values
+    wx_sq = _gene_gradient(vals, grid) ** 2
+    x = grid.x_nodes
+    k = family.coeffs.dispersion.value(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = (x - family.coeffs.x0) ** 2 / k
+    r2[k == 0.0] = 0.0
+
+    lhs_poly = s * th * k * wx_sq + s**3 * th**3 * r2 * vals**2
+    with np.errstate(divide="ignore"):
+        log_lhs_poly = np.log(lhs_poly)
+    exp_phi = 2.0 * s * th * family.psi_nodes[None, None, :]
+    log_lhs = _log_weighted_volume(log_lhs_poly, exp_phi, family, grid.wx)
+    return log_lhs, wx_sq, exp_phi
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +233,15 @@ def carleman_main_trial(
 ) -> InequalityTrial:
     """Weighted energy of a backward solution vs window observation.
 
-    lhs: integral over the full cylinder of
-         (s * pole * k * w_x^2 + s^3 * pole^3 * (x-x0)^2/k * w^2) * exp(2 s phi)
+    lhs: the weighted energy of `_weighted_energy`.
     rhs: integral over the window cylinder of s^3 * pole^3 * w^2 * exp(2 s Phi)
          plus the unweighted terminal mass at ages below the threshold.
     """
     grid = family.grid
-    th = _masked_pole(family)[:, :, None]
+    log_lhs = _weighted_energy(w, s, family)[0]
+
+    th = family.masked_pole[:, :, None]
     vals = w.values
-    wx_sq = _gene_gradient(vals, grid) ** 2
-    k = family.coeffs.dispersion.value(grid.x_nodes)[None, None, :]
-    r2 = _distance_ratio(family.coeffs, grid)[None, None, :]
-
-    lhs_poly = s * th * k * wx_sq + s**3 * th**3 * r2 * vals**2
-    with np.errstate(divide="ignore"):
-        log_lhs_poly = np.log(lhs_poly)
-    exp_phi = 2.0 * s * th * family.psi_nodes[None, None, :]
-    log_lhs = _log_weighted_volume(log_lhs_poly, exp_phi, family, grid.wx)
-
     rhs_poly = s**3 * th**3 * vals**2
     with np.errstate(divide="ignore"):
         log_rhs_poly = np.log(rhs_poly)
@@ -270,35 +264,22 @@ def carleman_intermediate_trial(
     both gene endpoints; with the profile's sign both fluxes are positive.
     """
     grid = family.grid
-    th = _masked_pole(family)[:, :, None]
-    vals = w.values
-    wx_sq = _gene_gradient(vals, grid) ** 2
-    k = family.coeffs.dispersion.value(grid.x_nodes)
-    r2 = _distance_ratio(family.coeffs, grid)[None, None, :]
-    psi = family.psi_nodes
-
-    lhs_poly = s * th * k[None, None, :] * wx_sq + s**3 * th**3 * r2 * vals**2
-    with np.errstate(divide="ignore"):
-        log_lhs_poly = np.log(lhs_poly)
-    exp_phi = 2.0 * s * th * psi[None, None, :]
-    log_lhs = _log_weighted_volume(log_lhs_poly, exp_phi, family, grid.wx)
+    log_lhs, wx_sq, exp_phi = _weighted_energy(w, s, family)
 
     with np.errstate(divide="ignore"):
         log_source = np.log(h.values**2)
     log_src = _log_weighted_volume(log_source, exp_phi, family, grid.wx)
 
     # boundary fluxes: s * k * pole * |x - x0| * w_x^2 * exp(2 s pole * psi)
-    th2 = _masked_pole(family)
-    face_w = _face_weights(family)
-    x0 = family.coeffs.x0
+    k = family.coeffs.dispersion.value(grid.x_nodes)
+    th, x0 = family.masked_pole, family.coeffs.x0
     log_flux = []
     for idx, lever in ((grid.nx, 1.0 - x0), (0, x0)):
-        poly = s * k[idx] * lever * th2 * wx_sq[:, :, idx]
+        poly = s * k[idx] * lever * th * wx_sq[:, :, idx]
         with np.errstate(divide="ignore"):
             log_poly = np.log(poly)
-        log_flux.append(
-            log_weighted_sum(log_poly + 2.0 * s * th2 * psi[idx], face_w)
-        )
+        exponent = 2.0 * s * th * family.psi_nodes[idx]
+        log_flux.append(log_weighted_sum(log_poly + exponent, family.face_weights))
     log_rhs = log_add(log_src, *log_flux)
     return _trial_from_logs(log_lhs, log_rhs)
 
@@ -322,7 +303,7 @@ def caccioppoli_trial(
             "inner gradient window must exclude the degeneracy point "
             f"x0={family.coeffs.x0}"
         )
-    th = _masked_pole(family)[:, :, None]
+    th = family.masked_pole[:, :, None]
     vals = w.values
     wx_sq = _gene_gradient(vals, grid) ** 2
     exp_phi = 2.0 * s * th * family.psi_nodes[None, None, :]
@@ -410,7 +391,7 @@ def weight_sup_check(
         raise ValueError("power must be 1, 2 or 3")
     grid = family.grid
     strength = family.config.strength if s is None else float(s)
-    th = _masked_pole(family)[:, :, None]
+    th = family.masked_pole[:, :, None]
     with np.errstate(divide="ignore"):
         log_density = power * np.log(strength * th)
     log_density = np.broadcast_to(log_density, (grid.nt + 1, grid.na + 1, grid.nx + 1))
@@ -444,6 +425,31 @@ def _as_tuple(s_values) -> tuple:
     return tuple(float(s) for s in s_values)
 
 
+def _renewal_free(coeffs: CoefficientSet) -> CoefficientSet:
+    return CoefficientSet(
+        dispersion=coeffs.dispersion,
+        mu=coeffs.mu,
+        beta=ConstantRate(0.0),
+        gamma=coeffs.gamma,
+        theta=coeffs.theta,
+    )
+
+
+def _adjoint_draws(coeffs, grid, trials, seed, with_source):
+    """Yield (index, wT, h, w) for `trials` backward solves from `seed`.
+
+    Per trial a random terminal datum wT and, `with_source`, a random source
+    h for the renewal-free problem (else h is None and `coeffs` is used).
+    """
+    rng = make_rng(seed)
+    if with_source:
+        coeffs = _renewal_free(coeffs)
+    for idx in range(trials):
+        wT = age_gene_draw(rng, grid)
+        h = trajectory_draw(rng, grid) if with_source else None
+        yield idx, wT, h, solve_adjoint(AdjointProblem(coeffs, grid, wT, source_h=h))
+
+
 def run_carleman_main(
     coeffs: CoefficientSet,
     grid: SpaceTimeGrid,
@@ -453,26 +459,13 @@ def run_carleman_main(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble of backward solutions from random terminal data."""
-    rng = make_rng(seed)
     s_values = _as_tuple(s_values)
     entries = []
-    for idx in range(trials):
-        wT = age_gene_draw(rng, grid)
-        w = solve_adjoint(AdjointProblem(coeffs, grid, wT))
+    for idx, wT, _, w in _adjoint_draws(coeffs, grid, trials, seed, False):
         for s in s_values:
             entries.append((idx, s, carleman_main_trial(w, wT, s, family)))
     return InequalityReport(
         "carleman_main", s_values, trials, grid_signature(grid), entries
-    )
-
-
-def _renewal_free(coeffs: CoefficientSet) -> CoefficientSet:
-    return CoefficientSet(
-        dispersion=coeffs.dispersion,
-        mu=coeffs.mu,
-        beta=ConstantRate(0.0),
-        gamma=coeffs.gamma,
-        theta=coeffs.theta,
     )
 
 
@@ -485,14 +478,9 @@ def run_carleman_intermediate(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble for the renewal-free bound with random sources."""
-    rng = make_rng(seed)
     s_values = _as_tuple(s_values)
-    free = _renewal_free(coeffs)
     entries = []
-    for idx in range(trials):
-        wT = age_gene_draw(rng, grid)
-        h = trajectory_draw(rng, grid)
-        w = solve_adjoint(AdjointProblem(free, grid, wT, source_h=h))
+    for idx, _, h, w in _adjoint_draws(coeffs, grid, trials, seed, True):
         for s in s_values:
             entries.append((idx, s, carleman_intermediate_trial(w, h, s, family)))
     return InequalityReport(
@@ -509,14 +497,9 @@ def run_caccioppoli(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble for the window gradient bound (renewal-free sources)."""
-    rng = make_rng(seed)
     s_values = _as_tuple(s_values)
-    free = _renewal_free(coeffs)
     entries = []
-    for idx in range(trials):
-        wT = age_gene_draw(rng, grid)
-        h = trajectory_draw(rng, grid)
-        w = solve_adjoint(AdjointProblem(free, grid, wT, source_h=h))
+    for idx, _, h, w in _adjoint_draws(coeffs, grid, trials, seed, True):
         for s in s_values:
             entries.append((idx, s, caccioppoli_trial(w, h, s, family)))
     return InequalityReport(
@@ -531,11 +514,8 @@ def run_observability(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble estimate of the observability constant."""
-    rng = make_rng(seed)
     entries = []
-    for idx in range(trials):
-        wT = age_gene_draw(rng, grid)
-        w = solve_adjoint(AdjointProblem(coeffs, grid, wT))
+    for idx, wT, _, w in _adjoint_draws(coeffs, grid, trials, seed, False):
         entries.append((idx, None, observability_trial(w, wT, grid)))
     return InequalityReport(
         "observability", (), trials, grid_signature(grid), entries

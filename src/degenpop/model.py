@@ -27,6 +27,7 @@ point x0 of the gene interval.  This module provides
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import numpy as np
 
 # Absolute and relative comparison tolerances used by every validator.
@@ -315,6 +316,11 @@ def _snap_to_node(value, nodes, what):
     return idx
 
 
+def _read_only(values):
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class SpaceTimeGrid:
     """Aligned grid on (0,T) x (0,A) x (0,1).
@@ -330,6 +336,7 @@ class SpaceTimeGrid:
       omega_inner : subinterval of omega, away from x0, for gradient
                     localization checks
     All window endpoints (and the age threshold) must sit on grid nodes.
+    Nodes, trapezoid weights, delta_index and omega_mask are cached read-only.
     """
 
     T: float
@@ -385,17 +392,17 @@ class SpaceTimeGrid:
     def da(self):
         return self.A / self.na
 
-    @property
+    @cached_property
     def x_nodes(self):
-        return np.linspace(0.0, 1.0, self.nx + 1)
+        return _read_only(np.linspace(0.0, 1.0, self.nx + 1))
 
-    @property
+    @cached_property
     def t_levels(self):
-        return np.linspace(0.0, self.T, self.nt + 1)
+        return _read_only(np.linspace(0.0, self.T, self.nt + 1))
 
-    @property
+    @cached_property
     def a_levels(self):
-        return np.linspace(0.0, self.A, self.na + 1)
+        return _read_only(np.linspace(0.0, self.A, self.na + 1))
 
     # -- index helpers -------------------------------------------------------
     def x_index(self, x):
@@ -407,7 +414,7 @@ class SpaceTimeGrid:
     def t_index(self, t):
         return _snap_to_node(t, self.t_levels, "t")
 
-    @property
+    @cached_property
     def delta_index(self):
         return self.a_index(self.delta)
 
@@ -415,17 +422,17 @@ class SpaceTimeGrid:
     def _trapz(self, n, h):
         w = np.full(n + 1, h)
         w[0] = w[-1] = 0.5 * h
-        return w
+        return _read_only(w)
 
-    @property
+    @cached_property
     def wx(self):
         return self._trapz(self.nx, self.dx)
 
-    @property
+    @cached_property
     def wa(self):
         return self._trapz(self.na, self.da)
 
-    @property
+    @cached_property
     def wt(self):
         return self._trapz(self.nt, self.dt)
 
@@ -440,9 +447,9 @@ class SpaceTimeGrid:
         mask[self.x_window_slice(window)] = 1.0
         return mask
 
-    @property
+    @cached_property
     def omega_mask(self):
-        return self.x_window_mask(self.omega)
+        return _read_only(self.x_window_mask(self.omega))
 
     def age_upper_mask(self):
         """Indicator of the observation ages a >= delta (delta node included)."""

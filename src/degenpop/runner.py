@@ -27,7 +27,6 @@ from .fieldio import write_field_csv
 from .forward import ForwardProblem, energy_report, solve_forward
 from .inequalities import grid_signature, run_inequality_lab, weight_sup_check
 from .model import Field, l2_norm
-from .weights import WeightFamily
 
 COMMANDS = ("validate", "simulate", "adjoint", "control", "inequalities", "sweep")
 
@@ -151,13 +150,13 @@ def _initial_field(config: ExperimentConfig) -> Field:
 
 def _run_validate(config, out, seed, artifact, finish_stage):
     reports = config.coeffs.validate(config.grid)
-    WeightFamily(config.coeffs, config.grid, config.weights)  # raises if inadmissible
     blocks, all_passed = [], True
     for report in reports:
         blocks.append(report.summary())
         key = "validate_" + report.hypothesis.replace(" ", "_")
         artifact.summary[key] = "PASS" if report.passed else "FAIL"
         all_passed &= report.passed
+    # parse_config only returns a config whose weight family is admissible
     artifact.summary["weights_admissible"] = "PASS"
     artifact.summary["all_passed"] = all_passed
     _write_text(out, "validation.txt", "\n\n".join(blocks) + "\n", artifact.files)
@@ -258,11 +257,10 @@ def _export_report(out, report, artifact):
 
 
 def _run_inequalities(config, out, seed, artifact, finish_stage):
-    family = WeightFamily(config.coeffs, config.grid, config.weights)
     reports = run_inequality_lab(
         config.coeffs,
         config.grid,
-        family,
+        config.family,
         s_values=config.strengths,
         trials=config.trials,
         seed=seed,
@@ -272,7 +270,7 @@ def _run_inequalities(config, out, seed, artifact, finish_stage):
         _export_report(out, report, artifact)
 
     for power in (1, 2, 3):
-        probe = weight_sup_check(family, power)
+        probe = weight_sup_check(config.family, power)
         artifact.summary[f"weight_sup_d{power}_log"] = probe.log_value
         artifact.summary[f"weight_sup_d{power}_argmax"] = "t{}:a{}:x{}".format(*probe.argmax)
 
@@ -321,11 +319,10 @@ def _run_sweep(config, out, seed, artifact, finish_stage):
         float(np.max(costs) / np.min(costs)) if np.all(costs > 0) else float("nan")
     )
 
-    family = WeightFamily(coeffs, grid, config.weights)
     weight_rows = []
     for s in config.strengths:
         for power in (1, 2, 3):
-            probe = weight_sup_check(family, power, s=s)
+            probe = weight_sup_check(config.family, power, s=s)
             weight_rows.append((s, power, probe.log_value, probe.value))
     _write_table(
         out,

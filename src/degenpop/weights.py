@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _read_only
+
 
 # ---------------------------------------------------------------------------
 # pole factor
@@ -193,6 +195,11 @@ class WeightFamily:
     threshold, the profile scale reaches its own, the degenerate profile is
     negative at every gene node, and it lies below the bump envelope at
     every node (which makes phi <= Phi at every interior space-time node).
+
+    It also tabulates, once and read-only, the (t, a) arrays every weighted
+    integral uses: `masked_pole`, the pole factor Theta with zeros on the
+    faces t in {0, T} and a = 0 where it blows up, and `face_weights`, the
+    (t, a) trapezoid weights zeroed on the same faces.
     """
 
     def __init__(self, coeffs, grid, config: WeightConfig):
@@ -233,6 +240,16 @@ class WeightFamily:
                 f"{self.psi_nodes[idx]:.6g} > {self.Psi_nodes[idx]:.6g}"
             )
 
+        t, a = grid.t_levels[:, None], grid.a_levels[None, :]
+        interior = np.zeros((grid.nt + 1, grid.na + 1), dtype=bool)
+        interior[1:-1, 1:] = True
+        with np.errstate(divide="ignore"):
+            pole = 1.0 / ((t * (grid.T - t)) ** 4 * a**4)
+        self.masked_pole = _read_only(np.where(interior, pole, 0.0))
+        self.face_weights = _read_only(
+            np.where(interior, grid.wt[:, None] * grid.wa[None, :], 0.0)
+        )
+
     # -- space profiles --------------------------------------------------
     def profile(self, x):
         """psi(x) = c1 (ramp(x) - c2) < 0."""
@@ -243,25 +260,6 @@ class WeightFamily:
     def envelope(self, x):
         """Psi(x) = e^{kappa sigma(x)} - e^{2 kappa sup sigma} < 0."""
         return bump_weight(x, self.bump, self.config.bump_gain)
-
-    # -- pole tables -------------------------------------------------------
-    def pole_table(self):
-        """Theta on all (t, a) node pairs; +inf on the faces t in {0,T}, a=0."""
-        grid = self.grid
-        t = grid.t_levels[:, None]
-        a = grid.a_levels[None, :]
-        with np.errstate(divide="ignore"):
-            table = 1.0 / ((t * (grid.T - t)) ** 4 * a**4)
-        return table
-
-    def interior_ta_mask(self):
-        """1.0 where the pole factor is finite (t and a interior), else 0.0."""
-        grid = self.grid
-        mask = np.ones((grid.nt + 1, grid.na + 1))
-        mask[0, :] = 0.0
-        mask[-1, :] = 0.0
-        mask[:, 0] = 0.0
-        return mask
 
     # -- full weights -------------------------------------------------------
     def degenerate_weight(self, t, a, x):

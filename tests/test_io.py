@@ -194,6 +194,29 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
                 dp.parse_config(path)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("lab", "trials", "0", "must be at least 1"),
+        ("lab", "observability_trials", "-3", "must be at least 1"),
+        ("lab", "seed", "-1", "must be at least 0"),
+        ("lab", "strengths", "-5,20", "all entries must be positive"),
+        ("lab", "strengths", "5,0", "all entries must be positive"),
+        ("lab", "strengths", "5,,20", "expected a number"),
+        ("lab", "strengths", "", "must list at least one value"),
+        ("control", "tolerance", "0", "must be positive"),
+        ("control", "tolerance", "-1e-6", "must be positive"),
+        ("control", "max_iterations", "0", "must be at least 1"),
+        ("control", "penalties", "", "must list at least one value"),
+        ("control", "penalties", "1e-3,", "expected a number"),
+    ])
+    def test_out_of_range_values_are_errors(self, tmp_path, section, key, value,
+                                            message):
+        text = "\n".join(line for line in BASE_CONFIG.splitlines()
+                         if not line.startswith(f"{key} ="))
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{section}.{key}: {message}") as err:
+            dp.parse_config(write_config(tmp_path, text=text + "\n"))
+        assert len(err.value.errors) == 1
+
     def test_missing_file_and_missing_key(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             dp.parse_config(tmp_path / "absent.ini")

@@ -150,6 +150,32 @@ class TestSpaceTimeGrid:
         assert np.isclose(np.sum(g.wa), g.A, rtol=1e-14)
         assert np.isclose(np.sum(g.wt), g.T, rtol=1e-14)
 
+    def test_cached_arrays_equal_fresh_ones_and_are_read_only(self):
+        g = make_benchmark_grid(50, 50, 20)
+
+        def trapz(n, h):
+            w = np.full(n + 1, h)
+            w[0] = w[-1] = 0.5 * h
+            return w
+
+        fresh = {
+            "x_nodes": np.linspace(0.0, 1.0, g.nx + 1),
+            "t_levels": np.linspace(0.0, g.T, g.nt + 1),
+            "a_levels": np.linspace(0.0, g.A, g.na + 1),
+            "wx": trapz(g.nx, g.dx),
+            "wa": trapz(g.na, g.da),
+            "wt": trapz(g.nt, g.dt),
+            "omega_mask": g.x_window_mask(g.omega),
+        }
+        for name, expected in fresh.items():
+            cached = getattr(g, name)
+            assert np.array_equal(cached, expected), name
+            assert getattr(g, name) is cached, name
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
+        assert g.delta_index == int(np.argmin(np.abs(fresh["a_levels"] - g.delta)))
+        assert g.delta_index == g.a_index(g.delta)
+
     def test_window_mask_includes_endpoints(self, coarse_grid):
         g = coarse_grid
         mask = g.omega_mask

@@ -125,12 +125,17 @@ class TestWeightFamily:
                             dp.WeightConfig(profile_scale=1.0,
                                             negativity_offset=0.26))
 
-    def test_pole_table_infinite_only_on_faces(self, coarse_family, coarse_grid):
-        table = coarse_family.pole_table()
+    def test_pole_tables_vanish_only_on_faces(self, coarse_family, coarse_grid):
         g = coarse_grid
-        assert np.all(np.isinf(table[0, :])) and np.all(np.isinf(table[-1, :]))
-        assert np.all(np.isinf(table[:, 0]))
-        assert np.all(np.isfinite(table[1:-1, 1:]))
-        mask = coarse_family.interior_ta_mask()
-        assert np.all(np.isfinite(table[mask == 1.0]))
-        assert mask.sum() == (g.nt - 1) * g.na
+        pole, face_w = coarse_family.masked_pole, coarse_family.face_weights
+        assert pole.shape == face_w.shape == (g.nt + 1, g.na + 1)
+        for table in (pole, face_w):
+            assert np.all(table[0, :] == 0.0) and np.all(table[-1, :] == 0.0)
+            assert np.all(table[:, 0] == 0.0)
+            assert np.all(np.isfinite(table[1:-1, 1:]) & (table[1:-1, 1:] > 0.0))
+            assert np.count_nonzero(table) == (g.nt - 1) * g.na
+            with pytest.raises(ValueError, match="read-only"):
+                table[1, 1] = 0.0
+        t, a = g.t_levels[1:-1, None], g.a_levels[None, 1:]
+        assert np.allclose(pole[1:-1, 1:], dp.pole_weight(t, a, g.T, g.A), rtol=1e-14)
+        assert np.array_equal(face_w[1:-1, 1:], g.wt[1:-1, None] * g.wa[None, 1:])
