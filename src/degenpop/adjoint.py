@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Field, inner_product, rate_level_block, TOL_ABS
+from .model import Field, _as_values, inner_product, rate_level_block, TOL_ABS
 from .stepping import LevelOperators
 
 
@@ -185,14 +185,14 @@ def duality_residual(y_traj: Field, w_traj: Field, control, y0, wT, grid) -> flo
     """
     yv = y_traj.values
     wv = w_traj.values
-    y0v = y0.values if isinstance(y0, Field) else np.asarray(y0, float)
-    wTv = wT.values if isinstance(wT, Field) else np.asarray(wT, float)
+    y0v = _as_values(y0)
+    wTv = _as_values(wT)
     pair_T = inner_product(yv[grid.nt], wTv, grid, kind="age_gene")
     pair_0 = inner_product(y0v, wv[0], grid, kind="age_gene")
     if control is None:
         pair_q = 0.0
     else:
-        cv = control.values if isinstance(control, Field) else np.asarray(control, float)
+        cv = _as_values(control)
         block = cv[: grid.nt, : grid.na] * wv[: grid.nt, : grid.na]
         pair_q = float(grid.dt * grid.da * np.einsum("tax,x->", block, grid.wx))
     scale = max(abs(pair_T), abs(pair_0), abs(pair_q))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .adjoint import AdjointProblem, solve_adjoint
 from .forward import ForwardProblem, control_norm_sq, solve_forward
-from .model import CoefficientSet, Field, SpaceTimeGrid, inner_product
+from .model import CoefficientSet, Field, SpaceTimeGrid, _as_values, inner_product
 
 
 def box_mask(grid: SpaceTimeGrid) -> np.ndarray:
@@ -187,7 +187,7 @@ def cost_functional(
     """
     if epsilon <= 0:
         raise ValueError("penalty epsilon must be positive")
-    values = control.values if isinstance(control, Field) else np.asarray(control, float)
+    values = _as_values(control)
     masked = values * grid.omega_mask[None, None, :]
     flow = solve_forward(
         ForwardProblem(coeffs, grid, y0, control=Field(masked, "trajectory", grid))

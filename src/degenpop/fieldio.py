@@ -6,24 +6,21 @@ Floats are serialized with ``repr``, the shortest decimal string that parses
 back to the identical IEEE double, so round-trips are exact and repeated
 writes of the same field are byte-identical.
 
-Two-dimensional fields reuse the same four-column layout with a constant
-label in the collapsed coordinate: age-gene slices default to the terminal
-time and time-gene traces to age zero (they are newborn-line traces in this
-package).  The reader infers the field kind from which axes are fully
-covered and validates complete, duplicate-free coverage of the grid.
+Which axes a field carries is read from ``model.FIELD_AXES``.  Two-dimensional
+fields reuse the same four-column layout with a constant label in the
+collapsed coordinate: age-gene slices default to the terminal time and
+time-gene traces to age zero (they are newborn-line traces in this package).
+The reader infers the field kind from which axes are fully covered and
+validates complete, duplicate-free coverage of the grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Field, SpaceTimeGrid
+from .model import FIELD_AXES, Field, SpaceTimeGrid
 
 HEADER = "t,a,x,value"
-
-
-def _axis_labels(values: np.ndarray) -> list:
-    return [repr(float(v)) for v in values]
 
 
 def write_field_csv(field: Field, path, label: float | None = None) -> None:
@@ -34,38 +31,23 @@ def write_field_csv(field: Field, path, label: float | None = None) -> None:
     it is ignored for trajectories.
     """
     grid = field.grid
-    t_strs = _axis_labels(grid.t_levels)
-    a_strs = _axis_labels(grid.a_levels)
-    x_strs = _axis_labels(grid.x_nodes)
+    axes = FIELD_AXES[field.kind]
+    collapsed = {"t": grid.T, "a": 0.0}
+    t_strs, a_strs, x_strs = (
+        [repr(v) for v in grid.nodes(axis).tolist()] if axis in axes
+        else [repr(float(collapsed[axis] if label is None else label))]
+        for axis in "tax"
+    )
+    # a (t, a, x) view: the collapsed axis of a 2-D field has length one
+    values = field.values.reshape(len(t_strs), len(a_strs), len(x_strs))
     lines = [HEADER]
-    if field.kind == "trajectory":
-        for it, t_s in enumerate(t_strs):
-            level = field.values[it]
-            for ia, a_s in enumerate(a_strs):
-                prefix = t_s + "," + a_s + ","
-                row = level[ia]
-                lines.extend(
-                    prefix + x_s + "," + repr(float(v))
-                    for x_s, v in zip(x_strs, row)
-                )
-    elif field.kind == "age_gene":
-        t_s = repr(float(grid.T if label is None else label))
-        for ia, a_s in enumerate(a_strs):
+    for t_s, level in zip(t_strs, values):
+        for a_s, row in zip(a_strs, level):
             prefix = t_s + "," + a_s + ","
-            row = field.values[ia]
             lines.extend(
-                prefix + x_s + "," + repr(float(v)) for x_s, v in zip(x_strs, row)
+                prefix + x_s + "," + v_s
+                for x_s, v_s in zip(x_strs, map(repr, row.tolist()))
             )
-    elif field.kind == "time_gene":
-        a_s = repr(float(0.0 if label is None else label))
-        for it, t_s in enumerate(t_strs):
-            prefix = t_s + "," + a_s + ","
-            row = field.values[it]
-            lines.extend(
-                prefix + x_s + "," + repr(float(v)) for x_s, v in zip(x_strs, row)
-            )
-    else:  # pragma: no cover - Field constructor forbids other kinds
-        raise ValueError(f"unsupported field kind {field.kind!r}")
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines))
         handle.write("\n")
@@ -106,14 +88,17 @@ def _parse_rows(path):
     )
 
 
-def _axis_indices(coords, n_cells, step, name, path):
+def _axis_indices(coords, grid, axis, path):
     """Map coordinates of a fully covered uniform axis to indices."""
+    n_cells = grid.nodes(axis).size - 1
+    step = getattr(grid, "d" + axis)  # grid.dt, grid.da or grid.dx
     idx = np.rint(coords / step).astype(int)
     bad = (idx < 0) | (idx > n_cells) | (np.abs(coords - idx * step) > 1e-9 * step)
     if np.any(bad):
         j = int(np.argmax(bad))
         raise ValueError(
-            f"{path}: coordinate {name}={coords[j]!r} does not match any grid node"
+            f"{path}: coordinate {axis}={float(coords[j])!r} does not match any "
+            "grid node"
         )
     return idx
 
@@ -130,39 +115,23 @@ def read_field_csv(path, grid: SpaceTimeGrid) -> Field:
     ts, as_, xs, vals = _parse_rows(path)
     t_single = np.unique(ts).size == 1
     a_single = np.unique(as_).size == 1
-
     if t_single and not a_single:
         kind = "age_gene"
-        shape = (grid.na + 1, grid.nx + 1)
-        ii = _axis_indices(as_, grid.na, grid.da, "a", path)
-        jj = _axis_indices(xs, grid.nx, grid.dx, "x", path)
-        flat = ii * (grid.nx + 1) + jj
-        coords = lambda f: (  # noqa: E731
-            f"a={grid.a_levels[f // (grid.nx + 1)]!r}, "
-            f"x={grid.x_nodes[f % (grid.nx + 1)]!r}"
-        )
     elif a_single and not t_single:
         kind = "time_gene"
-        shape = (grid.nt + 1, grid.nx + 1)
-        ii = _axis_indices(ts, grid.nt, grid.dt, "t", path)
-        jj = _axis_indices(xs, grid.nx, grid.dx, "x", path)
-        flat = ii * (grid.nx + 1) + jj
-        coords = lambda f: (  # noqa: E731
-            f"t={grid.t_levels[f // (grid.nx + 1)]!r}, "
-            f"x={grid.x_nodes[f % (grid.nx + 1)]!r}"
-        )
     else:
         kind = "trajectory"
-        shape = (grid.nt + 1, grid.na + 1, grid.nx + 1)
-        ii = _axis_indices(ts, grid.nt, grid.dt, "t", path)
-        jj = _axis_indices(as_, grid.na, grid.da, "a", path)
-        kk = _axis_indices(xs, grid.nx, grid.dx, "x", path)
-        flat = (ii * (grid.na + 1) + jj) * (grid.nx + 1) + kk
-        na1, nx1 = grid.na + 1, grid.nx + 1
-        coords = lambda f: (  # noqa: E731
-            f"t={grid.t_levels[f // (na1 * nx1)]!r}, "
-            f"a={grid.a_levels[(f // nx1) % na1]!r}, "
-            f"x={grid.x_nodes[f % nx1]!r}"
+
+    axes = FIELD_AXES[kind]
+    shape = grid.shape(kind)
+    columns = {"t": ts, "a": as_, "x": xs}
+    index = tuple(_axis_indices(columns[axis], grid, axis, path) for axis in axes)
+    flat = np.ravel_multi_index(index, shape)
+
+    def coords(f):
+        node = np.unravel_index(f, shape)
+        return ", ".join(
+            f"{axis}={float(grid.nodes(axis)[i])!r}" for axis, i in zip(axes, node)
         )
 
     total = int(np.prod(shape))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Field, inner_product, l2_norm_sq, hk_seminorm,
+from .model import (Field, _as_values, inner_product, l2_norm_sq, hk_seminorm,
                     rate_level_block, TOL_ABS)
 from .stepping import LevelOperators
 
@@ -96,16 +96,14 @@ def solve_forward(problem: ForwardProblem) -> Field:
     y[0, :, 0] = 0.0
     y[0, :, -1] = 0.0
 
-    wa = grid.wa
     for n in range(nt):
         rhs = y[n, :na, 1:-1]
         if control is not None:
             rhs = rhs + dt * control[n, :na, 1:-1]
         y[n + 1, 1:, 1:-1] = ops.level(n).solve(rhs)
         # renewal on the freshly advanced level
-        beta_block = rate_level_block(coeffs.beta, n + 1, grid)
         y[n + 1, 0, :] = 0.0
-        y[n + 1, 0, :] = np.einsum("a,ax->x", wa, beta_block * y[n + 1])
+        y[n + 1, 0, :] = renewal_integral(y[n + 1], coeffs.beta, n + 1, grid)
         y[n + 1, 0, 0] = 0.0
         y[n + 1, 0, -1] = 0.0
     return Field(y, "trajectory", grid)
@@ -113,8 +111,8 @@ def solve_forward(problem: ForwardProblem) -> Field:
 
 def renewal_integral(level_slice, beta, n, grid):
     """Newborn gene row: trapezoid in age of beta * y over one time level."""
-    vals = level_slice.values if isinstance(level_slice, Field) else np.asarray(level_slice, float)
-    if vals.shape != (grid.na + 1, grid.nx + 1):
+    vals = _as_values(level_slice)
+    if vals.shape != grid.shape("age_gene"):
         raise ValueError("level_slice must be an age-gene block")
     beta_block = rate_level_block(beta, n, grid)
     return np.einsum("a,ax->x", grid.wa, beta_block * vals)

@@ -329,9 +329,7 @@ def observability_trial(w: Field, wT: Field, grid: SpaceTimeGrid) -> InequalityT
     cylinder + ||wT||^2 over ages up to the threshold.
     """
     lhs = inner_product(w.values[0], w.values[0], grid, kind="age_gene")
-    window = inner_product(
-        w, w, grid, kind="trajectory", x_mask=grid.omega_mask.astype(float)
-    )
+    window = inner_product(w, w, grid, kind="trajectory", x_mask=grid.omega_mask)
     low_age = inner_product(wT, wT, grid, kind="age_gene", a_mask=_lower_age_mask(grid))
     rhs = window + low_age
     return _trial_from_logs(_safe_log(lhs), _safe_log(rhs))

@@ -461,16 +461,26 @@ class SpaceTimeGrid:
         """The degeneracy point must sit exactly on a gene node."""
         return _snap_to_node(x0, self.x_nodes, "x0")
 
+    # -- per-axis lookup ("t", "a" or "x") ----------------------------------
+    def nodes(self, axis):
+        """Node coordinates along one axis."""
+        return {"t": self.t_levels, "a": self.a_levels, "x": self.x_nodes}[axis]
+
+    def weights(self, axis):
+        """Trapezoid weights along one axis."""
+        return {"t": self.wt, "a": self.wa, "x": self.wx}[axis]
+
+    def shape(self, kind):
+        """Array shape of a field of the given kind."""
+        return tuple(self.nodes(axis).size for axis in FIELD_AXES[kind])
+
 
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 
-_FIELD_SHAPES = {
-    "trajectory": lambda g: (g.nt + 1, g.na + 1, g.nx + 1),
-    "age_gene": lambda g: (g.na + 1, g.nx + 1),
-    "time_gene": lambda g: (g.nt + 1, g.nx + 1),
-}
+# Axes each field kind carries, in array order: t (time), a (age), x (gene).
+FIELD_AXES = {"trajectory": "tax", "age_gene": "ax", "time_gene": "tx"}
 
 
 @dataclass
@@ -485,27 +495,17 @@ class Field:
     grid: SpaceTimeGrid
 
     def __post_init__(self):
-        if self.kind not in _FIELD_SHAPES:
+        if self.kind not in FIELD_AXES:
             raise ValueError(f"unknown field kind {self.kind!r}")
         self.values = np.asarray(self.values, dtype=float)
-        expected = _FIELD_SHAPES[self.kind](self.grid)
+        expected = self.grid.shape(self.kind)
         if self.values.shape != expected:
             raise ValueError(f"field of kind {self.kind!r} must have shape "
                              f"{expected}, got {self.values.shape}")
 
     @classmethod
     def zeros(cls, kind, grid):
-        return cls(np.zeros(_FIELD_SHAPES[kind](grid)), kind, grid)
-
-
-def _axis_weights(kind, grid):
-    if kind == "trajectory":
-        return (grid.wt, grid.wa, grid.wx)
-    if kind == "age_gene":
-        return (grid.wa, grid.wx)
-    if kind == "time_gene":
-        return (grid.wt, grid.wx)
-    raise ValueError(f"unknown field kind {kind!r}")
+        return cls(np.zeros(grid.shape(kind)), kind, grid)
 
 
 def _as_values(f):
@@ -524,15 +524,15 @@ def inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None, t_mask=
         kind = f.kind
     if fv.shape != gv.shape:
         raise ValueError("inner_product requires fields of identical shape")
-    weights = _axis_weights(kind, grid)
+    if kind not in FIELD_AXES:
+        raise ValueError(f"unknown field kind {kind!r}")
+    masks = {"t": t_mask, "a": a_mask, "x": x_mask}
     prod = fv * gv
-    masks = {"trajectory": (t_mask, a_mask, x_mask),
-             "age_gene": (a_mask, x_mask),
-             "time_gene": (t_mask, x_mask)}[kind]
-    for axis, (w, m) in enumerate(zip(weights, masks)):
+    for i, axis in enumerate(FIELD_AXES[kind]):
+        w, m = grid.weights(axis), masks[axis]
         wm = w if m is None else w * m
         shape = [1] * prod.ndim
-        shape[axis] = -1
+        shape[i] = -1
         prod = prod * wm.reshape(shape)
     return float(np.sum(prod))
 
@@ -549,7 +549,8 @@ def hk_seminorm(f, k, grid):
     """Weighted gradient energy  integral k(x) (df/dx)^2 dx (da).
 
     Accepts a single gene row (nx+1,), an age-gene slice (na+1, nx+1) or a
-    full trajectory; higher axes are integrated with trapezoid weights.  The
+    full trajectory; higher axes are integrated with trapezoid weights.  A
+    Field names its axes by kind; a bare 2-D array is an age-gene slice.  The
     cell-midpoint sampling of k keeps the energy positive even when k
     vanishes at a node.  Dirichlet data are expected: nonzero boundary
     columns are rejected.
@@ -562,13 +563,18 @@ def hk_seminorm(f, k, grid):
     diff = np.diff(fv, axis=-1) / grid.dx
     cells = k_mid * diff * diff * grid.dx  # one term per cell
     row_energy = np.sum(cells, axis=-1)
-    if fv.ndim == 1:
+    if isinstance(f, Field):
+        axes = FIELD_AXES[f.kind][:-1]
+    else:
+        axes = {1: "", 2: "a", 3: "ta"}.get(fv.ndim)
+    if axes is None:
+        raise ValueError("hk_seminorm supports at most trajectory-shaped fields")
+    if not axes:
         return float(row_energy)
-    if fv.ndim == 2:
-        return float(np.sum(grid.wa * row_energy))
-    if fv.ndim == 3:
-        return float(np.sum(grid.wt[:, None] * grid.wa[None, :] * row_energy))
-    raise ValueError("hk_seminorm supports at most trajectory-shaped fields")
+    w = grid.weights(axes[0])
+    if len(axes) == 2:
+        w = w[:, None] * grid.weights(axes[1])[None, :]
+    return float(np.sum(w * row_energy))
 
 
 # ---------------------------------------------------------------------------

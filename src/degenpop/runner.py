@@ -73,8 +73,8 @@ def _write_table(out: Path, name: str, header, rows, files: list) -> None:
     files.append(name)
 
 
-def _export_field(out: Path, name: str, fld: Field, files: list, label=None) -> None:
-    write_field_csv(fld, out / name, label=label)
+def _export_field(out: Path, name: str, fld: Field, files: list) -> None:
+    write_field_csv(fld, out / name)
     files.append(name)
 
 

@@ -1,5 +1,7 @@
 """Field CSV round-trips and experiment-config parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,59 @@ from degenpop.config import ConfigError
 # ---------------------------------------------------------------------------
 # field CSV
 # ---------------------------------------------------------------------------
+
+# Reference oracle: the per-kind field writer as it stood before the writer
+# was driven by model.FIELD_AXES, kept verbatim so the bytes can be compared.
+
+_REF_HEADER = "t,a,x,value"
+
+
+def _ref_axis_labels(values: np.ndarray) -> list:
+    return [repr(float(v)) for v in values]
+
+
+def _ref_write_field_csv(field, path, label=None) -> None:
+    grid = field.grid
+    t_strs = _ref_axis_labels(grid.t_levels)
+    a_strs = _ref_axis_labels(grid.a_levels)
+    x_strs = _ref_axis_labels(grid.x_nodes)
+    lines = [_REF_HEADER]
+    if field.kind == "trajectory":
+        for it, t_s in enumerate(t_strs):
+            level = field.values[it]
+            for ia, a_s in enumerate(a_strs):
+                prefix = t_s + "," + a_s + ","
+                row = level[ia]
+                lines.extend(
+                    prefix + x_s + "," + repr(float(v))
+                    for x_s, v in zip(x_strs, row)
+                )
+    elif field.kind == "age_gene":
+        t_s = repr(float(grid.T if label is None else label))
+        for ia, a_s in enumerate(a_strs):
+            prefix = t_s + "," + a_s + ","
+            row = field.values[ia]
+            lines.extend(
+                prefix + x_s + "," + repr(float(v)) for x_s, v in zip(x_strs, row)
+            )
+    elif field.kind == "time_gene":
+        a_s = repr(float(0.0 if label is None else label))
+        for it, t_s in enumerate(t_strs):
+            prefix = t_s + "," + a_s + ","
+            row = field.values[it]
+            lines.extend(
+                prefix + x_s + "," + repr(float(v)) for x_s, v in zip(x_strs, row)
+            )
+    else:  # pragma: no cover - Field constructor forbids other kinds
+        raise ValueError(f"unsupported field kind {field.kind!r}")
+    with open(path, "w", newline="") as handle:
+        handle.write("\n".join(lines))
+        handle.write("\n")
+
+
+_SPECIAL_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                   2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+                   0.1, 1.0 / 3.0]
 
 class TestFieldCsv:
     @pytest.mark.parametrize("kind", ["trajectory", "age_gene", "time_gene"])
@@ -39,13 +94,18 @@ class TestFieldCsv:
         assert path.read_text().splitlines()[0] == "t,a,x,value"
 
     def test_missing_row_is_reported_with_coordinates(self, coarse_grid, tmp_path):
-        path = tmp_path / "gap.csv"
-        dp.write_field_csv(dp.Field.zeros("age_gene", coarse_grid), path)
-        lines = path.read_text().splitlines()
-        del lines[5]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="missing"):
-            dp.read_field_csv(path, coarse_grid)
+        # data line 11 holds gene node 10 (x = 0.2) of the first (t, a) row
+        for kind, where in (("age_gene", "a=0.0, x=0.2"),
+                            ("time_gene", "t=0.0, x=0.2"),
+                            ("trajectory", "t=0.0, a=0.0, x=0.2")):
+            path = tmp_path / f"gap_{kind}.csv"
+            dp.write_field_csv(dp.Field.zeros(kind, coarse_grid), path)
+            lines = path.read_text().splitlines()
+            del lines[11]
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError) as err:
+                dp.read_field_csv(path, coarse_grid)
+            assert str(err.value) == f"{path}: missing row for {where}"
 
     def test_duplicate_row_is_reported(self, coarse_grid, tmp_path):
         path = tmp_path / "dup.csv"
@@ -53,8 +113,9 @@ class TestFieldCsv:
         lines = path.read_text().splitlines()
         lines.append(lines[3])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate") as err:
             dp.read_field_csv(path, coarse_grid)
+        assert str(err.value) == f"{path}: duplicate row for a=0.0, x=0.04"
 
     def test_non_numeric_entry_names_the_line(self, coarse_grid, tmp_path):
         path = tmp_path / "bad.csv"
@@ -76,8 +137,11 @@ class TestFieldCsv:
         path = tmp_path / "off.csv"
         dp.write_field_csv(dp.Field.zeros("time_gene", coarse_grid), path)
         other = dp.SpaceTimeGrid(T=0.4, A=1.0, nx=40, nt=20, na=50, delta=0.5)
-        with pytest.raises(ValueError):
+        # x = 0.02 is the second gene node of the file and lies off the nx=40 grid
+        message = f"{path}: coordinate x=0.02 does not match any grid node"
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
             dp.read_field_csv(path, other)
+        assert str(err.value) == message
 
     def test_age_slice_label_column(self, coarse_grid, tmp_path):
         g = coarse_grid
@@ -86,6 +150,27 @@ class TestFieldCsv:
         dp.write_field_csv(f, path, label=0.2)
         first_row = path.read_text().splitlines()[1].split(",")
         assert float(first_row[0]) == 0.2
+
+    @pytest.mark.parametrize("label", [None, 0.2])
+    @pytest.mark.parametrize("kind", ["trajectory", "age_gene", "time_gene"])
+    def test_bytes_match_reference_writer(self, kind, label, coarse_grid, tmp_path):
+        g = coarse_grid
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(g.shape(kind))
+        flat = values.reshape(-1)
+        flat[: len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
+        flat[-len(_SPECIAL_VALUES):] = _SPECIAL_VALUES[::-1]
+        fields = [dp.Field(values, kind, g)]
+        if kind != "trajectory":
+            # a strided view, as a slice of a trajectory would be
+            wide = np.zeros(values.shape[:1] + (2,) + values.shape[1:])
+            wide[:, 1] = values
+            fields.append(dp.Field(wide[:, 1], kind, g))
+        for field in fields:
+            new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+            dp.write_field_csv(field, new, label=label)
+            _ref_write_field_csv(field, ref, label=label)
+            assert new.read_bytes() == ref.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,50 @@
 """Coefficients, grid, norms, and hypothesis validators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import degenpop as dp
+from degenpop.model import FIELD_AXES
 from tests.conftest import make_benchmark_grid
+
+
+# Reference oracle: inner_product as it stood before it read model.FIELD_AXES,
+# kept verbatim so the results can be compared bit for bit.
+
+def _ref_axis_weights(kind, grid):
+    if kind == "trajectory":
+        return (grid.wt, grid.wa, grid.wx)
+    if kind == "age_gene":
+        return (grid.wa, grid.wx)
+    if kind == "time_gene":
+        return (grid.wt, grid.wx)
+    raise ValueError(f"unknown field kind {kind!r}")
+
+
+def _ref_as_values(f):
+    return f.values if isinstance(f, dp.Field) else np.asarray(f, dtype=float)
+
+
+def _ref_inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None,
+                       t_mask=None):
+    fv, gv = _ref_as_values(f), _ref_as_values(g)
+    if isinstance(f, dp.Field):
+        kind = f.kind
+    if fv.shape != gv.shape:
+        raise ValueError("inner_product requires fields of identical shape")
+    weights = _ref_axis_weights(kind, grid)
+    prod = fv * gv
+    masks = {"trajectory": (t_mask, a_mask, x_mask),
+             "age_gene": (a_mask, x_mask),
+             "time_gene": (t_mask, x_mask)}[kind]
+    for axis, (w, m) in enumerate(zip(weights, masks)):
+        wm = w if m is None else w * m
+        shape = [1] * prod.ndim
+        shape[axis] = -1
+        prod = prod * wm.reshape(shape)
+    return float(np.sum(prod))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +268,25 @@ class TestFieldsAndNorms:
         with pytest.raises(ValueError, match="identical shape"):
             dp.inner_product(np.zeros(3), np.zeros(4), coarse_grid)
 
+    def test_grid_shape_is_the_field_shape(self, coarse_grid):
+        for kind in FIELD_AXES:
+            assert coarse_grid.shape(kind) == dp.Field.zeros(kind, coarse_grid).values.shape
+
+    @pytest.mark.parametrize("kind", ["trajectory", "age_gene", "time_gene"])
+    def test_inner_product_matches_reference_bit_for_bit(self, kind, coarse_grid):
+        g = coarse_grid
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal(g.shape(kind))
+        h = rng.standard_normal(g.shape(kind))
+        masks = {"t": rng.uniform(size=g.nt + 1), "a": g.age_upper_mask(),
+                 "x": g.omega_mask}
+        for chosen in itertools.product([False, True], repeat=3):
+            kw = {f"{axis}_mask": masks[axis]
+                  for axis, on in zip("tax", chosen) if on}
+            expected = repr(_ref_inner_product(f, h, g, kind=kind, **kw))
+            assert repr(dp.inner_product(f, h, g, kind=kind, **kw)) == expected
+            assert repr(dp.inner_product(dp.Field(f, kind, g), h, g, **kw)) == expected
+
     def test_gradient_energy_of_sine_mode(self):
         # integral k (d/dx sin(pi x))^2 = pi^2/2 for k = 1
         k = dp.ConstantDispersion(1.0)
@@ -238,6 +297,16 @@ class TestFieldsAndNorms:
         exact = np.pi ** 2 / 2.0
         assert abs(values[200] - exact) < abs(values[100] - exact)
         assert np.isclose(values[200], exact, rtol=1e-3)
+
+    def test_gradient_energy_of_a_time_gene_trace(self, bench_coeffs, coarse_grid):
+        g = coarse_grid
+        rng = np.random.default_rng(5)
+        trace = rng.standard_normal(g.shape("time_gene"))
+        trace[:, 0] = trace[:, -1] = 0.0
+        k = bench_coeffs.dispersion
+        rows = np.array([dp.hk_seminorm(row, k, g) for row in trace])
+        energy = dp.hk_seminorm(dp.Field(trace, "time_gene", g), k, g)
+        assert np.isclose(energy, np.sum(g.wt * rows), rtol=1e-14, atol=0.0)
 
     def test_gradient_energy_requires_dirichlet_data(self, coarse_grid):
         with pytest.raises(ValueError, match="Dirichlet"):
