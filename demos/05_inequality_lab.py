@@ -37,8 +37,8 @@ def benchmark(nx, na, nt):
 def main():
     grid, coeffs = benchmark(nx=100, na=100, nt=40)
 
-    config = dp.resolve_weight_config(coeffs, grid)
-    family = dp.WeightFamily(coeffs, grid, config)
+    family = dp.WeightFamily(coeffs, grid, dp.WeightConfig())
+    config = family.config
     print("weight family (auto-resolved admissible parameters):")
     print(f"  profile scale c1     : {config.profile_scale:.6f}")
     print(f"  negativity offset c2 : {config.negativity_offset:.6f}")

@@ -43,7 +43,7 @@ def main():
           f"{'control cost':>12} | {'decay quotient':>14}")
     terminal = []
     for eps in penalties:
-        sol = dp.solve_control(y0, eps, coeffs, grid, keep_state=False)
+        sol = dp.solve_control(y0, eps, coeffs, grid)
         report = dp.verify_null_reach(sol, y0, grid)
         terminal.append(sol.y_final_norm_sq)
         print(f"{eps:8.0e} | {sol.cg_iterations:6d} | {sol.y_final_norm_sq:14.6e} | "

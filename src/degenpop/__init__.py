@@ -94,7 +94,6 @@ from .weights import (
     min_negativity_offset,
     min_profile_scale,
     pole_weight,
-    resolve_weight_config,
 )
 
 __version__ = "0.1.0"

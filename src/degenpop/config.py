@@ -12,10 +12,11 @@ warnings, so a typo cannot silently fall back to a default.
 [lab]        ensemble sizes, seed, strength list for inequality sweeps
 [output]     output directory
 
-"auto" weight parameters resolve to 1.05 x the corresponding admissibility
-threshold (the multiplier is fixed and documented here so resolved runs are
-reproducible from the raw config).  The weight family that checks the
-resolved weights is kept on the parsed config for the runs to use.
+"auto" weight parameters resolve to weights.AUTO_HEADROOM (1.05) times the
+corresponding admissibility threshold (the multiplier is fixed so resolved
+runs are reproducible from the raw config).  The weight family that resolves
+and checks them is built once and kept on the parsed config for the runs to
+use; `family.config` holds the resolved weights.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from .model import (
     SeparableRate,
     SpaceTimeGrid,
 )
-from .weights import WeightConfig, WeightFamily, resolve_weight_config
-
-AUTO_HEADROOM = 1.05
+from .weights import WeightConfig, WeightFamily
 
 _SCHEMA = {
     "model": {
@@ -98,8 +97,7 @@ class ExperimentConfig:
 
     coeffs: CoefficientSet
     grid: SpaceTimeGrid
-    weights: WeightConfig
-    family: WeightFamily  # built from coeffs, grid and weights at parse time
+    family: WeightFamily  # built from coeffs, grid and [weights] at parse time
     initial_age: str
     initial_gene: str
     penalty: float
@@ -354,7 +352,7 @@ def parse_config(path) -> ExperimentConfig:
     # weights -------------------------------------------------------------
     bump_gain = _parse_float(get("weights", "bump_gain"), "weights.bump_gain", errors)
     strength = _parse_float(get("weights", "strength"), "weights.strength", errors)
-    weights = family = None
+    family = None
     if not errors and coeffs is not None and grid is not None:
         def scale_or_auto(key):
             text = get("weights", key)
@@ -364,19 +362,10 @@ def parse_config(path) -> ExperimentConfig:
         c2 = scale_or_auto("negativity_offset")
         if not errors:
             try:
-                weights = resolve_weight_config(
-                    coeffs,
-                    grid,
-                    profile_scale=c1,
-                    negativity_offset=c2,
-                    bump_gain=bump_gain,
-                    strength=strength,
-                    headroom=AUTO_HEADROOM,
-                )
-                family = WeightFamily(coeffs, grid, weights)  # checks admissibility
+                weights = WeightConfig(c1, c2, bump_gain=bump_gain, strength=strength)
+                family = WeightFamily(coeffs, grid, weights)  # resolves and checks
             except ValueError as exc:
                 errors.append(f"weights: {exc}")
-                weights = None
 
     # control / lab / output -----------------------------------------------
     penalty = _parse_float(get("control", "penalty"), "control.penalty", errors)
@@ -414,7 +403,6 @@ def parse_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         coeffs=coeffs,
         grid=grid,
-        weights=weights,
         family=family,
         initial_age=initial_age,
         initial_gene=initial_gene,

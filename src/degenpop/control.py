@@ -69,9 +69,9 @@ class ControlSolution:
     cg_residual: float
     cost_value: float
     converged: bool
+    state: Field  # the controlled forward trajectory
     residual_history: list = field(default_factory=list)
     optimality_mismatch: float = 0.0
-    state: Field | None = None
 
     def summary(self) -> str:
         lines = [
@@ -94,7 +94,6 @@ def solve_control(
     grid: SpaceTimeGrid,
     tol: float = 1e-6,
     maxit: int = 500,
-    keep_state: bool = True,
 ) -> ControlSolution:
     """Compute the penalized control steering the box population toward zero.
 
@@ -169,7 +168,7 @@ def solve_control(
         converged=converged,
         residual_history=history,
         optimality_mismatch=mismatch,
-        state=steered if keep_state else None,
+        state=steered,
     )
 
 

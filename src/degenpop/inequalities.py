@@ -374,7 +374,7 @@ class WeightSupReport:
 
 
 def weight_sup_check(
-    family: WeightFamily, power: int, s: float | None = None, use_envelope: bool = True
+    family: WeightFamily, power: int, s: float | None = None
 ) -> WeightSupReport:
     """Locate and size the peak of s^d pole^d exp(2 s Phi).
 
@@ -382,8 +382,6 @@ def weight_sup_check(
     strictly inside the time range: if the argmax lands on the first or last
     interior time level the probe raises, because the weight is then still
     growing toward the excluded face and the reported value is meaningless.
-    ``use_envelope=False`` drops the exponential factor (a deliberately
-    broken variant used as a negative control) and skips that check.
     """
     if power not in (1, 2, 3):
         raise ValueError("power must be 1, 2 or 3")
@@ -392,13 +390,11 @@ def weight_sup_check(
     th = family.masked_pole[:, :, None]
     with np.errstate(divide="ignore"):
         log_density = power * np.log(strength * th)
-    log_density = np.broadcast_to(log_density, (grid.nt + 1, grid.na + 1, grid.nx + 1))
-    if use_envelope:
-        log_density = log_density + 2.0 * strength * th * family.Psi_nodes[None, None, :]
+    log_density = log_density + 2.0 * strength * th * family.Psi_nodes[None, None, :]
     flat = int(np.argmax(log_density))
     t_idx, a_idx, x_idx = np.unravel_index(flat, log_density.shape)
     log_value = float(log_density[t_idx, a_idx, x_idx])
-    if use_envelope and t_idx in (1, grid.nt - 1):
+    if t_idx in (1, grid.nt - 1):
         raise RuntimeError(
             "weight peak sits on the first or last interior time level; "
             "refine the grid or reduce the strength"

@@ -207,12 +207,6 @@ class ConstantRate:
         """Value block at time level n; scalar shortcut (broadcast by callers)."""
         return self.const
 
-    def row(self, n, j, grid):
-        return self.const
-
-    def max_abs(self, grid):
-        return abs(self.const)
-
     def age_zero_max(self, grid):
         return abs(self.const)
 
@@ -250,15 +244,6 @@ class SeparableRate:
         tf = self.time_factor(grid.t_levels[n]) if self.time_factor else 1.0
         return self.scale * tf * self._outer(grid)
 
-    def row(self, n, j, grid):
-        return self.level(n, grid)[j]
-
-    def max_abs(self, grid):
-        m = np.max(np.abs(self._outer(grid))) * abs(self.scale)
-        if self.time_factor:
-            m *= np.max(np.abs(self.time_factor(grid.t_levels)))
-        return float(m)
-
     def age_zero_max(self, grid):
         block = np.abs(self._outer(grid)[0]) * abs(self.scale)
         m = float(np.max(block))
@@ -285,12 +270,6 @@ class TabulatedRate:
         if self.values_tab.shape != (grid.nt + 1, grid.na + 1, grid.nx + 1):
             raise ValueError("tabulated rate shape does not match the grid")
         return self.values_tab[n]
-
-    def row(self, n, j, grid):
-        return self.level(n, grid)[j]
-
-    def max_abs(self, grid):
-        return float(np.max(np.abs(self.values_tab)))
 
     def age_zero_max(self, grid):
         return float(np.max(np.abs(self.values_tab[:, 0, :])))
@@ -545,21 +524,26 @@ def l2_norm(f, grid, kind="age_gene", **mask_kw):
     return float(np.sqrt(max(l2_norm_sq(f, grid, kind=kind, **mask_kw), 0.0)))
 
 
+def midpoint_dispersion(k, grid):
+    """Dispersion sampled at the nx cell midpoints."""
+    x_mid = 0.5 * (grid.x_nodes[1:] + grid.x_nodes[:-1])
+    return np.asarray(k.value(x_mid), dtype=float)
+
+
 def hk_seminorm(f, k, grid):
     """Weighted gradient energy  integral k(x) (df/dx)^2 dx (da).
 
     Accepts a single gene row (nx+1,), an age-gene slice (na+1, nx+1) or a
     full trajectory; higher axes are integrated with trapezoid weights.  A
-    Field names its axes by kind; a bare 2-D array is an age-gene slice.  The
-    cell-midpoint sampling of k keeps the energy positive even when k
-    vanishes at a node.  Dirichlet data are expected: nonzero boundary
-    columns are rejected.
+    Field names its axes by kind; a bare 2-D array is an age-gene slice.  k is
+    sampled at the cell midpoints, as the scheme's fluxes sample it, which
+    keeps the energy positive even when k vanishes at a node.  Dirichlet data
+    are expected: nonzero boundary columns are rejected.
     """
     fv = _as_values(f)
     if np.max(np.abs(fv[..., 0])) > TOL_ABS or np.max(np.abs(fv[..., -1])) > TOL_ABS:
         raise ValueError("hk_seminorm expects homogeneous Dirichlet boundary values")
-    x_mid = 0.5 * (grid.x_nodes[1:] + grid.x_nodes[:-1])
-    k_mid = np.asarray(k.value(x_mid), dtype=float)
+    k_mid = midpoint_dispersion(k, grid)
     diff = np.diff(fv, axis=-1) / grid.dx
     cells = k_mid * diff * diff * grid.dx  # one term per cell
     row_energy = np.sum(cells, axis=-1)

@@ -282,7 +282,7 @@ def _run_sweep(config, out, seed, artifact, finish_stage):
     def one_penalty(eps):
         solution = solve_control(
             y0, eps, coeffs, grid,
-            tol=config.cg_tol, maxit=config.cg_maxit, keep_state=False,
+            tol=config.cg_tol, maxit=config.cg_maxit,
         )
         reach = verify_null_reach(solution, y0, grid)
         return (

@@ -37,11 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def midpoint_dispersion(k, grid):
-    """Dispersion sampled at the nx cell midpoints."""
-    x_mid = 0.5 * (grid.x_nodes[1:] + grid.x_nodes[:-1])
-    return np.asarray(k.value(x_mid), dtype=float)
+from .model import midpoint_dispersion
 
 
 class TridiagonalOperator:
@@ -137,8 +133,10 @@ class LevelOperators:
     Level n carries the matrices {M[n, j] : j = 0..na-1}: exactly the set a
     forward step n -> n+1 consumes (mortality sampled at the characteristic
     foot (t_n, a_j)) and the set a backward step n+1 -> n consumes (mortality
-    sampled at the target (t_n, a_j)).  Sharing one object between the two
-    solvers is what makes the discrete transport duality exact.
+    sampled at the target (t_n, a_j)).  Each solve builds its own instance,
+    but from the same (coeffs, grid) and by the same arithmetic, so the two
+    solvers step with bit-identical matrices; that is what makes the discrete
+    transport duality exact.
 
     When mortality does not depend on age the batch collapses to a single
     shared matrix; when it does not depend on time either, one factorization

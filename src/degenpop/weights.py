@@ -29,7 +29,7 @@ out values and logarithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,17 +167,21 @@ def hardy_weight(x, k):
 # configuration and the assembled family
 # ---------------------------------------------------------------------------
 
+# "auto" c1 and c2 resolve to this multiple of their admissibility thresholds.
+AUTO_HEADROOM = 1.05
+
+
 @dataclass
 class WeightConfig:
     """User-facing weight parameters.
 
     profile_scale (c1) and negativity_offset (c2) control the degenerate
-    profile; bump_gain (kappa) the envelope contrast; strength (s) the
-    default Carleman parameter.
+    profile; either may be "auto" (see WeightFamily).  bump_gain (kappa) sets
+    the envelope contrast; strength (s) the default Carleman parameter.
     """
 
-    profile_scale: float
-    negativity_offset: float
+    profile_scale: float | str = "auto"
+    negativity_offset: float | str = "auto"
     bump_gain: float = 1.0
     strength: float = 20.0
 
@@ -191,10 +195,13 @@ class WeightConfig:
 class WeightFamily:
     """All weight functions assembled for one coefficient set and grid.
 
-    Construction validates admissibility: the negativity offset exceeds its
-    threshold, the profile scale reaches its own, the degenerate profile is
-    negative at every gene node, and it lies below the bump envelope at
-    every node (which makes phi <= Phi at every interior space-time node).
+    Construction first resolves "auto" parameters: c2 to AUTO_HEADROOM times
+    its threshold, then c1 to AUTO_HEADROOM times its own (which depends on
+    the resolved c2); `config` holds the resolved floats.  It then validates
+    admissibility: the negativity offset exceeds its threshold, the profile
+    scale reaches its own, the degenerate profile is negative at every gene
+    node, and it lies below the bump envelope at every node (which makes
+    phi <= Phi at every interior space-time node).
 
     It also tabulates, once and read-only, the (t, a) arrays every weighted
     integral uses: `masked_pole`, the pole factor Theta with zeros on the
@@ -205,12 +212,21 @@ class WeightFamily:
     def __init__(self, coeffs, grid, config: WeightConfig):
         self.coeffs = coeffs
         self.grid = grid
-        self.config = config
         k = coeffs.dispersion
         window = grid.omega_core if grid.omega_core is not None else grid.omega
         self.bump = build_bump(0.5 * (window[0] + window[1]))
 
         self.min_negativity_offset = min_negativity_offset(k, coeffs.gamma)
+        c1, c2 = config.profile_scale, config.negativity_offset
+        if c2 == "auto":
+            c2 = AUTO_HEADROOM * self.min_negativity_offset
+        if c1 == "auto":  # raises, naming the offset, when c2 is inadmissible
+            c1 = AUTO_HEADROOM * min_profile_scale(
+                k, coeffs.gamma, c2, config.bump_gain, self.bump
+            )
+        self.config = config = replace(
+            config, profile_scale=float(c1), negativity_offset=float(c2)
+        )
         if config.negativity_offset <= self.min_negativity_offset:
             raise ValueError(
                 f"negativity_offset={config.negativity_offset} must exceed "
@@ -271,29 +287,3 @@ class WeightFamily:
         """Phi(t,a,x) = Theta(t,a) * Psi(x)."""
         theta = pole_weight(t, a, self.grid.T, self.grid.A)
         return theta * self.envelope(x)
-
-
-def resolve_weight_config(coeffs, grid, profile_scale="auto",
-                          negativity_offset="auto", bump_gain=1.0,
-                          strength=20.0, headroom=1.05):
-    """Build an admissible WeightConfig, resolving "auto" thresholds.
-
-    "auto" sets the negativity offset to headroom times its lower bound and
-    then the profile scale to headroom times its own (which depends on the
-    resolved offset).
-    """
-    k = coeffs.dispersion
-    window = grid.omega_core if grid.omega_core is not None else grid.omega
-    bump = build_bump(0.5 * (window[0] + window[1]))
-    if negativity_offset == "auto":
-        negativity_offset = headroom * min_negativity_offset(k, coeffs.gamma)
-    if profile_scale == "auto":
-        profile_scale = headroom * min_profile_scale(
-            k, coeffs.gamma, negativity_offset, bump_gain, bump
-        )
-    return WeightConfig(
-        profile_scale=float(profile_scale),
-        negativity_offset=float(negativity_offset),
-        bump_gain=float(bump_gain),
-        strength=float(strength),
-    )

@@ -44,9 +44,7 @@ def coarse_grid():
 
 @pytest.fixture(scope="session")
 def coarse_family(bench_coeffs, coarse_grid):
-    return dp.WeightFamily(
-        bench_coeffs, coarse_grid, dp.resolve_weight_config(bench_coeffs, coarse_grid)
-    )
+    return dp.WeightFamily(bench_coeffs, coarse_grid, dp.WeightConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_01_validators_recover_power_law_exponent(criterion):
 def test_02_weight_admissibility(criterion):
     t0 = time.perf_counter()
     cfg = dp.parse_config(BENCHMARK_CONFIG)
-    family = dp.WeightFamily(cfg.coeffs, cfg.grid, cfg.weights)
+    family = dp.WeightFamily(cfg.coeffs, cfg.grid, cfg.family.config)
     psi_neg = bool(np.all(family.psi_nodes < 0.0))
     ordered = bool(np.all(family.psi_nodes[1:-1] <= family.Psi_nodes[1:-1] + 1e-15))
     sups = [dp.weight_sup_check(family, power).log_value for power in (1, 2, 3)]
@@ -272,16 +272,14 @@ def test_07_benchmark_null_control(criterion):
     norm0_sq = dp.l2_norm_sq(y0, cfg.grid, kind="age_gene")
 
     solution = dp.solve_control(y0, 1e-4, cfg.coeffs, cfg.grid,
-                                tol=cfg.cg_tol, maxit=cfg.cg_maxit,
-                                keep_state=False)
+                                tol=cfg.cg_tol, maxit=cfg.cg_maxit)
     ratio = float(np.sqrt(solution.y_final_norm_sq / norm0_sq))
 
     eps_grid = sorted(cfg.penalties)
     norms = []
     for eps in eps_grid:
         sol = dp.solve_control(y0, eps, cfg.coeffs, cfg.grid,
-                               tol=cfg.cg_tol, maxit=cfg.cg_maxit,
-                               keep_state=False)
+                               tol=cfg.cg_tol, maxit=cfg.cg_maxit)
         norms.append(sol.y_final_norm_sq)
     slope = float(np.polyfit(np.log(eps_grid), np.log(norms), 1)[0])
 
@@ -309,7 +307,7 @@ def test_08_control_cost_boundedness(criterion):
         y0 = dp.age_gene_draw(rng, grid)
         norm0_sq = dp.l2_norm_sq(y0, grid, kind="age_gene")
         for j, eps in enumerate(eps_grid):
-            sol = dp.solve_control(y0, eps, coeffs, grid, keep_state=False)
+            sol = dp.solve_control(y0, eps, coeffs, grid)
             quotients[d, j] = sol.control_cost / norm0_sq
 
     finite = bool(np.all(np.isfinite(quotients)) and np.all(quotients > 0.0))
@@ -378,8 +376,7 @@ def test_10_weighted_inequality_ensembles(criterion):
     all_defined = True
     for nx, na, nt in ((100, 100, 40), (150, 150, 60)):
         grid = make_benchmark_grid(nx, na, nt)
-        family = dp.WeightFamily(coeffs, grid,
-                                 dp.resolve_weight_config(coeffs, grid))
+        family = dp.WeightFamily(coeffs, grid, dp.WeightConfig())
         for name, runner in runners:
             report = runner(coeffs, grid, family, s_values, trials=20, seed=SEED)
             fitted[name][nx] = report.fitted_constant

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import degenpop as dp
+from tests.conftest import make_benchmark_grid
 
 
 def _dead_window_coeffs(start=0.5):
@@ -143,6 +144,40 @@ class TestDuality:
         y = dp.solve_forward(dp.ForwardProblem(bench_coeffs, g, y0))
         w = dp.solve_adjoint(dp.AdjointProblem(bench_coeffs, g, wT))
         assert dp.duality_residual(y, w, None, y0, wT, g) < 1e-3
+
+
+    @pytest.mark.parametrize("cells", [(50, 20, 8), (100, 100, 40)])
+    def test_identity_is_exact_for_terminal_data_below_the_maximal_age(
+            self, bench_coeffs, cells):
+        # Rough data on every node; the terminal datum lives on the box rows
+        # delta <= a < A.  The a = A row stays zero: the terminal pairing
+        # weighs it da/2 while its characteristic carries da, which leaves a
+        # defect far above round-off (an open defect of the scheme).
+        g = make_benchmark_grid(*cells)
+        rng = dp.make_rng(31)
+        y0 = rng.standard_normal((g.na + 1, g.nx + 1))
+        ctl = rng.standard_normal((g.nt + 1, g.na + 1, g.nx + 1)) * g.omega_mask
+        wT = rng.standard_normal((g.na + 1, g.nx + 1))
+        for v in (y0, ctl, wT):
+            v[..., [0, -1]] = 0.0
+        wT[: g.delta_index] = 0.0
+        wT[g.na] = 0.0
+        y0, wT = dp.Field(y0, "age_gene", g), dp.Field(wT, "age_gene", g)
+        ctl = dp.Field(ctl, "trajectory", g)
+        y = dp.solve_forward(dp.ForwardProblem(bench_coeffs, g, y0, control=ctl))
+        w = dp.solve_adjoint(dp.AdjointProblem(bench_coeffs, g, wT))
+        nt, na = g.nt, g.na
+        pairings = (
+            dp.inner_product(y.values[nt], wT, g, kind="age_gene"),
+            dp.inner_product(y0, w.values[0], g, kind="age_gene"),
+            g.dt * g.da * np.einsum("tax,x->", ctl.values[:nt, :na]
+                                    * w.values[:nt, :na], g.wx),
+        )
+        largest = max(abs(p) for p in pairings)
+        # duality_residual divides by max(1, largest); undo that to bound the
+        # defect relative to the largest pairing itself
+        residual = dp.duality_residual(y, w, ctl, y0, wT, g)
+        assert residual * max(1.0, largest) <= 1e-13 * largest
 
 
 class TestProblemValidation:

@@ -96,9 +96,9 @@ class TestSolveControl:
     def test_smaller_penalty_gives_smaller_terminal_norm(self, solution,
                                                          bench_coeffs, coarse_grid):
         loose = dp.solve_control(_bench_initial(coarse_grid), 1e-2, bench_coeffs,
-                                 coarse_grid, keep_state=False)
+                                 coarse_grid)
         assert solution.y_final_norm_sq < loose.y_final_norm_sq
-        assert loose.state is None and solution.state is not None
+        assert solution.state is not None
 
     def test_zero_initial_datum_needs_no_control(self, bench_coeffs, coarse_grid):
         sol = dp.solve_control(dp.Field.zeros("age_gene", coarse_grid), 1e-4,
@@ -119,7 +119,7 @@ class TestNullReachReport:
     def test_quotients_normalize_by_initial_size(self, bench_coeffs, coarse_grid):
         g = coarse_grid
         y0 = _bench_initial(g)
-        sol = dp.solve_control(y0, 1e-4, bench_coeffs, g, keep_state=False)
+        sol = dp.solve_control(y0, 1e-4, bench_coeffs, g)
         report = dp.verify_null_reach(sol, y0, g)
         n0 = dp.l2_norm_sq(y0, g, kind="age_gene")
         assert np.isclose(report.box_decay_quotient,

@@ -241,8 +241,8 @@ class TestParseConfig:
         assert cfg.strengths == (5.0, 12.5, 20.0, 35.0, 50.0)
         assert cfg.seed == 4127
         # auto-resolved weights hit the documented headroom over the thresholds
-        assert np.isclose(cfg.weights.profile_scale, 71.81958392406233, rtol=1e-12)
-        assert np.isclose(cfg.weights.negativity_offset, 0.24748737341529162,
+        assert np.isclose(cfg.family.config.profile_scale, 71.81958392406233, rtol=1e-12)
+        assert np.isclose(cfg.family.config.negativity_offset, 0.24748737341529162,
                           rtol=1e-12)
 
     def test_minimal_config_fills_defaults(self, tmp_path):
@@ -260,7 +260,7 @@ class TestParseConfig:
         again = dp.parse_config(snap)
         assert again.raw == cfg.raw
         assert again.penalties == cfg.penalties
-        assert again.weights == cfg.weights
+        assert again.family.config == cfg.family.config
 
     def test_unknown_key_and_section_are_errors(self, tmp_path):
         path = write_config(tmp_path)

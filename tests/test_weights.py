@@ -101,7 +101,7 @@ class TestWeightFamily:
         assert np.all(fam.degenerate_weight(t, a, x) <= fam.regular_weight(t, a, x))
 
     def test_auto_resolution_applies_fixed_headroom(self, bench_coeffs, coarse_grid):
-        cfg = dp.resolve_weight_config(bench_coeffs, coarse_grid)
+        cfg = dp.WeightFamily(bench_coeffs, coarse_grid, dp.WeightConfig()).config
         k = bench_coeffs.dispersion
         min_c2 = dp.min_negativity_offset(k, bench_coeffs.gamma)
         assert np.isclose(cfg.negativity_offset, 1.05 * min_c2, rtol=1e-14)
