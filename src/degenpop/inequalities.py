@@ -17,10 +17,17 @@ Quadrature is trapezoidal in every axis.  Weighted integrands are zeroed on
 the faces t = 0, t = T and a = 0 where the pole factor blows up; the true
 integrands vanish there faster than any polynomial.  Gene derivatives use
 central differences inside and one-sided differences at the endpoints.
+
+Each weighted integral is evaluated only on the nodes that carry weight:
+the block of interior (t, a) rows times the gene nodes of its window (all
+of them, the observation window, or the inner gradient window).  The block
+is visited in C order, so the log-sum-exp sees exactly the entries, in the
+order, that a sum over the whole cylinder keeps, and returns the same bits.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +42,23 @@ from .weights import WeightFamily, hardy_weight
 # log-domain reductions
 # ---------------------------------------------------------------------------
 
+#: np.exp(x) is exactly 0.0 for x below this: e^-750 is under a hundredth of
+#: half the smallest subnormal double.
+_EXP_ZERO_BELOW = -750.0
+
 
 def log_weighted_sum(log_density: np.ndarray, weights: np.ndarray) -> float:
     """log of sum(weights * exp(log_density)) over entries with weight > 0.
 
     Entries whose log density is -inf contribute nothing; returns -inf when
-    no entry contributes.  Never forms exp of a large argument.
+    no entry contributes, and NaN when any entry with positive weight has a
+    NaN log density.  Never forms exp of a large argument, and skips the
+    entries whose exp is exactly zero: on these weights that is almost all
+    of them, and np.exp takes a slow path for every one that underflows.
     """
     w = np.asarray(weights, dtype=float).ravel()
     g = np.asarray(log_density, dtype=float).ravel()
-    keep = (w > 0.0) & (g > -np.inf)
+    keep = (w > 0.0) & (g != -np.inf)  # keeps NaN, which max() then returns
     if not np.any(keep):
         return -np.inf
     g = g[keep]
@@ -52,11 +66,17 @@ def log_weighted_sum(log_density: np.ndarray, weights: np.ndarray) -> float:
     top = float(g.max())
     if not np.isfinite(top):
         return top
-    return top + float(np.log(np.sum(w * np.exp(g - top))))
+    g -= top
+    live = np.flatnonzero(g >= _EXP_ZERO_BELOW)
+    terms = np.zeros_like(g)
+    terms[live] = w[live] * np.exp(g[live])
+    return top + float(np.log(np.sum(terms)))
 
 
 def log_add(*logs: float) -> float:
-    """log(sum(exp(logs))), ignoring -inf entries."""
+    """log(sum(exp(logs))), ignoring -inf entries; NaN when any entry is NaN."""
+    if any(np.isnan(v) for v in logs):
+        return np.nan
     finite = [v for v in logs if v > -np.inf]
     if not finite:
         return -np.inf
@@ -99,7 +119,7 @@ class InequalityTrial:
 def _trial_from_logs(log_lhs: float, log_rhs: float) -> InequalityTrial:
     if log_lhs == -np.inf and log_rhs == -np.inf:
         return InequalityTrial(0.0, 0.0, 0.0, -np.inf, -np.inf, 0.0, excluded=True)
-    log_ratio = log_lhs - log_rhs if log_rhs > -np.inf else np.inf
+    log_ratio = np.inf if log_rhs == -np.inf else log_lhs - log_rhs
     return InequalityTrial(
         lhs=_safe_exp(log_lhs),
         rhs=_safe_exp(log_rhs),
@@ -187,14 +207,47 @@ def _lower_age_mask(grid: SpaceTimeGrid) -> np.ndarray:
     return (np.arange(grid.na + 1) <= grid.delta_index).astype(float)
 
 
-def _log_weighted_volume(
-    log_poly: np.ndarray,
-    exponent: np.ndarray,
-    family: WeightFamily,
-    x_weights: np.ndarray,
-) -> float:
-    weights = family.face_weights[:, :, None] * x_weights[None, None, :]
-    return log_weighted_sum(log_poly + exponent, weights)
+def _span(positive: np.ndarray) -> slice:
+    """Slice from the first to the last True entry (empty when none is)."""
+    idx = np.flatnonzero(positive)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+
+
+class _Support:
+    """The block of nodes where face_weights[:, :, None] * x_weights > 0.
+
+    `ta` slices the (t, a) rows with a positive face weight and `x` the gene
+    nodes with a positive x weight; `index` slices their block, which is
+    read in C order.  `pole` is the masked pole factor on the rows, with a
+    trailing gene axis, and `weights` the weight product on the block.  Any
+    zero the product has inside the block is dropped by `log_weighted_sum`.
+    """
+
+    def __init__(self, family: WeightFamily, x_weights: np.ndarray):
+        positive = family.face_weights > 0.0
+        self.ta = (_span(positive.any(axis=1)), _span(positive.any(axis=0)))
+        self.x = _span(x_weights > 0.0)
+        self.index = (*self.ta, self.x)
+        self.pole = family.masked_pole[self.ta][:, :, None]
+        self.face_weights = family.face_weights[self.ta]
+        self.weights = self.face_weights[:, :, None] * x_weights[self.x]
+
+
+_SUPPORTS = weakref.WeakKeyDictionary()
+
+
+def _support(family: WeightFamily, window=None) -> _Support:
+    """Support of the family's integrals over a gene window (None: all genes).
+
+    Built on first use and kept while the family lives.
+    """
+    supports = _SUPPORTS.setdefault(family, {})
+    window = None if window is None else tuple(window)
+    if window not in supports:
+        grid = family.grid
+        x_weights = grid.wx if window is None else grid.wx * grid.x_window_mask(window)
+        supports[window] = _Support(family, x_weights)
+    return supports[window]
 
 
 def _weighted_energy(w: Field, s: float, family: WeightFamily):
@@ -202,24 +255,27 @@ def _weighted_energy(w: Field, s: float, family: WeightFamily):
 
     The energy is the integral over the full cylinder of
     (s * pole * k * w_x^2 + s^3 * pole^3 * (x-x0)^2/k * w^2) * exp(2 s phi),
-    with (x-x0)^2/k zero at a degenerate node.  Also returns w_x^2 and the
-    exponent 2 s phi, which the intermediate bound's rhs reuses.
+    with (x-x0)^2/k zero at a degenerate node.  Also returns w_x^2 on the
+    support's (t, a) rows at every gene node and the exponent 2 s phi on the
+    support, which the intermediate bound's rhs reuses.
     """
     grid = family.grid
-    th = family.masked_pole[:, :, None]
-    vals = w.values
-    wx_sq = _gene_gradient(vals, grid) ** 2
+    full = _support(family)
+    th = full.pole
+    vals = w.values[full.index]
+    wx_sq = _gene_gradient(w.values[full.ta], grid) ** 2
     x = grid.x_nodes
     k = family.coeffs.dispersion.value(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = (x - family.coeffs.x0) ** 2 / k
     r2[k == 0.0] = 0.0
 
-    lhs_poly = s * th * k * wx_sq + s**3 * th**3 * r2 * vals**2
+    lhs_poly = (s * th * k[full.x] * wx_sq[:, :, full.x]
+                + s**3 * th**3 * r2[full.x] * vals**2)
     with np.errstate(divide="ignore"):
         log_lhs_poly = np.log(lhs_poly)
-    exp_phi = 2.0 * s * th * family.psi_nodes[None, None, :]
-    log_lhs = _log_weighted_volume(log_lhs_poly, exp_phi, family, grid.wx)
+    exp_phi = 2.0 * s * th * family.psi_nodes[full.x]
+    log_lhs = log_weighted_sum(log_lhs_poly + exp_phi, full.weights)
     return log_lhs, wx_sq, exp_phi
 
 
@@ -240,14 +296,13 @@ def carleman_main_trial(
     grid = family.grid
     log_lhs = _weighted_energy(w, s, family)[0]
 
-    th = family.masked_pole[:, :, None]
-    vals = w.values
-    rhs_poly = s**3 * th**3 * vals**2
+    window = _support(family, grid.omega)
+    th = window.pole
+    rhs_poly = s**3 * th**3 * w.values[window.index] ** 2
     with np.errstate(divide="ignore"):
         log_rhs_poly = np.log(rhs_poly)
-    exp_reg = 2.0 * s * th * family.Psi_nodes[None, None, :]
-    window_wx = grid.wx * grid.omega_mask
-    log_obs = _log_weighted_volume(log_rhs_poly, exp_reg, family, window_wx)
+    exp_reg = 2.0 * s * th * family.Psi_nodes[window.x]
+    log_obs = log_weighted_sum(log_rhs_poly + exp_reg, window.weights)
 
     low_age = inner_product(wT, wT, grid, kind="age_gene", a_mask=_lower_age_mask(grid))
     log_rhs = log_add(log_obs, _safe_log(low_age))
@@ -264,22 +319,23 @@ def carleman_intermediate_trial(
     both gene endpoints; with the profile's sign both fluxes are positive.
     """
     grid = family.grid
+    full = _support(family)
     log_lhs, wx_sq, exp_phi = _weighted_energy(w, s, family)
 
     with np.errstate(divide="ignore"):
-        log_source = np.log(h.values**2)
-    log_src = _log_weighted_volume(log_source, exp_phi, family, grid.wx)
+        log_source = np.log(h.values[full.index] ** 2)
+    log_src = log_weighted_sum(log_source + exp_phi, full.weights)
 
     # boundary fluxes: s * k * pole * |x - x0| * w_x^2 * exp(2 s pole * psi)
     k = family.coeffs.dispersion.value(grid.x_nodes)
-    th, x0 = family.masked_pole, family.coeffs.x0
+    th, x0 = full.pole[:, :, 0], family.coeffs.x0
     log_flux = []
     for idx, lever in ((grid.nx, 1.0 - x0), (0, x0)):
         poly = s * k[idx] * lever * th * wx_sq[:, :, idx]
         with np.errstate(divide="ignore"):
             log_poly = np.log(poly)
         exponent = 2.0 * s * th * family.psi_nodes[idx]
-        log_flux.append(log_weighted_sum(log_poly + exponent, family.face_weights))
+        log_flux.append(log_weighted_sum(log_poly + exponent, full.face_weights))
     log_rhs = log_add(log_src, *log_flux)
     return _trial_from_logs(log_lhs, log_rhs)
 
@@ -303,21 +359,22 @@ def caccioppoli_trial(
             "inner gradient window must exclude the degeneracy point "
             f"x0={family.coeffs.x0}"
         )
-    th = family.masked_pole[:, :, None]
-    vals = w.values
-    wx_sq = _gene_gradient(vals, grid) ** 2
-    exp_phi = 2.0 * s * th * family.psi_nodes[None, None, :]
-
-    inner_wx = grid.wx * grid.x_window_mask((lo, hi))
+    inner = _support(family, (lo, hi))
+    wx_sq = _gene_gradient(w.values[inner.ta], grid)[:, :, inner.x] ** 2
     with np.errstate(divide="ignore"):
         log_lhs_poly = np.log(wx_sq)
-    log_lhs = _log_weighted_volume(log_lhs_poly, exp_phi, family, inner_wx)
+    exp_phi = 2.0 * s * inner.pole * family.psi_nodes[inner.x]
+    log_lhs = log_weighted_sum(log_lhs_poly + exp_phi, inner.weights)
 
-    rhs_poly = s**2 * th**2 * vals**2 + (0.0 if h is None else h.values**2)
+    window = _support(family, grid.omega)
+    th = window.pole
+    rhs_poly = s**2 * th**2 * w.values[window.index] ** 2 + (
+        0.0 if h is None else h.values[window.index] ** 2
+    )
     with np.errstate(divide="ignore"):
         log_rhs_poly = np.log(rhs_poly)
-    window_wx = grid.wx * grid.omega_mask
-    log_rhs = _log_weighted_volume(log_rhs_poly, exp_phi, family, window_wx)
+    exp_phi = 2.0 * s * th * family.psi_nodes[window.x]
+    log_rhs = log_weighted_sum(log_rhs_poly + exp_phi, window.weights)
     return _trial_from_logs(log_lhs, log_rhs)
 
 

@@ -8,7 +8,13 @@ import pytest
 
 import degenpop as dp
 from degenpop.adjoint import AdjointProblem, solve_adjoint
-from degenpop.ensembles import age_gene_draw, gene_draw, make_rng, trajectory_draw
+from degenpop.ensembles import (
+    _sine_table,
+    age_gene_draw,
+    gene_draw,
+    make_rng,
+    trajectory_draw,
+)
 from degenpop.inequalities import (
     InequalityReport,
     InequalityTrial,
@@ -17,6 +23,7 @@ from degenpop.inequalities import (
     _lower_age_mask,
     _renewal_free,
     _safe_log,
+    _support,
     _trial_from_logs,
     caccioppoli_trial,
     carleman_intermediate_trial,
@@ -29,6 +36,7 @@ from degenpop.inequalities import (
 )
 from degenpop.model import CoefficientSet, Field, SpaceTimeGrid, inner_product
 from degenpop.weights import WeightFamily, hardy_weight
+from tests.conftest import make_benchmark_grid
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +75,31 @@ class TestLogDomainPrimitives:
                           rtol=1e-14)
         assert dp.log_add(-np.inf, -np.inf) == -np.inf
 
+    def test_nan_density_on_a_weighted_node_gives_nan(self):
+        assert np.isnan(dp.log_weighted_sum(np.array([0.0, np.nan, 1.0]), np.ones(3)))
+        assert np.isnan(dp.log_weighted_sum(np.full(3, np.nan), np.ones(3)))
+        assert np.isnan(dp.log_weighted_sum(np.array([-np.inf, np.nan]), np.ones(2)))
+        assert np.isnan(dp.log_add(0.0, np.nan)) and np.isnan(dp.log_add(np.nan, 0.0))
+
+    def test_nan_density_on_a_zero_weight_node_is_ignored(self):
+        logs = np.array([0.0, np.nan, 1.0])
+        assert dp.log_weighted_sum(logs, np.array([1.0, 0.0, 1.0])) == \
+            dp.log_weighted_sum(np.array([0.0, 1.0]), np.ones(2))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_finite_inputs_keep_the_bits_of_the_full_exp_sum(self, seed):
+        # log densities spread over thousands of units, as on the lab grids,
+        # so most entries sit below the exp underflow cutoff and a few just
+        # above it; with -inf densities and zero weights mixed in
+        rng = np.random.default_rng(seed)
+        for scale in (1.0, 300.0, 760.0, 1e4, 1e6):
+            logs = -scale * rng.random(5000)
+            logs[rng.random(5000) < 0.05] = -np.inf
+            weights = rng.random(5000)
+            weights[rng.random(5000) < 0.1] = 0.0
+            got = dp.log_weighted_sum(logs, weights)
+            assert got.hex() == _ref_log_weighted_sum(logs, weights).hex(), scale
+
 
 class TestTrialBookkeeping:
     def test_degenerate_trials_are_excluded(self, coarse_grid, bench_coeffs):
@@ -86,6 +119,22 @@ class TestTrialBookkeeping:
         assert report.all_ratios_defined()
         rows = list(report.rows())
         assert len(rows) == 3 and rows[0]["trial"] == 0
+
+    def test_nan_in_w_makes_the_weighted_reports_undefined(self, adjoint_data,
+                                                           coarse_family):
+        w, wT, h = adjoint_data
+        grid = coarse_family.grid
+        poisoned = w.values.copy()
+        poisoned[grid.nt // 2, grid.na // 2, int(0.6 * grid.nx)] = np.nan
+        w_nan = Field(poisoned, "trajectory", grid)
+        for trial in (carleman_main_trial(w_nan, wT, 5.0, coarse_family),
+                      carleman_intermediate_trial(w_nan, h, 5.0, coarse_family),
+                      caccioppoli_trial(w_nan, h, 5.0, coarse_family)):
+            report = InequalityReport("poisoned", (5.0,), 1, grid_signature(grid),
+                                      [(0, 5.0, trial)])
+            assert not trial.excluded
+            assert np.isnan(trial.log_ratio)
+            assert not report.all_ratios_defined()
 
     def test_zero_numerator_gives_zero_ratio(self):
         from degenpop.inequalities import _trial_from_logs
@@ -548,6 +597,43 @@ def _ref_run_inequality_lab(
     }
 
 
+def _ref_log_weighted_sum(log_density: np.ndarray, weights: np.ndarray) -> float:
+    """The log-sum-exp as it was when every entry went through np.exp."""
+    w = np.asarray(weights, dtype=float).ravel()
+    g = np.asarray(log_density, dtype=float).ravel()
+    keep = (w > 0.0) & (g > -np.inf)
+    if not np.any(keep):
+        return -np.inf
+    g = g[keep]
+    w = w[keep]
+    top = float(g.max())
+    if not np.isfinite(top):
+        return top
+    return top + float(np.log(np.sum(w * np.exp(g - top))))
+
+
+def _ref_trajectory_draw(rng, grid, modes=4) -> np.ndarray:
+    """Trajectory draw values as one einsum call without `optimize`."""
+    coeff = rng.standard_normal((modes, modes, modes))
+    m2 = np.arange(1, modes + 1) ** 2
+    coeff = coeff / (m2[:, None, None] + m2[None, :, None] + m2[None, None, :])
+    t_tab = _sine_table(grid.t_levels, grid.T, modes)
+    a_tab = _sine_table(grid.a_levels, grid.A, modes)
+    x_tab = _sine_table(grid.x_nodes, 1.0, modes)
+    return np.einsum("lmn,lt,ma,nx->tax", coeff, t_tab, a_tab, x_tab)
+
+
+def _assert_same_rows(new: dict, ref: dict):
+    assert list(new) == list(ref)
+    for name in ref:
+        assert new[name].ensemble_size == ref[name].ensemble_size, name
+        new_rows, ref_rows = list(new[name].rows()), list(ref[name].rows())
+        assert len(new_rows) == len(ref_rows) > 0, name
+        for got, want in zip(new_rows, ref_rows):
+            assert {k: repr(v) for k, v in got.items()} == \
+                {k: repr(v) for k, v in want.items()}, name
+
+
 class TestBitLevelOracle:
     def test_lab_rows_match_the_oracle_by_repr(self, bench_coeffs, coarse_grid,
                                                coarse_family):
@@ -555,14 +641,47 @@ class TestBitLevelOracle:
         kwargs = dict(s_values=(5.0, 50.0), trials=2, seed=4127)
         new = dp.run_inequality_lab(*args, **kwargs)
         ref = _ref_run_inequality_lab(*args, **kwargs)
-        assert list(new) == list(ref)
-        for name in ref:
-            assert new[name].ensemble_size == ref[name].ensemble_size, name
-            new_rows, ref_rows = list(new[name].rows()), list(ref[name].rows())
-            assert len(new_rows) == len(ref_rows) > 0, name
-            for got, want in zip(new_rows, ref_rows):
-                assert {k: repr(v) for k, v in got.items()} == \
-                    {k: repr(v) for k, v in want.items()}, name
+        _assert_same_rows(new, ref)
+
+    @pytest.mark.parametrize("seed", [4127, 1])
+    def test_lab_rows_match_the_oracle_at_every_benchmark_strength(
+            self, bench_coeffs, coarse_grid, coarse_family, seed):
+        # the lab grid of the benchmark, (50, 50, 20), with its five strengths
+        args = (bench_coeffs, coarse_grid, coarse_family)
+        kwargs = dict(s_values=(5.0, 12.5, 20.0, 35.0, 50.0), trials=2, seed=seed)
+        _assert_same_rows(dp.run_inequality_lab(*args, **kwargs),
+                          _ref_run_inequality_lab(*args, **kwargs))
+
+    @pytest.mark.parametrize("cells", [(50, 20, 8), (50, 50, 20), (100, 100, 40),
+                                       (50, 150, 60)])
+    def test_trajectory_draw_matches_the_einsum_oracle_bytes(self, cells):
+        # bytes, not values: a -0.0 where the oracle has 0.0 fails too
+        grid = make_benchmark_grid(*cells)
+        for modes in (1, 2, 3, 4):
+            for seed in (4127, 1, 2):
+                new_rng, ref_rng = make_rng(seed), make_rng(seed)
+                for _ in range(2):
+                    got = trajectory_draw(new_rng, grid, modes=modes).values
+                    want = _ref_trajectory_draw(ref_rng, grid, modes=modes)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (cells, modes, seed)
+
+    @pytest.mark.parametrize("window", ["all", "omega", "inner"])
+    def test_support_block_is_the_positive_set_of_the_weight_product(
+            self, coarse_family, window):
+        grid = coarse_family.grid
+        window = {"all": None, "omega": grid.omega, "inner": grid.omega_inner}[window]
+        x_weights = grid.wx if window is None else grid.wx * grid.x_window_mask(window)
+        product = _ref_face_weights(coarse_family)[:, :, None] * x_weights[None, None, :]
+        support = _support(coarse_family, window)
+        covered = np.zeros(product.shape, dtype=bool)
+        covered[support.index] = support.weights > 0.0
+        assert np.array_equal(covered, product > 0.0)
+        assert support.weights.tobytes() == \
+            np.ascontiguousarray(product[support.index]).tobytes()
+        assert support.pole[:, :, 0].tobytes() == \
+            np.ascontiguousarray(_ref_masked_pole(coarse_family)[support.ta]).tobytes()
+        assert _support(coarse_family, window) is support
 
     def test_family_tables_match_the_oracle_bit_for_bit(self, coarse_family):
         assert np.array_equal(coarse_family.masked_pole, _ref_masked_pole(coarse_family))
