@@ -182,6 +182,12 @@ def duality_residual(y_traj: Field, w_traj: Field, control, y0, wT, grid) -> flo
     pairing uses the rule the scheme itself conserves — the rectangle rule
     over the foot samples {(t_n, a_j): n < nt, j < na} times the gene
     trapezoid.  Returns |lhs - rhs| / max(1, largest term magnitude).
+
+    The max(1, .) makes the result a relative defect only when some pairing
+    reaches 1.  For smaller data it is the absolute defect: draws whose
+    pairings are 1e-3 to 1e-2 report defects on that absolute scale, so a
+    bound such as criterion 05's <= 1e-2 is an absolute bound there and
+    would pass a defect as large as the pairings themselves.
     """
     yv = y_traj.values
     wv = w_traj.values

@@ -16,6 +16,17 @@ by conjugate gradients, and the control actually applied is minus the
 control-window restriction of the backward solution generated by ``p``.
 With that sign the controlled terminal box values equal ``epsilon * p`` up
 to the CG residual, which yields a direct optimality check.
+
+Inside CG the Gram operator never runs the full solvers.  The grid enforces
+T < delta and dt == da, so a characteristic that ends in the box (age at
+least delta at t = T) starts at an age of at least delta - T > 0: it never
+passes through the newborn row, and the renewal coupling, in either
+direction, never touches it.  Each step along such a characteristic is one
+row of the implicit level solve, independent of every other row, so
+`gram_apply` marches just the box characteristics, backward then forward,
+and returns the same box values as the full composition bit for bit.  The
+free, final and steered solves of `solve_control` still use the general
+solvers, which carry the whole population.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import numpy as np
 from .adjoint import AdjointProblem, solve_adjoint
 from .forward import ForwardProblem, control_norm_sq, solve_forward
 from .model import CoefficientSet, Field, SpaceTimeGrid, _as_values, inner_product
+from .stepping import LevelOperators
 
 
 def box_mask(grid: SpaceTimeGrid) -> np.ndarray:
@@ -42,18 +54,66 @@ def box_inner(u, v, grid: SpaceTimeGrid) -> float:
 def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray:
     """Apply the (symmetric, psd) terminal-box Gram operator to a probe.
 
-    ``probe`` is an (na+1, nx+1) array supported in the observation box.
-    Returns the terminal box values of the forward flow started from zero
-    and driven by the window restriction of the backward solution.
+    ``probe`` is an (na+1, nx+1) array; its values below the observation
+    threshold are ignored.  Returns the terminal box values of the forward
+    flow started from zero and driven by the window restriction of the
+    backward solution with terminal datum ``probe``, as an (na+1, nx+1) array
+    that is zero below the threshold.  Raises ValueError for any other probe
+    shape or for non-finite probe values.
+
+    Only the box characteristics are computed.  At level n they occupy the
+    age rows d - nt + n .. na - nt + n (d = delta_index), all at least 1
+    because T < delta.  The backward march solves those rows from the probe
+    and keeps dt * w on the window columns at each level; the forward march
+    solves the same rows from zero with that source added on the window
+    columns.  This is, row for row, the arithmetic of `solve_adjoint`
+    followed by `solve_forward`, which add ``dt * (w * window mask)`` to the
+    forward rhs:
+
+    - Thomas rows are independent and give the same bits in any batch;
+    - the fertility term the full adjoint adds on these rows is
+      dt * (beta * 0.0), because the newborn trace of a box probe is zero;
+    - on the window columns w * 1.0 is w; off them the full composition adds
+      a zero, which changes no value except a -0.0, and the forward rows
+      hold no -0.0: they start at +0.0, and a Thomas sweep whose rhs holds
+      no -0.0 stores none.
+
+    The box rows of the result therefore equal those of the full composition
+    byte for byte.  Below the threshold the result is +0.0; the full
+    composition gives y(T) * 0.0 there, zeros that may carry a sign, and
+    `solve_control` reads only the box values.
     """
-    mask = box_mask(grid)
-    probe = np.asarray(probe, dtype=float) * mask
-    back = solve_adjoint(AdjointProblem(coeffs, grid, Field(probe, "age_gene", grid)))
-    control = Field(back.values * grid.omega_mask[None, None, :], "trajectory", grid)
-    flow = solve_forward(
-        ForwardProblem(coeffs, grid, Field.zeros("age_gene", grid), control=control)
-    )
-    return flow.values[grid.nt] * mask
+    probe = np.asarray(probe, dtype=float)
+    expected = grid.shape("age_gene")
+    if probe.shape != expected:
+        raise ValueError(f"probe must have the age-gene shape {expected}, got {probe.shape}")
+    # the masked probe of the full composition is non-finite exactly when the
+    # probe is (inf * 0.0 is nan), so this raises for the same probes
+    if not np.all(np.isfinite(probe)):
+        raise ValueError("wT contains non-finite values")
+
+    nt, na, d, dt = grid.nt, grid.na, grid.delta_index, grid.dt
+    ops = LevelOperators(coeffs, grid)
+    window = grid.x_window_slice(grid.omega)
+    window = slice(window.start - 1, window.stop - 1)  # in interior gene columns
+
+    def rows(n):
+        return slice(d - nt + n, na - nt + n + 1)
+
+    w = probe[d:, 1:-1]
+    # one block for every level: an array per level fragmented the heap and
+    # raised the peak RSS of a control run by 3 MB
+    sources = np.empty((nt, w.shape[0], window.stop - window.start))
+    for n in range(nt - 1, -1, -1):
+        w = ops.level(n).solve(w, rows=rows(n))
+        np.multiply(w[:, window], dt, out=sources[n])
+    y = np.zeros_like(w)
+    for n in range(nt):
+        y[:, window] += sources[n]
+        y = ops.level(n).solve(y, rows=rows(n))
+    out = np.zeros(expected)
+    out[d:, 1:-1] = y
+    return out
 
 
 @dataclass

@@ -225,6 +225,17 @@ def _control_summary(artifact, solution, reach):
     artifact.summary["cost_quotient"] = reach.cost_quotient
 
 
+_HISTORY_COLUMNS = ("epsilon", "iteration", "relative_residual")
+
+
+def _history_rows(solution):
+    """One (epsilon, iteration, relative residual) row per CG iteration."""
+    return [
+        (solution.epsilon, iteration, residual)
+        for iteration, residual in enumerate(solution.residual_history, start=1)
+    ]
+
+
 def _run_control(config, out, seed, artifact, finish_stage):
     y0 = _initial_field(config)
     solution = solve_control(
@@ -240,6 +251,8 @@ def _run_control(config, out, seed, artifact, finish_stage):
     _export_field(out, "control.csv", solution.control, artifact.files)
     _export_field(out, "terminal_probe.csv", solution.terminal_probe, artifact.files)
     _export_field(out, "controlled_state.csv", solution.state, artifact.files)
+    _write_table(out, "cg_residual_history.csv", _HISTORY_COLUMNS,
+                 _history_rows(solution), artifact.files)
 
 
 _REPORT_COLUMNS = ("trial", "s", "lhs", "rhs", "ratio", "log_lhs", "log_rhs", "log_ratio")
@@ -278,6 +291,7 @@ def _run_inequalities(config, out, seed, artifact, finish_stage):
 def _run_sweep(config, out, seed, artifact, finish_stage):
     coeffs, grid = config.coeffs, config.grid
     y0 = _initial_field(config)
+    history = []
 
     def one_penalty(eps):
         solution = solve_control(
@@ -285,6 +299,7 @@ def _run_sweep(config, out, seed, artifact, finish_stage):
             tol=config.cg_tol, maxit=config.cg_maxit,
         )
         reach = verify_null_reach(solution, y0, grid)
+        history.extend(_history_rows(solution))
         return (
             eps,
             solution.y_final_norm_sq,
@@ -306,6 +321,7 @@ def _run_sweep(config, out, seed, artifact, finish_stage):
         rows,
         artifact.files,
     )
+    _write_table(out, "cg_residual_history.csv", _HISTORY_COLUMNS, history, artifact.files)
     norms = np.array([row[1] for row in rows])
     eps = np.array([row[0] for row in rows])
     if len(rows) >= 2 and np.all(norms > 0.0):

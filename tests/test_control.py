@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import degenpop as dp
+from tests.conftest import make_benchmark_coeffs, make_benchmark_grid
 
 
 def _bench_initial(grid):
@@ -29,7 +30,108 @@ class TestBoxGeometry:
         assert np.all(mask[:g.delta_index] == 0.0)
 
 
+def _ref_gram_apply(probe, coeffs, grid):
+    """The Gram operator as the full composition, kept as an oracle.
+
+    Adjoint solve of the masked probe, window restriction, forward solve
+    from zero, terminal box slice: every row of both trajectories.
+    """
+    mask = dp.box_mask(grid)
+    probe = np.asarray(probe, dtype=float) * mask
+    back = dp.solve_adjoint(dp.AdjointProblem(coeffs, grid, dp.Field(probe, "age_gene", grid)))
+    control = dp.Field(back.values * grid.omega_mask[None, None, :], "trajectory", grid)
+    flow = dp.solve_forward(
+        dp.ForwardProblem(coeffs, grid, dp.Field.zeros("age_gene", grid), control=control)
+    )
+    return flow.values[grid.nt] * mask
+
+
+def _coeffs(kind, grid):
+    """Benchmark coefficients, with mortality replaced for the other kinds."""
+    bench = make_benchmark_coeffs()
+    if kind == "benchmark":
+        return bench
+    if kind == "separable":
+        mu = dp.SeparableRate(time_factor=lambda t: 1.0 + 2.0 * t,
+                              age_factor=lambda a: 0.1 + a ** 2)
+    else:
+        t, a, x = np.meshgrid(grid.t_levels, grid.a_levels, grid.x_nodes, indexing="ij")
+        mu = dp.TabulatedRate(0.1 + (1.0 + t) * a * (1.5 - a) * (1.0 + np.sin(3.0 * x)))
+    return dp.CoefficientSet(dispersion=bench.dispersion, mu=mu, beta=bench.beta,
+                             gamma=bench.gamma, theta=bench.theta)
+
+
+def _rough_probe(rng, grid):
+    """Gaussian noise on every node, with -0.0 entries and one all -0.0 box row.
+
+    Rows below the observation threshold and the a = A row are nonzero.
+    """
+    p = rng.standard_normal(grid.shape("age_gene"))
+    p.flat[::7] = -0.0
+    p[grid.delta_index + 2] = -0.0
+    return p
+
+
+def _cells_id(cells):
+    return "x".join(map(str, cells))
+
+
 class TestGramOperator:
+    @pytest.mark.parametrize("cells", [(50, 20, 8), (50, 50, 20), (50, 150, 60)],
+                             ids=_cells_id)
+    @pytest.mark.parametrize("kind", ["benchmark", "separable", "tabulated"])
+    def test_matches_the_full_composition_bit_for_bit(self, cells, kind):
+        g = make_benchmark_grid(*cells)
+        coeffs = _coeffs(kind, g)
+        d = g.delta_index
+        rng = dp.make_rng(17)
+        for p in (dp.box_terminal_draw(rng, g).values, _rough_probe(rng, g)):
+            new, ref = dp.gram_apply(p, coeffs, g), _ref_gram_apply(p, coeffs, g)
+            assert new.shape == ref.shape
+            assert new[d:].tobytes() == ref[d:].tobytes()
+            # below the box the composition returns y(T) * 0.0, a zero that
+            # carries the sign of the discarded flow; the march returns +0.0
+            assert np.all(ref[:d] == 0.0)
+            assert new[:d].tobytes() == bytes(new[:d].nbytes)
+
+    @pytest.mark.parametrize("cells", [(50, 50, 20), (100, 100, 40)], ids=_cells_id)
+    @pytest.mark.parametrize("kind", ["benchmark", "tabulated"])
+    def test_symmetric_to_round_off_and_positive_on_rough_probes(self, cells, kind):
+        g = make_benchmark_grid(*cells)
+        coeffs = _coeffs(kind, g)
+        mask = dp.box_mask(g)
+        rng = dp.make_rng(29)
+        for _ in range(3):
+            p = rng.standard_normal(g.shape("age_gene")) * mask
+            q = rng.standard_normal(g.shape("age_gene")) * mask
+            assert np.all(p[g.na, 1:-1] != 0.0)  # the a = A row takes part
+            gp, gq = dp.gram_apply(p, coeffs, g), dp.gram_apply(q, coeffs, g)
+            a12, a21 = dp.box_inner(gp, q, g), dp.box_inner(p, gq, g)
+            assert abs(a12 - a21) <= 1e-13 * max(abs(a12), abs(a21))
+            assert dp.box_inner(gp, p, g) >= 0.0
+            assert dp.box_inner(gq, q, g) >= 0.0
+
+    def test_probe_shape_is_checked(self, bench_coeffs, coarse_grid):
+        g = coarse_grid
+        for bad in (np.ones(g.nx + 1), np.ones((g.na + 1, g.nx + 2))):
+            with pytest.raises(ValueError) as err:
+                dp.gram_apply(bad, bench_coeffs, g)
+            assert str(g.shape("age_gene")) in str(err.value)
+            assert str(bad.shape) in str(err.value)
+
+    @pytest.mark.parametrize("row_offset, value", [(0, np.nan), (-1, np.inf)],
+                             ids=["nan_in_box", "inf_below_box"])
+    def test_non_finite_probe_error_is_unchanged(self, bench_coeffs, coarse_grid,
+                                                 row_offset, value):
+        g = coarse_grid
+        p = np.zeros(g.shape("age_gene"))
+        p[g.delta_index + row_offset, g.nx // 2] = value
+        with pytest.raises(ValueError) as ref, np.errstate(invalid="ignore"):
+            _ref_gram_apply(p, bench_coeffs, g)  # inf * 0.0 below the box is nan
+        with pytest.raises(ValueError) as new:
+            dp.gram_apply(p, bench_coeffs, g)
+        assert str(new.value) == str(ref.value) == "wT contains non-finite values"
+
     def test_symmetry_and_positivity(self, bench_coeffs, coarse_grid):
         g = coarse_grid
         rng = dp.make_rng(101)

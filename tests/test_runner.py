@@ -104,10 +104,23 @@ class TestPipelines:
         assert art.summary["terminal_ratio"] < 0.05
         assert art.summary["terminal_ratio_target_0.05"] == "MET"
         assert art.summary["optimality_mismatch"] < 1e-3
-        assert {"control.csv", "terminal_probe.csv", "controlled_state.csv"} <= set(
-            art.files
-        )
+        assert {"control.csv", "terminal_probe.csv", "controlled_state.csv",
+                "cg_residual_history.csv"} <= set(art.files)
         check_artifact_files(art, tmp_path)
+
+    def test_control_writes_the_cg_residual_history(self, coarse_config, tmp_path):
+        art = dp.run_experiment(coarse_config, "control", out_dir=tmp_path)
+        lines = (tmp_path / "cg_residual_history.csv").read_text().splitlines()
+        assert lines[0] == "epsilon,iteration,relative_residual"
+        assert len(lines) - 1 == art.summary["cg_iterations"]
+        solution = dp.solve_control(
+            runner_module._initial_field(coarse_config), coarse_config.penalty,
+            coarse_config.coeffs, coarse_config.grid,
+            tol=coarse_config.cg_tol, maxit=coarse_config.cg_maxit,
+        )
+        eps = repr(float(coarse_config.penalty))
+        assert lines[1:] == [f"{eps},{it},{float(rel)!r}" for it, rel in
+                             enumerate(solution.residual_history, start=1)]
 
     def test_inequalities(self, coarse_config, tmp_path):
         art = dp.run_experiment(coarse_config, "inequalities", out_dir=tmp_path)
@@ -133,6 +146,9 @@ class TestPipelines:
     def test_sweep_rows_match_direct_solves(self, coarse_config, tmp_path):
         dp.run_experiment(coarse_config, "sweep", out_dir=tmp_path)
         rows = (tmp_path / "sweep_control.csv").read_text().splitlines()[1:]
+        history = (tmp_path / "cg_residual_history.csv").read_text().splitlines()
+        assert history[0] == "epsilon,iteration,relative_residual"
+        expected_history = []
         penalties = sorted(coarse_config.penalties)
         assert len(rows) == len(penalties)
         y0 = runner_module._initial_field(coarse_config)
@@ -152,6 +168,11 @@ class TestPipelines:
                 repr(float(reach.cost_quotient)),
             ]
             assert row.split(",") == expected
+            expected_history += [f"{eps!r},{it},{float(rel)!r}" for it, rel in
+                                 enumerate(solution.residual_history, start=1)]
+        # one row per CG iteration, penalties ascending
+        assert history[1:] == expected_history
+        assert len(expected_history) == sum(int(r.split(",")[3]) for r in rows)
 
     def test_unknown_command_rejected(self, coarse_config, tmp_path):
         with pytest.raises(ValueError, match="unknown command"):
