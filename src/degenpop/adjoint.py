@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Field, _as_values, inner_product, rate_level_block, TOL_ABS
+from .model import Field, _as_values, inner_product, TOL_ABS
 from .stepping import LevelOperators
 
 
@@ -91,7 +91,7 @@ def solve_adjoint(problem: AdjointProblem) -> Field:
             rhs0 = rhs0 - dt * h[n, 0, 1:-1]
         w[n, 0, 1:-1] = level.solve(rhs0[None, :], rows=slice(0, 1))[0]
         # remaining interior ages, all fed by the fresh newborn trace
-        beta_rows = rate_level_block(coeffs.beta, n, grid)[1:na, 1:-1]
+        beta_rows = coeffs.beta.level(n, grid)[1:na, 1:-1]
         rhs = w[n + 1, 2:na + 1, 1:-1] + dt * (beta_rows * w[n, 0, 1:-1])
         if h is not None:
             rhs = rhs - dt * h[n, 1:na, 1:-1]
@@ -113,11 +113,14 @@ def trace_age_zero(problem: AdjointProblem) -> Field:
     nt = grid.nt
     ops = LevelOperators(coeffs, grid)
     out = np.zeros((nt + 1, grid.nx + 1))
-    for n in range(nt + 1):
-        z = problem.wT.values[nt - n, 1:-1][None, :].copy()
-        for m in range(nt - 1, n - 1, -1):
-            z = ops.level(m).solve(z, rows=slice(m - n, m - n + 1))
-        out[n, 1:-1] = z[0]
+    # the characteristics of every trace node march back together: after
+    # level m, row i holds the one through (t_m, a_i), and row 0 is the trace
+    # at t_m; a Thomas row gives the same bits alone or in any batch
+    z = problem.wT.values[:, 1:-1]
+    out[nt, 1:-1] = z[0]
+    for m in range(nt - 1, -1, -1):
+        z = ops.level(m).solve(z[1:m + 2], rows=slice(0, m + 1))
+        out[m, 1:-1] = z[0]
     return Field(out, "time_gene", grid)
 
 
@@ -157,7 +160,7 @@ def duhamel_first_case(problem: AdjointProblem, t, a, w_traj: Field | None = Non
     exit_level = n + steps
 
     def source(level, age_idx):
-        beta_row = rate_level_block(coeffs.beta, level, grid)[age_idx, 1:-1]
+        beta_row = coeffs.beta.level(level, grid)[age_idx, 1:-1]
         return beta_row * trace[level]
 
     acc = 0.5 * da * source(exit_level, na)[None, :]

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Field, _as_values, inner_product, l2_norm_sq, hk_seminorm,
-                    rate_level_block, TOL_ABS)
+from .model import Field, _as_values, inner_product, l2_norm_sq, hk_seminorm, TOL_ABS
 from .stepping import LevelOperators
 
 
@@ -114,8 +113,7 @@ def renewal_integral(level_slice, beta, n, grid):
     vals = _as_values(level_slice)
     if vals.shape != grid.shape("age_gene"):
         raise ValueError("level_slice must be an age-gene block")
-    beta_block = rate_level_block(beta, n, grid)
-    return np.einsum("a,ax->x", grid.wa, beta_block * vals)
+    return np.einsum("a,ax->x", grid.wa, beta.level(n, grid) * vals)
 
 
 @dataclass

@@ -98,6 +98,17 @@ def _safe_log(value: float) -> float:
         return float(np.log(value))
 
 
+def _log_integral(poly: np.ndarray, exponent, weights: np.ndarray) -> float:
+    """log of the weighted sum of poly * exp(exponent), for poly >= 0.
+
+    Taken as log(poly) + exponent, so a weight far beyond the double range
+    never forms; a zero of poly contributes nothing.
+    """
+    with np.errstate(divide="ignore"):
+        log_poly = np.log(poly)
+    return log_weighted_sum(log_poly + exponent, weights)
+
+
 # ---------------------------------------------------------------------------
 # trial and report containers
 # ---------------------------------------------------------------------------
@@ -272,10 +283,8 @@ def _weighted_energy(w: Field, s: float, family: WeightFamily):
 
     lhs_poly = (s * th * k[full.x] * wx_sq[:, :, full.x]
                 + s**3 * th**3 * r2[full.x] * vals**2)
-    with np.errstate(divide="ignore"):
-        log_lhs_poly = np.log(lhs_poly)
     exp_phi = 2.0 * s * th * family.psi_nodes[full.x]
-    log_lhs = log_weighted_sum(log_lhs_poly + exp_phi, full.weights)
+    log_lhs = _log_integral(lhs_poly, exp_phi, full.weights)
     return log_lhs, wx_sq, exp_phi
 
 
@@ -299,10 +308,8 @@ def carleman_main_trial(
     window = _support(family, grid.omega)
     th = window.pole
     rhs_poly = s**3 * th**3 * w.values[window.index] ** 2
-    with np.errstate(divide="ignore"):
-        log_rhs_poly = np.log(rhs_poly)
     exp_reg = 2.0 * s * th * family.Psi_nodes[window.x]
-    log_obs = log_weighted_sum(log_rhs_poly + exp_reg, window.weights)
+    log_obs = _log_integral(rhs_poly, exp_reg, window.weights)
 
     low_age = inner_product(wT, wT, grid, kind="age_gene", a_mask=_lower_age_mask(grid))
     log_rhs = log_add(log_obs, _safe_log(low_age))
@@ -322,9 +329,7 @@ def carleman_intermediate_trial(
     full = _support(family)
     log_lhs, wx_sq, exp_phi = _weighted_energy(w, s, family)
 
-    with np.errstate(divide="ignore"):
-        log_source = np.log(h.values[full.index] ** 2)
-    log_src = log_weighted_sum(log_source + exp_phi, full.weights)
+    log_src = _log_integral(h.values[full.index] ** 2, exp_phi, full.weights)
 
     # boundary fluxes: s * k * pole * |x - x0| * w_x^2 * exp(2 s pole * psi)
     k = family.coeffs.dispersion.value(grid.x_nodes)
@@ -332,10 +337,8 @@ def carleman_intermediate_trial(
     log_flux = []
     for idx, lever in ((grid.nx, 1.0 - x0), (0, x0)):
         poly = s * k[idx] * lever * th * wx_sq[:, :, idx]
-        with np.errstate(divide="ignore"):
-            log_poly = np.log(poly)
         exponent = 2.0 * s * th * family.psi_nodes[idx]
-        log_flux.append(log_weighted_sum(log_poly + exponent, full.face_weights))
+        log_flux.append(_log_integral(poly, exponent, full.face_weights))
     log_rhs = log_add(log_src, *log_flux)
     return _trial_from_logs(log_lhs, log_rhs)
 
@@ -361,20 +364,16 @@ def caccioppoli_trial(
         )
     inner = _support(family, (lo, hi))
     wx_sq = _gene_gradient(w.values[inner.ta], grid)[:, :, inner.x] ** 2
-    with np.errstate(divide="ignore"):
-        log_lhs_poly = np.log(wx_sq)
     exp_phi = 2.0 * s * inner.pole * family.psi_nodes[inner.x]
-    log_lhs = log_weighted_sum(log_lhs_poly + exp_phi, inner.weights)
+    log_lhs = _log_integral(wx_sq, exp_phi, inner.weights)
 
     window = _support(family, grid.omega)
     th = window.pole
     rhs_poly = s**2 * th**2 * w.values[window.index] ** 2 + (
         0.0 if h is None else h.values[window.index] ** 2
     )
-    with np.errstate(divide="ignore"):
-        log_rhs_poly = np.log(rhs_poly)
     exp_phi = 2.0 * s * th * family.psi_nodes[window.x]
-    log_rhs = log_weighted_sum(log_rhs_poly + exp_phi, window.weights)
+    log_rhs = _log_integral(rhs_poly, exp_phi, window.weights)
     return _trial_from_logs(log_lhs, log_rhs)
 
 

@@ -190,6 +190,9 @@ class TabulatedDispersion:
 # ---------------------------------------------------------------------------
 # mortality / fertility rates
 # ---------------------------------------------------------------------------
+# Every rate hands out its values at time level n as the full (na+1, nx+1)
+# block `level(n, grid)`; `time_varying` says whether that block changes with
+# n, and `is_zero` whether it is zero everywhere.
 
 class ConstantRate:
     """Rate identically equal to a nonnegative constant."""
@@ -204,11 +207,8 @@ class ConstantRate:
         return self.const == 0.0
 
     def level(self, n, grid):
-        """Value block at time level n; scalar shortcut (broadcast by callers)."""
-        return self.const
-
-    def age_zero_max(self, grid):
-        return abs(self.const)
+        """Value block at time level n, shape (na+1, nx+1)."""
+        return np.full((grid.na + 1, grid.nx + 1), self.const)
 
     def __repr__(self):
         return f"ConstantRate({self.const})"
@@ -244,13 +244,6 @@ class SeparableRate:
         tf = self.time_factor(grid.t_levels[n]) if self.time_factor else 1.0
         return self.scale * tf * self._outer(grid)
 
-    def age_zero_max(self, grid):
-        block = np.abs(self._outer(grid)[0]) * abs(self.scale)
-        m = float(np.max(block))
-        if self.time_factor:
-            m *= float(np.max(np.abs(self.time_factor(grid.t_levels))))
-        return m
-
     def __repr__(self):
         return f"SeparableRate(scale={self.scale})"
 
@@ -270,17 +263,6 @@ class TabulatedRate:
         if self.values_tab.shape != (grid.nt + 1, grid.na + 1, grid.nx + 1):
             raise ValueError("tabulated rate shape does not match the grid")
         return self.values_tab[n]
-
-    def age_zero_max(self, grid):
-        return float(np.max(np.abs(self.values_tab[:, 0, :])))
-
-
-def rate_level_block(rate, n, grid):
-    """Rate values at time level n as a full (na+1, nx+1) array."""
-    block = rate.level(n, grid)
-    if np.isscalar(block):
-        return np.full((grid.na + 1, grid.nx + 1), block, dtype=float)
-    return np.asarray(block, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +670,7 @@ def validate_rates(mu, beta, grid):
     for name, rate in (("mu", mu), ("beta", beta)):
         worst = 0.0
         for n in range(grid.nt + 1):
-            block = rate_level_block(rate, n, grid)
+            block = rate.level(n, grid)
             if not np.all(np.isfinite(block)):
                 violations.append(f"{name}: non-finite values at t-level {n}")
                 break
@@ -698,7 +680,8 @@ def validate_rates(mu, beta, grid):
                 break
             worst = max(worst, float(np.max(np.abs(block))))
         details[f"{name}_sup"] = worst
-    b0 = beta.age_zero_max(grid)
+    # newborn rows of every level, also past a level the loop above stopped at
+    b0 = float(np.max(np.abs([beta.level(n, grid)[0] for n in range(grid.nt + 1)])))
     details["beta_age_zero_sup"] = b0
     if b0 > TOL_ABS:
         violations.append(f"beta(., 0, .) must vanish; found sup {b0:.6g}")

@@ -107,14 +107,6 @@ def run_experiment(
     stage_name = "snapshot"
     clock = time.perf_counter()
 
-    def finish_stage(next_name: str | None) -> None:
-        nonlocal stage_name, clock
-        now = time.perf_counter()
-        artifact.timings[stage_name] = now - clock
-        clock = now
-        if next_name is not None:
-            stage_name = next_name
-
     def persist() -> None:
         _write_text(out, "summary.txt", artifact.summary_text(), artifact.files)
         timing_lines = [f"{k}: {v:.3f} s" for k, v in artifact.timings.items()]
@@ -126,9 +118,11 @@ def run_experiment(
 
     try:
         _write_text(out, "config_snapshot.ini", config.snapshot_text(), artifact.files)
-        finish_stage(command)
-        _RUNNERS[command](config, out, seed, artifact, finish_stage)
-        finish_stage(None)
+        start = time.perf_counter()
+        artifact.timings[stage_name] = start - clock
+        stage_name = command
+        _RUNNERS[command](config, out, seed, artifact)
+        artifact.timings[stage_name] = time.perf_counter() - start
     except Exception as exc:
         artifact.summary["failed_stage"] = stage_name
         artifact.summary["error"] = str(exc)
@@ -148,7 +142,7 @@ def _initial_field(config: ExperimentConfig) -> Field:
     return Field(values, "age_gene", config.grid)
 
 
-def _run_validate(config, out, seed, artifact, finish_stage):
+def _run_validate(config, out, seed, artifact):
     reports = config.coeffs.validate(config.grid)
     blocks, all_passed = [], True
     for report in reports:
@@ -162,7 +156,7 @@ def _run_validate(config, out, seed, artifact, finish_stage):
     _write_text(out, "validation.txt", "\n\n".join(blocks) + "\n", artifact.files)
 
 
-def _run_simulate(config, out, seed, artifact, finish_stage):
+def _run_simulate(config, out, seed, artifact):
     y0 = _initial_field(config)
     problem = ForwardProblem(config.coeffs, config.grid, y0)
     state = solve_forward(problem)
@@ -178,7 +172,7 @@ def _run_simulate(config, out, seed, artifact, finish_stage):
     )
 
 
-def _run_adjoint(config, out, seed, artifact, finish_stage):
+def _run_adjoint(config, out, seed, artifact):
     grid = config.grid
     wT = _initial_field(config)  # same separable shape, read as terminal data
     problem = AdjointProblem(config.coeffs, grid, wT)
@@ -236,7 +230,7 @@ def _history_rows(solution):
     ]
 
 
-def _run_control(config, out, seed, artifact, finish_stage):
+def _run_control(config, out, seed, artifact):
     y0 = _initial_field(config)
     solution = solve_control(
         y0,
@@ -269,7 +263,7 @@ def _export_report(out, report, artifact):
     artifact.summary[f"{report.name}_all_defined"] = report.all_ratios_defined()
 
 
-def _run_inequalities(config, out, seed, artifact, finish_stage):
+def _run_inequalities(config, out, seed, artifact):
     reports = run_inequality_lab(
         config.coeffs,
         config.grid,
@@ -288,7 +282,7 @@ def _run_inequalities(config, out, seed, artifact, finish_stage):
         artifact.summary[f"weight_sup_d{power}_argmax"] = "t{}:a{}:x{}".format(*probe.argmax)
 
 
-def _run_sweep(config, out, seed, artifact, finish_stage):
+def _run_sweep(config, out, seed, artifact):
     coeffs, grid = config.coeffs, config.grid
     y0 = _initial_field(config)
     history = []

@@ -16,21 +16,24 @@ diagonal shift, so the Thomas algorithm needs no pivoting.
 
 The kernel exposes one class, `LevelOperators`, which owns the factorized
 batch {M[n, j] : j = 0..na-1} per time level and serves row-sliced solves.
-Both solvers, the age-zero trace oracle, and the characteristic-integral
-oracle all draw their solves from this class, in the same sweep arithmetic,
-so that quantities the theory says are equal come out bit-identical.
+Both solvers, the Gram operator's box march (`control.gram_apply`), the
+age-zero trace march, and the characteristic-integral oracle all draw their
+solves from this class, in the same sweep arithmetic, so that quantities
+the theory says are equal come out bit-identical.  Each batch shares one
+1-D off-diagonal, and each solve takes an (r, m) rhs.
 
 The sweep is bound by the cost of each numpy call, not by arithmetic, so
 `TridiagonalOperator.solve` keeps the number of calls low.  A solve of many
 rows runs gene-major: the factorization is stored as (m, batch) arrays and
 the rhs is copied once into an (m, rows) buffer, so each elimination step is
 one contiguous vector operation written in place.  A solve of one row (the
-adjoint's age-zero row, every step of the trace and characteristic-integral
-oracles) runs the same recurrence on Python floats, which costs a few
-microseconds where the vector loop would spend hundreds on 1-element
-slices.  Both loops round every element through the same three IEEE double
-operations in the same order, with no fused multiply-add, so a row solved
-alone equals the same row of a batched solve bit for bit.
+adjoint's age-zero row, every step of the characteristic-integral oracle,
+the last step of the trace march) runs the same recurrence on Python
+floats, which costs a few microseconds where the vector loop would spend
+hundreds on 1-element slices.  Both loops round every element through the
+same three IEEE double operations in the same order, with no fused
+multiply-add, so a row solved alone equals the same row of a batched solve
+bit for bit.
 """
 
 from __future__ import annotations
@@ -43,11 +46,13 @@ from .model import midpoint_dispersion
 class TridiagonalOperator:
     """A batch of symmetric tridiagonal matrices with a cached factorization.
 
-    lower/diag/upper have shape (batch, m); the first lower and last upper
-    entries are ignored.  A batch of size 1 broadcasts over any number of
-    right-hand-side rows.  Factorization is the standard Thomas forward
-    elimination, stored gene-major: `_cp` and `_inv` have shape (m, batch),
-    so the coefficients of one gene index over the whole batch are contiguous.
+    `lower` and `upper` are 1-D of length m, shared by the whole batch
+    because dispersion depends on x only, and kept as Python floats; their
+    first and last entries are ignored.  `diag` has shape (batch, m).  A
+    batch of size 1 is shared by every rhs row.  Factorization is the
+    standard Thomas forward elimination, stored gene-major: `_cp` and `_inv`
+    have shape (m, batch), so the coefficients of one gene index over the
+    whole batch are contiguous.
 
     `solve` has two loops.  A call with several rows runs the sweep
     gene-major: the rhs is copied once into an (m, rows) buffer, and each
@@ -62,46 +67,44 @@ class TridiagonalOperator:
     """
 
     def __init__(self, lower, diag, upper):
-        self.lower = np.asarray(lower, dtype=float)
-        lower_t = self.lower.T
+        self.lower = np.asarray(lower, dtype=float).tolist()
+        upper = np.asarray(upper, dtype=float).tolist()
         diag_t = np.asarray(diag, dtype=float).T
-        upper_t = np.asarray(upper, dtype=float).T
         m, batch = diag_t.shape
         cp = np.empty((m, batch))
         inv = np.empty((m, batch))
         inv[0] = 1.0 / diag_t[0]
-        cp[0] = upper_t[0] * inv[0]
+        cp[0] = upper[0] * inv[0]
         for i in range(1, m):
-            inv[i] = 1.0 / (diag_t[i] - lower_t[i] * cp[i - 1])
-            cp[i] = upper_t[i] * inv[i]
+            inv[i] = 1.0 / (diag_t[i] - self.lower[i] * cp[i - 1])
+            cp[i] = upper[i] * inv[i]
         self._cp = cp
         self._inv = inv
         self.m = m
         self.batch = batch
 
     def solve(self, rhs, rows=None):
-        """Solve M y = rhs; rhs has shape (m,) or (r, m).
+        """Solve M y = rhs for an (r, m) rhs; returns the (r, m) solution.
 
-        `rows` (a slice or an index array) selects which matrices of the
-        batch line up with the rhs rows (ignored when the batch is shared).
-        The result has shape (r, m), with r = 1 for a 1-D rhs solved against
-        a shared batch and r = the number of selected matrices when a single
-        rhs row is solved against several.
+        `rows` (a slice or an index array) selects which matrices of an
+        age-dependent batch line up with the rhs rows, all of them when
+        None; r must equal their number.  A shared batch ignores `rows`.
         """
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim == 1:
-            rhs = rhs[None, :]
         if rhs.ndim != 2 or rhs.shape[1] != self.m:
-            raise ValueError(f"rhs must have shape (m,) or (r, m) with m={self.m}, "
-                             f"got {rhs.shape}")
-        if self.batch == 1 or rows is None:
-            rows = slice(None)
-        lower, cp, inv = self.lower.T[:, rows], self._cp[:, rows], self._inv[:, rows]
-        n_coef = cp.shape[1]
-        n_rows = rhs.shape[0] if rhs.shape[0] != 1 else n_coef
-        if n_coef == 1:
+            raise ValueError(f"rhs must have shape (r, m) with m={self.m}, got {rhs.shape}")
+        cp, inv = self._cp, self._inv
+        n_rows = rhs.shape[0]
+        if self.batch > 1:
+            if rows is not None:
+                cp, inv = cp[:, rows], inv[:, rows]
+            if cp.shape[1] != n_rows:
+                raise ValueError(f"rhs has {n_rows} rows but {cp.shape[1]} matrices "
+                                 f"are selected")
+        lower = self.lower
+        if cp.shape[1] == 1:
             # one coefficient row: its entries as Python floats serve both loops
-            lower, cp, inv = lower[:, 0].tolist(), cp[:, 0].tolist(), inv[:, 0].tolist()
+            cp, inv = cp[:, 0].tolist(), inv[:, 0].tolist()
             if n_rows == 1:
                 r = rhs[0].tolist()
                 y = [0.0] * self.m
@@ -153,24 +156,13 @@ class LevelOperators:
         self._upper = -self.dt * self.k_mid[1:] * inv_dx2
         self._diag0 = 1.0 + self.dt * (self.k_mid[:-1] + self.k_mid[1:]) * inv_dx2
         self._cache = {}
-        self._time_invariant = not getattr(coeffs.mu, "time_varying", True)
+        self._time_invariant = not coeffs.mu.time_varying
 
     def _build(self, n):
-        mu_block = self.coeffs.mu.level(n, self.grid)
-        if np.isscalar(mu_block) or np.ndim(mu_block) == 0:
-            diag = self._diag0 + self.dt * float(mu_block)
-            batch = diag[None, :]
-        else:
-            rows = np.asarray(mu_block, dtype=float)[: self.grid.na, 1:-1]
-            if np.all(rows == rows[0]):
-                batch = (self._diag0 + self.dt * rows[0])[None, :]
-            else:
-                batch = self._diag0[None, :] + self.dt * rows
-        return TridiagonalOperator(
-            np.broadcast_to(self._lower, batch.shape),
-            batch,
-            np.broadcast_to(self._upper, batch.shape),
-        )
+        rows = self.coeffs.mu.level(n, self.grid)[: self.grid.na, 1:-1]
+        if np.all(rows == rows[0]):
+            rows = rows[:1]
+        return TridiagonalOperator(self._lower, self._diag0 + self.dt * rows, self._upper)
 
     def level(self, n) -> TridiagonalOperator:
         key = 0 if self._time_invariant else int(n)

@@ -31,6 +31,25 @@ def make_benchmark_coeffs():
     )
 
 
+def make_mortality_coeffs(kind, grid):
+    """Benchmark coefficients, with mortality replaced for the other kinds.
+
+    kind is "benchmark" (constant), "separable" (time- and age-dependent)
+    or "tabulated" (time-, age- and gene-dependent).
+    """
+    bench = make_benchmark_coeffs()
+    if kind == "benchmark":
+        return bench
+    if kind == "separable":
+        mu = dp.SeparableRate(time_factor=lambda t: 1.0 + 2.0 * t,
+                              age_factor=lambda a: 0.1 + a ** 2)
+    else:
+        t, a, x = np.meshgrid(grid.t_levels, grid.a_levels, grid.x_nodes, indexing="ij")
+        mu = dp.TabulatedRate(0.1 + (1.0 + t) * a * (1.5 - a) * (1.0 + np.sin(3.0 * x)))
+    return dp.CoefficientSet(dispersion=bench.dispersion, mu=mu, beta=bench.beta,
+                             gamma=bench.gamma, theta=bench.theta)
+
+
 @pytest.fixture(scope="session")
 def bench_coeffs():
     return make_benchmark_coeffs()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import degenpop as dp
-from tests.conftest import make_benchmark_grid
+from degenpop.stepping import LevelOperators
+from tests.conftest import make_benchmark_grid, make_mortality_coeffs
 
 
 def _dead_window_coeffs(start=0.5):
@@ -26,6 +27,24 @@ def _dead_window_coeffs(start=0.5):
 
 def _terminal_draw(grid, seed=11):
     return dp.age_gene_draw(dp.make_rng(seed), grid)
+
+
+def _ref_trace_age_zero(problem):
+    """The newborn trace one characteristic at a time, kept as an oracle.
+
+    Each trace node marches its own terminal row back alone, one single-row
+    solve per level: nt + 1 separate marches.
+    """
+    grid = problem.grid
+    nt = grid.nt
+    ops = LevelOperators(problem.coeffs, grid)
+    out = np.zeros((nt + 1, grid.nx + 1))
+    for n in range(nt + 1):
+        z = problem.wT.values[nt - n, 1:-1][None, :].copy()
+        for m in range(nt - 1, n - 1, -1):
+            z = ops.level(m).solve(z, rows=slice(m - n, m - n + 1))
+        out[n, 1:-1] = z[0]
+    return out
 
 
 class TestBackwardTransportSkeleton:
@@ -61,6 +80,15 @@ class TestBackwardTransportSkeleton:
 
 
 class TestNewbornTrace:
+    @pytest.mark.parametrize("cells", [(50, 20, 8), (100, 100, 40), (50, 150, 60)],
+                             ids=lambda cells: "x".join(map(str, cells)))
+    @pytest.mark.parametrize("kind", ["benchmark", "separable", "tabulated"])
+    def test_batched_march_matches_the_per_node_marches_bit_for_bit(self, cells, kind):
+        g = make_benchmark_grid(*cells)
+        prob = dp.AdjointProblem(make_mortality_coeffs(kind, g), g, _terminal_draw(g))
+        got = dp.trace_age_zero(prob).values
+        assert got.tobytes() == _ref_trace_age_zero(prob).tobytes()
+
     def test_trace_identity_is_exact_with_a_juvenile_dead_window(self, coarse_grid):
         g = coarse_grid
         coeffs = _dead_window_coeffs(0.5)

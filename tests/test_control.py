@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import degenpop as dp
-from tests.conftest import make_benchmark_coeffs, make_benchmark_grid
+from tests.conftest import (make_benchmark_coeffs, make_benchmark_grid,
+                            make_mortality_coeffs)
 
 
 def _bench_initial(grid):
@@ -46,21 +47,6 @@ def _ref_gram_apply(probe, coeffs, grid):
     return flow.values[grid.nt] * mask
 
 
-def _coeffs(kind, grid):
-    """Benchmark coefficients, with mortality replaced for the other kinds."""
-    bench = make_benchmark_coeffs()
-    if kind == "benchmark":
-        return bench
-    if kind == "separable":
-        mu = dp.SeparableRate(time_factor=lambda t: 1.0 + 2.0 * t,
-                              age_factor=lambda a: 0.1 + a ** 2)
-    else:
-        t, a, x = np.meshgrid(grid.t_levels, grid.a_levels, grid.x_nodes, indexing="ij")
-        mu = dp.TabulatedRate(0.1 + (1.0 + t) * a * (1.5 - a) * (1.0 + np.sin(3.0 * x)))
-    return dp.CoefficientSet(dispersion=bench.dispersion, mu=mu, beta=bench.beta,
-                             gamma=bench.gamma, theta=bench.theta)
-
-
 def _rough_probe(rng, grid):
     """Gaussian noise on every node, with -0.0 entries and one all -0.0 box row.
 
@@ -82,7 +68,7 @@ class TestGramOperator:
     @pytest.mark.parametrize("kind", ["benchmark", "separable", "tabulated"])
     def test_matches_the_full_composition_bit_for_bit(self, cells, kind):
         g = make_benchmark_grid(*cells)
-        coeffs = _coeffs(kind, g)
+        coeffs = make_mortality_coeffs(kind, g)
         d = g.delta_index
         rng = dp.make_rng(17)
         for p in (dp.box_terminal_draw(rng, g).values, _rough_probe(rng, g)):
@@ -98,7 +84,7 @@ class TestGramOperator:
     @pytest.mark.parametrize("kind", ["benchmark", "tabulated"])
     def test_symmetric_to_round_off_and_positive_on_rough_probes(self, cells, kind):
         g = make_benchmark_grid(*cells)
-        coeffs = _coeffs(kind, g)
+        coeffs = make_mortality_coeffs(kind, g)
         mask = dp.box_mask(g)
         rng = dp.make_rng(29)
         for _ in range(3):

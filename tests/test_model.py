@@ -127,8 +127,11 @@ class TestTabulatedDispersion:
 
 class TestRates:
     def test_constant_rate(self, coarse_grid):
+        g = coarse_grid
         r = dp.ConstantRate(0.3)
-        assert r.level(0, coarse_grid) == 0.3
+        block = r.level(0, g)
+        assert block.shape == (g.na + 1, g.nx + 1) and block.dtype == float
+        assert np.all(block == 0.3)
         assert not r.is_zero
         assert dp.ConstantRate(0.0).is_zero
 
@@ -145,9 +148,33 @@ class TestRates:
         expected = 2.0 * (1.0 + g.t_levels[n]) * outer
         assert np.allclose(r.level(n, g), expected, rtol=1e-14)
 
-    def test_age_zero_max_sees_only_newborn_row(self, coarse_grid):
-        r = dp.SeparableRate(age_factor=lambda a: np.where(a > 0, 1.0, 0.0))
-        assert r.age_zero_max(coarse_grid) == 0.0
+    def test_newborn_check_sees_only_the_newborn_row(self, bench_coeffs, coarse_grid):
+        g = coarse_grid
+        for beta in (bench_coeffs.beta,
+                     dp.SeparableRate(age_factor=lambda a: np.where(a > 0, 1.0, 0.0))):
+            report = dp.validate_rates(dp.ConstantRate(0.1), beta, g)
+            assert report.passed
+            assert report.details["beta_age_zero_sup"] == 0.0
+
+    def test_newborn_check_reads_every_level(self, coarse_grid):
+        g = coarse_grid
+        values = np.zeros((g.nt + 1, g.na + 1, g.nx + 1))
+        values[g.nt, 0, 5] = 0.3
+        report = dp.validate_rates(dp.ConstantRate(0.1), dp.TabulatedRate(values), g)
+        assert not report.passed
+        assert report.details["beta_age_zero_sup"] == 0.3
+        assert report.violations == ["beta(., 0, .) must vanish; found sup 0.3"]
+
+    def test_newborn_check_runs_past_an_earlier_violation(self, coarse_grid):
+        # the sign check stops at level 0; the newborn sup must still see level nt
+        g = coarse_grid
+        values = np.zeros((g.nt + 1, g.na + 1, g.nx + 1))
+        values[0, 3, 5] = -1.0
+        values[g.nt, 0, 5] = 0.3
+        report = dp.validate_rates(dp.ConstantRate(0.1), dp.TabulatedRate(values), g)
+        assert report.violations == ["beta: negative value -1 at t-level 0",
+                                     "beta(., 0, .) must vanish; found sup 0.3"]
+        assert report.details["beta_age_zero_sup"] == 0.3
 
     def test_tabulated_rate_shape_check(self, coarse_grid):
         r = dp.TabulatedRate(np.zeros((2, 2, 2)))

@@ -196,7 +196,7 @@ class TestPipelines:
     def test_stage_failure_persists_partial_manifest(
         self, coarse_config, tmp_path, monkeypatch
     ):
-        def boom(config, out, seed, artifact, finish_stage):
+        def boom(config, out, seed, artifact):
             raise ValueError("synthetic stage failure")
 
         monkeypatch.setitem(runner_module._RUNNERS, "simulate", boom)

@@ -10,11 +10,15 @@ from tests.conftest import make_benchmark_grid
 
 
 def _reference_solve(lower, diag, upper, rhs, rows=None):
-    """Row-major Thomas factorization and sweep, one gene index at a time."""
-    lower = np.asarray(lower, dtype=float)
+    """Row-major Thomas factorization and sweep, one gene index at a time.
+
+    Off-diagonals may be given per row, shape (batch, m), or shared, shape
+    (m,); any rhs that broadcasts against the selected rows is solved.
+    """
     diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     batch, m = diag.shape
+    lower = np.broadcast_to(np.asarray(lower, dtype=float), (batch, m))
+    upper = np.broadcast_to(np.asarray(upper, dtype=float), (batch, m))
     cp = np.empty((batch, m))
     inv = np.empty((batch, m))
     inv[:, 0] = 1.0 / diag[:, 0]
@@ -35,12 +39,15 @@ def _reference_solve(lower, diag, upper, rhs, rows=None):
 
 
 def _diffusion_batch(m, batch, rng):
-    """Degenerate flux-form diffusion plus an age-dependent mortality."""
+    """Degenerate flux-form diffusion plus an age-dependent mortality.
+
+    The off-diagonals are 1-D, shared by the batch; the diagonal is (batch, m).
+    """
     x_mid = (np.arange(m + 1) + 0.5) / (m + 1)
     k_mid = np.abs(x_mid - 0.5) ** 0.5
     scale = 0.01 * (m + 1) ** 2
-    lower = np.broadcast_to(-scale * k_mid[:-1], (batch, m))
-    upper = np.broadcast_to(-scale * k_mid[1:], (batch, m))
+    lower = -scale * k_mid[:-1]
+    upper = -scale * k_mid[1:]
     diag = 1.0 + scale * (k_mid[:-1] + k_mid[1:]) + 0.01 * rng.uniform(0, 3, (batch, m))
     return lower, diag, upper
 
@@ -51,7 +58,7 @@ def rng():
 
 
 class TestSharedBatch:
-    @pytest.mark.parametrize("shape", [(49,), (1, 49), (150, 49)])
+    @pytest.mark.parametrize("shape", [(1, 49), (150, 49)])
     def test_bit_identical_to_row_major_sweep(self, rng, shape):
         lower, diag, upper = _diffusion_batch(49, 1, rng)
         rhs = rng.standard_normal(shape)
@@ -89,21 +96,23 @@ class TestAgeDependentBatch:
             alone = op.solve(rhs[j:j + 1], rows=slice(j, j + 1))
             assert np.array_equal(alone[0], batched[j])
 
-    def test_one_rhs_row_broadcasts_over_selected_matrices(self, rng):
-        lower, diag, upper = _diffusion_batch(49, self.NA, rng)
-        rhs = rng.standard_normal(49)
-        got = TridiagonalOperator(lower, diag, upper).solve(rhs, rows=slice(2, 9))
-        want = _reference_solve(lower, diag, upper, rhs, rows=slice(2, 9))
-        assert got.shape == (7, 49)
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("rhs_rows, rows, selected", [
+        (1, slice(2, 9), 7),   # one row is not broadcast over several matrices
+        (5, slice(2, 9), 7),
+        (1, None, NA),
+    ])
+    def test_rhs_rows_must_match_the_selected_matrices(self, rng, rhs_rows, rows, selected):
+        op = TridiagonalOperator(*_diffusion_batch(49, self.NA, rng))
+        with pytest.raises(ValueError, match=f"{rhs_rows} rows but {selected} matrices"):
+            op.solve(np.zeros((rhs_rows, 49)), rows=rows)
 
 
-def test_rejects_wrong_gene_length(rng):
-    op = TridiagonalOperator(*_diffusion_batch(49, 1, rng))
-    with pytest.raises(ValueError, match="m=49"):
-        op.solve(np.zeros((3, 48)))
-    with pytest.raises(ValueError, match="m=49"):
-        op.solve(np.zeros((2, 3, 49)))
+@pytest.mark.parametrize("batch", [1, 40])
+def test_rejects_rhs_that_is_not_rows_of_gene_length(rng, batch):
+    op = TridiagonalOperator(*_diffusion_batch(49, batch, rng))
+    for shape in [(3, 48), (2, 3, 49), (49,)]:
+        with pytest.raises(ValueError, match=r"\(r, m\) with m=49"):
+            op.solve(np.zeros(shape), rows=slice(0, 1))
 
 
 def test_level_operators_match_reference_on_an_age_dependent_mortality():
@@ -115,8 +124,22 @@ def test_level_operators_match_reference_on_an_age_dependent_mortality():
     op = ops.level(3)
     assert op.batch == grid.na and op.m == grid.nx - 1
     rhs = np.random.default_rng(7).standard_normal((grid.na, grid.nx - 1))
-    mu_rows = np.asarray(mu.level(3, grid), dtype=float)[:grid.na, 1:-1]
+    mu_rows = mu.level(3, grid)[:grid.na, 1:-1]
     diag = ops._diag0[None, :] + ops.dt * mu_rows
     lower = np.broadcast_to(ops._lower, diag.shape)
     upper = np.broadcast_to(ops._upper, diag.shape)
     assert np.array_equal(op.solve(rhs), _reference_solve(lower, diag, upper, rhs))
+
+
+def test_level_operators_collapse_uniform_rows_to_one_shared_matrix():
+    grid = make_benchmark_grid(50, 30, 12)
+    coeffs = dp.CoefficientSet(dispersion=dp.PowerLawDispersion(0.5, 0.5),
+                               mu=dp.SeparableRate(gene_factor=lambda x: 0.1 + x),
+                               beta=dp.ConstantRate(0.0), gamma=0.0)
+    ops = LevelOperators(coeffs, grid)
+    op = ops.level(3)
+    assert op.batch == 1
+    rhs = np.random.default_rng(7).standard_normal((grid.na, grid.nx - 1))
+    diag = ops._diag0 + ops.dt * (0.1 + grid.x_nodes[1:-1])
+    want = _reference_solve(ops._lower, diag[None, :], ops._upper, rhs)
+    assert np.array_equal(op.solve(rhs, rows=slice(0, 1)), want)
