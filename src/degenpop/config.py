@@ -4,7 +4,7 @@ Configs are INI files with six fixed sections.  Every key is required
 unless a default is listed; unknown sections or keys are errors, not
 warnings, so a typo cannot silently fall back to a default.
 
-[model]      dispersion kind and parameters, rates, initial-datum shape
+[model]      dispersion kind and parameters, rates
 [geometry]   cylinder extents, observation threshold, windows, cell counts
 [weights]    profile scale c1 / negativity offset c2 ("auto" supported),
              bump gain, default strength
@@ -45,8 +45,6 @@ _SCHEMA = {
         "envelope_exponent": "",  # optional; empty -> min(exponent, bound)
         "mortality": None,
         "fertility": None,
-        "initial_age": "hump",
-        "initial_gene": "sin_pi",
     },
     "geometry": {
         "time_horizon": None,
@@ -98,8 +96,6 @@ class ExperimentConfig:
     coeffs: CoefficientSet
     grid: SpaceTimeGrid
     family: WeightFamily  # built from coeffs, grid and [weights] at parse time
-    initial_age: str
-    initial_gene: str
     penalty: float
     penalties: tuple
     cg_tol: float
@@ -197,33 +193,27 @@ def _parse_rate(text, where, max_age, errors):
     return None
 
 
-AGE_SHAPES = {
-    "hump": lambda a, A: a * (A - a),
-    "sin": lambda a, A: np.sin(np.pi * a / A),
-}
-GENE_SHAPES = {
-    "sin_pi": lambda x: np.sin(np.pi * x),
-}
-
-
-def initial_datum_values(initial_age, initial_gene, grid):
-    """Separable initial datum from the named age and gene shapes."""
-    age = AGE_SHAPES[initial_age](grid.a_levels, grid.A)
-    gene = GENE_SHAPES[initial_gene](grid.x_nodes)
-    return np.outer(age, gene)
+def initial_datum_values(grid):
+    """The fixed initial datum a (A - a) sin(pi x), on the age-gene nodes."""
+    a = grid.a_levels
+    return np.outer(a * (grid.A - a), np.sin(np.pi * grid.x_nodes))
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate an INI experiment config.
 
-    Raises ConfigError carrying every problem found: unknown sections or
-    keys, malformed values, and violated model invariants (each named with
-    the inequality that failed).
+    Raises ConfigError carrying every problem found: malformed INI syntax
+    (with its file and line), unknown sections or keys, malformed values,
+    and violated model invariants (each named with the inequality that
+    failed).  A file that cannot be read raises OSError.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     with open(path, "r") as handle:
-        parser.read_file(handle, source=str(path))
+        try:
+            parser.read_file(handle, source=str(path))
+        except configparser.Error as exc:
+            raise ConfigError([" ".join(str(exc).split())]) from exc
 
     errors: list[str] = []
     raw: dict = {}
@@ -320,18 +310,6 @@ def parse_config(path) -> ExperimentConfig:
 
     mu = _parse_rate(get("model", "mortality"), "model.mortality", A or 1.0, errors)
     beta = _parse_rate(get("model", "fertility"), "model.fertility", A or 1.0, errors)
-    initial_age = get("model", "initial_age")
-    if initial_age not in AGE_SHAPES:
-        errors.append(
-            f"model.initial_age: unknown shape {initial_age!r} "
-            f"(choices: {sorted(AGE_SHAPES)})"
-        )
-    initial_gene = get("model", "initial_gene")
-    if initial_gene not in GENE_SHAPES:
-        errors.append(
-            f"model.initial_gene: unknown shape {initial_gene!r} "
-            f"(choices: {sorted(GENE_SHAPES)})"
-        )
 
     coeffs = None
     if dispersion is not None and gamma is not None and mu is not None and beta is not None:
@@ -404,8 +382,6 @@ def parse_config(path) -> ExperimentConfig:
         coeffs=coeffs,
         grid=grid,
         family=family,
-        initial_age=initial_age,
-        initial_gene=initial_gene,
         penalty=penalty,
         penalties=penalties,
         cg_tol=cg_tol,

@@ -38,7 +38,7 @@ import numpy as np
 from .adjoint import AdjointProblem, solve_adjoint
 from .forward import ForwardProblem, control_norm_sq, solve_forward
 from .model import CoefficientSet, Field, SpaceTimeGrid, _as_values, inner_product
-from .stepping import LevelOperators
+from .stepping import level_operators
 
 
 def box_mask(grid: SpaceTimeGrid) -> np.ndarray:
@@ -93,7 +93,7 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
         raise ValueError("wT contains non-finite values")
 
     nt, na, d, dt = grid.nt, grid.na, grid.delta_index, grid.dt
-    ops = LevelOperators(coeffs, grid)
+    ops = level_operators(coeffs, grid)
     window = grid.x_window_slice(grid.omega)
     window = slice(window.start - 1, window.stop - 1)  # in interior gene columns
 
@@ -105,12 +105,12 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
     # raised the peak RSS of a control run by 3 MB
     sources = np.empty((nt, w.shape[0], window.stop - window.start))
     for n in range(nt - 1, -1, -1):
-        w = ops.level(n).solve(w, rows=rows(n))
+        w = ops[n].solve(w, rows=rows(n))
         np.multiply(w[:, window], dt, out=sources[n])
     y = np.zeros_like(w)
     for n in range(nt):
         y[:, window] += sources[n]
-        y = ops.level(n).solve(y, rows=rows(n))
+        y = ops[n].solve(y, rows=rows(n))
     out = np.zeros(expected)
     out[d:, 1:-1] = y
     return out

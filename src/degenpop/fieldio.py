@@ -8,8 +8,8 @@ writes of the same field are byte-identical.
 
 Which axes a field carries is read from ``model.FIELD_AXES``.  Two-dimensional
 fields reuse the same four-column layout with a constant label in the
-collapsed coordinate: age-gene slices default to the terminal time and
-time-gene traces to age zero (they are newborn-line traces in this package).
+collapsed coordinate: age-gene slices carry the terminal time and time-gene
+traces age zero (they are newborn-line traces in this package).
 The reader infers the field kind from which axes are fully covered and
 validates complete, duplicate-free coverage of the grid.
 """
@@ -23,19 +23,14 @@ from .model import FIELD_AXES, Field, SpaceTimeGrid
 HEADER = "t,a,x,value"
 
 
-def write_field_csv(field: Field, path, label: float | None = None) -> None:
-    """Write a Field to ``path`` in long CSV format.
-
-    ``label`` overrides the constant coordinate written for 2-D fields (the
-    time column of an age-gene slice, the age column of a time-gene trace);
-    it is ignored for trajectories.
-    """
+def write_field_csv(field: Field, path) -> None:
+    """Write a Field to ``path`` in long CSV format."""
     grid = field.grid
     axes = FIELD_AXES[field.kind]
     collapsed = {"t": grid.T, "a": 0.0}
     t_strs, a_strs, x_strs = (
         [repr(v) for v in grid.nodes(axis).tolist()] if axis in axes
-        else [repr(float(collapsed[axis] if label is None else label))]
+        else [repr(float(collapsed[axis]))]
         for axis in "tax"
     )
     # a (t, a, x) view: the collapsed axis of a 2-D field has length one

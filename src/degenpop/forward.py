@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Field, _as_values, inner_product, l2_norm_sq, hk_seminorm, TOL_ABS
-from .stepping import LevelOperators
+from .stepping import level_operators
 
 
 @dataclass
@@ -87,7 +87,7 @@ def solve_forward(problem: ForwardProblem) -> Field:
     grid, coeffs = problem.grid, problem.coeffs
     nt, na, nx = grid.nt, grid.na, grid.nx
     dt = grid.dt
-    ops = LevelOperators(coeffs, grid)
+    ops = level_operators(coeffs, grid)
     control = problem.masked_control()
 
     y = np.zeros((nt + 1, na + 1, nx + 1))
@@ -99,7 +99,7 @@ def solve_forward(problem: ForwardProblem) -> Field:
         rhs = y[n, :na, 1:-1]
         if control is not None:
             rhs = rhs + dt * control[n, :na, 1:-1]
-        y[n + 1, 1:, 1:-1] = ops.level(n).solve(rhs)
+        y[n + 1, 1:, 1:-1] = ops[n].solve(rhs)
         # renewal on the freshly advanced level
         y[n + 1, 0, :] = 0.0
         y[n + 1, 0, :] = renewal_integral(y[n + 1], coeffs.beta, n + 1, grid)

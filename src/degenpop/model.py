@@ -473,7 +473,7 @@ def _as_values(f):
     return f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
 
 
-def inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None, t_mask=None):
+def inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None):
     """Trapezoidal L2 inner product of two fields of the same kind.
 
     Optional node masks restrict the integral to a window; masked nodes keep
@@ -487,10 +487,10 @@ def inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None, t_mask=
         raise ValueError("inner_product requires fields of identical shape")
     if kind not in FIELD_AXES:
         raise ValueError(f"unknown field kind {kind!r}")
-    masks = {"t": t_mask, "a": a_mask, "x": x_mask}
+    masks = {"a": a_mask, "x": x_mask}
     prod = fv * gv
     for i, axis in enumerate(FIELD_AXES[kind]):
-        w, m = grid.weights(axis), masks[axis]
+        w, m = grid.weights(axis), masks.get(axis)
         wm = w if m is None else w * m
         shape = [1] * prod.ndim
         shape[i] = -1

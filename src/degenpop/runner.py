@@ -138,8 +138,7 @@ def run_experiment(
 
 
 def _initial_field(config: ExperimentConfig) -> Field:
-    values = initial_datum_values(config.initial_age, config.initial_gene, config.grid)
-    return Field(values, "age_gene", config.grid)
+    return Field(initial_datum_values(config.grid), "age_gene", config.grid)
 
 
 def _run_validate(config, out, seed, artifact):

@@ -14,13 +14,13 @@ with half-cell sampling of k (well defined when k vanishes at a node).
 M[n, j] is symmetric tridiagonal and strictly diagonally dominant with unit
 diagonal shift, so the Thomas algorithm needs no pivoting.
 
-The kernel exposes one class, `LevelOperators`, which owns the factorized
-batch {M[n, j] : j = 0..na-1} per time level and serves row-sliced solves.
-Both solvers, the Gram operator's box march (`control.gram_apply`), the
-age-zero trace march, and the characteristic-integral oracle all draw their
-solves from this class, in the same sweep arithmetic, so that quantities
-the theory says are equal come out bit-identical.  Each batch shares one
-1-D off-diagonal, and each solve takes an (r, m) rhs.
+`level_operators` returns the factorized batch {M[n, j] : j = 0..na-1} of
+every time level as a list indexed by n.  Both solvers, the Gram operator's
+box march (`control.gram_apply`), the age-zero trace march, and the
+characteristic-integral oracle all draw their row-sliced solves from such a
+list, in the same sweep arithmetic, so that quantities the theory says are
+equal come out bit-identical.  Each batch shares one 1-D off-diagonal, and
+each solve takes an (r, m) rhs.
 
 The sweep is bound by the cost of each numpy call, not by arithmetic, so
 `TridiagonalOperator.solve` keeps the number of calls low.  A solve of many
@@ -130,44 +130,33 @@ class TridiagonalOperator:
         return y.T
 
 
-class LevelOperators:
-    """Per-time-level factorized batches of the implicit-step matrices.
+def level_operators(coeffs, grid) -> list:
+    """The nt factorized batches of the implicit-step matrices, one per level.
 
     Level n carries the matrices {M[n, j] : j = 0..na-1}: exactly the set a
     forward step n -> n+1 consumes (mortality sampled at the characteristic
     foot (t_n, a_j)) and the set a backward step n+1 -> n consumes (mortality
-    sampled at the target (t_n, a_j)).  Each solve builds its own instance,
-    but from the same (coeffs, grid) and by the same arithmetic, so the two
-    solvers step with bit-identical matrices; that is what makes the discrete
-    transport duality exact.
+    sampled at the target (t_n, a_j)).  Each solve builds its own list, by
+    the same arithmetic from the same (coeffs, grid), so the two solvers step
+    with bit-identical matrices (see `adjoint` for the duality this buys).
 
-    When mortality does not depend on age the batch collapses to a single
-    shared matrix; when it does not depend on time either, one factorization
-    serves every level.
+    When mortality does not depend on age a batch collapses to a single
+    shared matrix; when it does not depend on time either, the list repeats
+    one factorization at every level.
     """
+    dt = grid.dt
+    k_mid = midpoint_dispersion(coeffs.dispersion, grid)
+    inv_dx2 = 1.0 / (grid.dx * grid.dx)
+    lower = -dt * k_mid[:-1] * inv_dx2
+    upper = -dt * k_mid[1:] * inv_dx2
+    diag0 = 1.0 + dt * (k_mid[:-1] + k_mid[1:]) * inv_dx2
 
-    def __init__(self, coeffs, grid):
-        self.coeffs = coeffs
-        self.grid = grid
-        self.dt = grid.dt
-        self.k_mid = midpoint_dispersion(coeffs.dispersion, grid)
-        inv_dx2 = 1.0 / (grid.dx * grid.dx)
-        self._lower = -self.dt * self.k_mid[:-1] * inv_dx2
-        self._upper = -self.dt * self.k_mid[1:] * inv_dx2
-        self._diag0 = 1.0 + self.dt * (self.k_mid[:-1] + self.k_mid[1:]) * inv_dx2
-        self._cache = {}
-        self._time_invariant = not coeffs.mu.time_varying
-
-    def _build(self, n):
-        rows = self.coeffs.mu.level(n, self.grid)[: self.grid.na, 1:-1]
+    def build(n):
+        rows = coeffs.mu.level(n, grid)[: grid.na, 1:-1]
         if np.all(rows == rows[0]):
             rows = rows[:1]
-        return TridiagonalOperator(self._lower, self._diag0 + self.dt * rows, self._upper)
+        return TridiagonalOperator(lower, diag0 + dt * rows, upper)
 
-    def level(self, n) -> TridiagonalOperator:
-        key = 0 if self._time_invariant else int(n)
-        op = self._cache.get(key)
-        if op is None:
-            op = self._build(key)
-            self._cache[key] = op
-        return op
+    if not coeffs.mu.time_varying:
+        return [build(0)] * grid.nt
+    return [build(n) for n in range(grid.nt)]

@@ -267,8 +267,7 @@ def test_06_gram_symmetry_and_positivity(criterion):
 def test_07_benchmark_null_control(criterion):
     t0 = time.perf_counter()
     cfg = dp.parse_config(BENCHMARK_CONFIG)
-    y0 = dp.Field(dp.initial_datum_values(cfg.initial_age, cfg.initial_gene,
-                                          cfg.grid), "age_gene", cfg.grid)
+    y0 = dp.Field(dp.initial_datum_values(cfg.grid), "age_gene", cfg.grid)
     norm0_sq = dp.l2_norm_sq(y0, cfg.grid, kind="age_gene")
 
     solution = dp.solve_control(y0, 1e-4, cfg.coeffs, cfg.grid,

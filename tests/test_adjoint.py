@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import degenpop as dp
-from degenpop.stepping import LevelOperators
+from degenpop.stepping import level_operators
 from tests.conftest import make_benchmark_grid, make_mortality_coeffs
 
 
@@ -37,12 +37,12 @@ def _ref_trace_age_zero(problem):
     """
     grid = problem.grid
     nt = grid.nt
-    ops = LevelOperators(problem.coeffs, grid)
+    ops = level_operators(problem.coeffs, grid)
     out = np.zeros((nt + 1, grid.nx + 1))
     for n in range(nt + 1):
         z = problem.wT.values[nt - n, 1:-1][None, :].copy()
         for m in range(nt - 1, n - 1, -1):
-            z = ops.level(m).solve(z, rows=slice(m - n, m - n + 1))
+            z = ops[m].solve(z, rows=slice(m - n, m - n + 1))
         out[n, 1:-1] = z[0]
     return out
 
@@ -69,14 +69,6 @@ class TestBackwardTransportSkeleton:
         wT = _terminal_draw(g)
         w = dp.solve_adjoint(dp.AdjointProblem(bench_coeffs, g, wT)).values
         assert np.array_equal(w[g.nt], wT.values)
-
-    def test_box_support_enforcement(self, bench_coeffs, coarse_grid):
-        g = coarse_grid
-        full = _terminal_draw(g)
-        with pytest.raises(ValueError, match="observation"):
-            dp.AdjointProblem(bench_coeffs, g, full, require_box_support=True)
-        boxed = dp.box_terminal_draw(dp.make_rng(3), g)
-        dp.AdjointProblem(bench_coeffs, g, boxed, require_box_support=True)
 
 
 class TestNewbornTrace:
@@ -126,7 +118,7 @@ class TestCharacteristicIntegral:
         g = coarse_grid
         prob = dp.AdjointProblem(bench_coeffs, g, _terminal_draw(g))
         with pytest.raises(ValueError, match="exit region"):
-            dp.duhamel_first_case(prob, 0.2, 0.2)
+            dp.duhamel_first_case(prob, 0.2, 0.2, w_traj=dp.solve_adjoint(prob))
 
     def test_reconstruction_matches_solver_in_the_exit_region(self, bench_coeffs,
                                                               coarse_grid):
@@ -148,7 +140,8 @@ class TestCharacteristicIntegral:
                                    mu=dp.ConstantRate(0.1),
                                    beta=dp.ConstantRate(0.0), gamma=0.5, theta=0.5)
         prob = dp.AdjointProblem(coeffs, g, _terminal_draw(g))
-        row = dp.duhamel_first_case(prob, g.t_levels[2], g.a_levels[g.na - 2])
+        row = dp.duhamel_first_case(prob, g.t_levels[2], g.a_levels[g.na - 2],
+                                    w_traj=dp.solve_adjoint(prob))
         assert np.all(row == 0.0)
 
 

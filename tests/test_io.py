@@ -14,7 +14,8 @@ from degenpop.config import ConfigError
 # ---------------------------------------------------------------------------
 
 # Reference oracle: the per-kind field writer as it stood before the writer
-# was driven by model.FIELD_AXES, kept verbatim so the bytes can be compared.
+# was driven by model.FIELD_AXES, kept verbatim (less the label override, which
+# is gone) so the bytes can be compared.
 
 _REF_HEADER = "t,a,x,value"
 
@@ -23,7 +24,7 @@ def _ref_axis_labels(values: np.ndarray) -> list:
     return [repr(float(v)) for v in values]
 
 
-def _ref_write_field_csv(field, path, label=None) -> None:
+def _ref_write_field_csv(field, path) -> None:
     grid = field.grid
     t_strs = _ref_axis_labels(grid.t_levels)
     a_strs = _ref_axis_labels(grid.a_levels)
@@ -40,7 +41,7 @@ def _ref_write_field_csv(field, path, label=None) -> None:
                     for x_s, v in zip(x_strs, row)
                 )
     elif field.kind == "age_gene":
-        t_s = repr(float(grid.T if label is None else label))
+        t_s = repr(float(grid.T))
         for ia, a_s in enumerate(a_strs):
             prefix = t_s + "," + a_s + ","
             row = field.values[ia]
@@ -48,7 +49,7 @@ def _ref_write_field_csv(field, path, label=None) -> None:
                 prefix + x_s + "," + repr(float(v)) for x_s, v in zip(x_strs, row)
             )
     elif field.kind == "time_gene":
-        a_s = repr(float(0.0 if label is None else label))
+        a_s = repr(float(0.0))
         for it, t_s in enumerate(t_strs):
             prefix = t_s + "," + a_s + ","
             row = field.values[it]
@@ -143,17 +144,8 @@ class TestFieldCsv:
             dp.read_field_csv(path, other)
         assert str(err.value) == message
 
-    def test_age_slice_label_column(self, coarse_grid, tmp_path):
-        g = coarse_grid
-        f = dp.Field(np.ones((g.na + 1, g.nx + 1)), "age_gene", g)
-        path = tmp_path / "lbl.csv"
-        dp.write_field_csv(f, path, label=0.2)
-        first_row = path.read_text().splitlines()[1].split(",")
-        assert float(first_row[0]) == 0.2
-
-    @pytest.mark.parametrize("label", [None, 0.2])
     @pytest.mark.parametrize("kind", ["trajectory", "age_gene", "time_gene"])
-    def test_bytes_match_reference_writer(self, kind, label, coarse_grid, tmp_path):
+    def test_bytes_match_reference_writer(self, kind, coarse_grid, tmp_path):
         g = coarse_grid
         rng = np.random.default_rng(7)
         values = rng.standard_normal(g.shape(kind))
@@ -168,8 +160,8 @@ class TestFieldCsv:
             fields.append(dp.Field(wide[:, 1], kind, g))
         for field in fields:
             new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-            dp.write_field_csv(field, new, label=label)
-            _ref_write_field_csv(field, ref, label=label)
+            dp.write_field_csv(field, new)
+            _ref_write_field_csv(field, ref)
             assert new.read_bytes() == ref.read_bytes()
 
 
@@ -248,7 +240,6 @@ class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         cfg = dp.parse_config(write_config(tmp_path))
         assert cfg.cg_tol == 1e-6 and cfg.cg_maxit == 500
-        assert cfg.initial_age == "hump" and cfg.initial_gene == "sin_pi"
         assert cfg.trials == 2 and cfg.observability_trials == 5
         # optional envelope exponent defaults to min(exponent, bound)
         assert cfg.coeffs.theta == 0.5
@@ -272,7 +263,8 @@ class TestParseConfig:
                                                  "penalty = 1e-4\npenality = 2"))
         with pytest.raises(ConfigError, match="unknown key control.penality"):
             dp.parse_config(path)
-        for section, key in (("weights", "strength_range"), ("output", "formats")):
+        for section, key in (("weights", "strength_range"), ("output", "formats"),
+                             ("model", "initial_age"), ("model", "initial_gene")):
             path = write_config(tmp_path)
             path.write_text(path.read_text().replace(f"[{section}]\n",
                                                      f"[{section}]\n{key} = 1\n"))
@@ -347,7 +339,7 @@ class TestParseConfig:
             dp.parse_config(write_config(tmp_path, fertility="weibull:1,2"))
 
     def test_initial_datum_shapes(self, coarse_grid):
-        vals = dp.initial_datum_values("hump", "sin_pi", coarse_grid)
+        vals = dp.initial_datum_values(coarse_grid)
         expected = np.outer(coarse_grid.a_levels * (1.0 - coarse_grid.a_levels),
                             np.sin(np.pi * coarse_grid.x_nodes))
         assert np.array_equal(vals, expected)

@@ -11,7 +11,8 @@ from tests.conftest import make_benchmark_grid
 
 
 # Reference oracle: inner_product as it stood before it read model.FIELD_AXES,
-# kept verbatim so the results can be compared bit for bit.
+# kept verbatim (less the time mask, which is gone) so the results can be
+# compared bit for bit.
 
 def _ref_axis_weights(kind, grid):
     if kind == "trajectory":
@@ -27,8 +28,7 @@ def _ref_as_values(f):
     return f.values if isinstance(f, dp.Field) else np.asarray(f, dtype=float)
 
 
-def _ref_inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None,
-                       t_mask=None):
+def _ref_inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None):
     fv, gv = _ref_as_values(f), _ref_as_values(g)
     if isinstance(f, dp.Field):
         kind = f.kind
@@ -36,9 +36,9 @@ def _ref_inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None,
         raise ValueError("inner_product requires fields of identical shape")
     weights = _ref_axis_weights(kind, grid)
     prod = fv * gv
-    masks = {"trajectory": (t_mask, a_mask, x_mask),
+    masks = {"trajectory": (None, a_mask, x_mask),
              "age_gene": (a_mask, x_mask),
-             "time_gene": (t_mask, x_mask)}[kind]
+             "time_gene": (None, x_mask)}[kind]
     for axis, (w, m) in enumerate(zip(weights, masks)):
         wm = w if m is None else w * m
         shape = [1] * prod.ndim
@@ -301,11 +301,10 @@ class TestFieldsAndNorms:
         rng = np.random.default_rng(3)
         f = rng.standard_normal(g.shape(kind))
         h = rng.standard_normal(g.shape(kind))
-        masks = {"t": rng.uniform(size=g.nt + 1), "a": g.age_upper_mask(),
-                 "x": g.omega_mask}
-        for chosen in itertools.product([False, True], repeat=3):
+        masks = {"a": g.age_upper_mask(), "x": g.omega_mask}
+        for chosen in itertools.product([False, True], repeat=2):
             kw = {f"{axis}_mask": masks[axis]
-                  for axis, on in zip("tax", chosen) if on}
+                  for axis, on in zip("ax", chosen) if on}
             expected = repr(_ref_inner_product(f, h, g, kind=kind, **kw))
             assert repr(dp.inner_product(f, h, g, kind=kind, **kw)) == expected
             assert repr(dp.inner_product(dp.Field(f, kind, g), h, g, **kw)) == expected

@@ -231,6 +231,34 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["key_before_section", "duplicate_section",
+                                      "duplicate_key"])
+    def test_malformed_ini_exits_two_naming_file_and_line(self, case, tmp_path, capsys):
+        last = COARSE_CONFIG.count("\n")
+        text, where = {
+            "key_before_section": ("dispersion = power_law\n" + COARSE_CONFIG,
+                                   "line: 1"),
+            "duplicate_section": (COARSE_CONFIG + "\n[model]\n", f"[line {last + 2}]"),
+            "duplicate_key": (COARSE_CONFIG.replace(
+                "mortality = constant:0.1", "mortality = constant:0.1\nmortality = zero"),
+                "[line 7]"),
+        }[case]
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        with pytest.raises(dp.ConfigError):
+            dp.parse_config(bad)
+        code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config errors:\n  - ")
+        assert str(bad) in err and where in err
+
+    def test_config_path_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and str(tmp_path) in err
+
     def test_invalid_config_exits_two_listing_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(COARSE_CONFIG.replace("exponent = 0.5", "exponent = 1.7"))

@@ -1,12 +1,15 @@
 """Tridiagonal kernel: both loops of `TridiagonalOperator.solve` against the
 row-major Thomas sweep, compared bit for bit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import degenpop as dp
-from degenpop.stepping import LevelOperators, TridiagonalOperator
-from tests.conftest import make_benchmark_grid
+from degenpop.model import midpoint_dispersion
+from degenpop.stepping import TridiagonalOperator, level_operators
+from tests.conftest import make_benchmark_grid, make_mortality_coeffs
 
 
 def _reference_solve(lower, diag, upper, rhs, rows=None):
@@ -115,19 +118,25 @@ def test_rejects_rhs_that_is_not_rows_of_gene_length(rng, batch):
             op.solve(np.zeros(shape), rows=slice(0, 1))
 
 
+def _implicit_step_coefficients(coeffs, grid):
+    """Off-diagonals and mortality-free diagonal of M = I + dt (-L_k + mu)."""
+    dt, inv_dx2 = grid.dt, 1.0 / (grid.dx * grid.dx)
+    k_mid = midpoint_dispersion(coeffs.dispersion, grid)
+    return (-dt * k_mid[:-1] * inv_dx2,
+            1.0 + dt * (k_mid[:-1] + k_mid[1:]) * inv_dx2,
+            -dt * k_mid[1:] * inv_dx2)
+
+
 def test_level_operators_match_reference_on_an_age_dependent_mortality():
     grid = make_benchmark_grid(50, 30, 12)
     mu = dp.SeparableRate(age_factor=lambda a: 0.1 + a ** 2)
     coeffs = dp.CoefficientSet(dispersion=dp.PowerLawDispersion(0.5, 0.5), mu=mu,
                                beta=dp.ConstantRate(0.0), gamma=0.0)
-    ops = LevelOperators(coeffs, grid)
-    op = ops.level(3)
+    op = level_operators(coeffs, grid)[3]
     assert op.batch == grid.na and op.m == grid.nx - 1
     rhs = np.random.default_rng(7).standard_normal((grid.na, grid.nx - 1))
-    mu_rows = mu.level(3, grid)[:grid.na, 1:-1]
-    diag = ops._diag0[None, :] + ops.dt * mu_rows
-    lower = np.broadcast_to(ops._lower, diag.shape)
-    upper = np.broadcast_to(ops._upper, diag.shape)
+    lower, diag0, upper = _implicit_step_coefficients(coeffs, grid)
+    diag = diag0[None, :] + grid.dt * mu.level(3, grid)[:grid.na, 1:-1]
     assert np.array_equal(op.solve(rhs), _reference_solve(lower, diag, upper, rhs))
 
 
@@ -136,10 +145,38 @@ def test_level_operators_collapse_uniform_rows_to_one_shared_matrix():
     coeffs = dp.CoefficientSet(dispersion=dp.PowerLawDispersion(0.5, 0.5),
                                mu=dp.SeparableRate(gene_factor=lambda x: 0.1 + x),
                                beta=dp.ConstantRate(0.0), gamma=0.0)
-    ops = LevelOperators(coeffs, grid)
-    op = ops.level(3)
+    op = level_operators(coeffs, grid)[3]
     assert op.batch == 1
     rhs = np.random.default_rng(7).standard_normal((grid.na, grid.nx - 1))
-    diag = ops._diag0 + ops.dt * (0.1 + grid.x_nodes[1:-1])
-    want = _reference_solve(ops._lower, diag[None, :], ops._upper, rhs)
+    lower, diag0, upper = _implicit_step_coefficients(coeffs, grid)
+    diag = diag0 + grid.dt * (0.1 + grid.x_nodes[1:-1])
+    want = _reference_solve(lower, diag[None, :], upper, rhs)
     assert np.array_equal(op.solve(rhs, rows=slice(0, 1)), want)
+
+
+@pytest.mark.parametrize("kind", ["constant", "age_only", "tabulated"])
+def test_level_operators_factorize_once_unless_mortality_varies_in_time(kind,
+                                                                        monkeypatch):
+    grid = make_benchmark_grid(50, 30, 12)
+    coeffs = make_mortality_coeffs("tabulated" if kind == "tabulated" else "benchmark",
+                                   grid)
+    if kind == "age_only":
+        coeffs = replace(coeffs, mu=dp.SeparableRate(age_factor=lambda a: 0.1 + a ** 2))
+    built = []
+    factorize = TridiagonalOperator.__init__
+
+    def counting_factorize(self, *args):
+        built.append(self)
+        factorize(self, *args)
+
+    monkeypatch.setattr(TridiagonalOperator, "__init__", counting_factorize)
+    ops = level_operators(coeffs, grid)
+    assert len(ops) == grid.nt
+    if kind == "tabulated":
+        assert len(built) == grid.nt
+        assert all(op is made for op, made in zip(ops, built))
+    else:
+        assert len(built) == 1
+        assert ops[0] is ops[-1]
+        assert all(op is built[0] for op in ops)
+        assert ops[0].batch == (grid.na if kind == "age_only" else 1)
