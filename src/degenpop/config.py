@@ -202,18 +202,21 @@ def initial_datum_values(grid):
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate an INI experiment config.
 
-    Raises ConfigError carrying every problem found: malformed INI syntax
-    (with its file and line), unknown sections or keys, malformed values,
-    and violated model invariants (each named with the inequality that
-    failed).  A file that cannot be read raises OSError.
+    Raises ConfigError carrying every problem found: text that is not
+    UTF-8, malformed INI syntax (with its file and line), unknown sections
+    or keys, malformed values, and violated model invariants (each named
+    with the inequality that failed).  A file that cannot be read raises
+    OSError.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         try:
             parser.read_file(handle, source=str(path))
         except configparser.Error as exc:
             raise ConfigError([" ".join(str(exc).split())]) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{path} is not UTF-8 text: {exc.reason}"]) from exc
 
     errors: list[str] = []
     raw: dict = {}

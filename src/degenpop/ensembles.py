@@ -1,15 +1,12 @@
 """Reproducible random function ensembles.
 
-All stochastic experiments (duality checks, Gram-operator probes,
-observability and inequality trials) draw their data from Fourier sine sums
-with algebraically decaying coefficients,
+Every stochastic experiment (duality checks, Gram-operator probes,
+observability and inequality trials) draws Fourier sine sums
 
-    sum_{modes} c / (|mode|^2) * product of sine factors,   c ~ N(0, 1),
+    sum_{modes} c / |mode|^2 * product of sine factors,   c ~ N(0, 1),
 
-which are smooth, satisfy the homogeneous Dirichlet conditions in the gene
-variable, vanish at the age endpoints (and, when a window is given, are
-supported in that age window), and are reproducible from a single seed via
-numpy's PCG64 generator.
+which are smooth, vanish at the gene and age endpoints (or outside a given
+age window), and are reproducible from one seed of numpy's PCG64 generator.
 """
 
 from __future__ import annotations
@@ -67,28 +64,14 @@ def box_terminal_draw(rng, grid, modes=8):
 
 
 def trajectory_draw(rng, grid, modes=4):
-    """Random trajectory Field, smooth and vanishing on every face.
-
-    The contraction sum_{l,m,n} c[l,m,n] T[l,t] A[m,a] X[n,x] runs as an
-    explicit loop over (l, m, n) in C order, adding each term
-    ((c T[l]) A[m]) X[n] to a zeroed cube.  That is the product order and
-    the summation order of np.einsum("lmn,lt,ma,nx->tax", ...) without
-    `optimize`, so the draw keeps that call's bits at about a third of its
-    cost.  `optimize=True` would be faster still, but it contracts pairwise
-    through BLAS, which reorders the sums and moves the draws by up to
-    6e-15, and with them every inequality artifact.
-    """
+    """Random trajectory Field, smooth and vanishing on every face."""
     coeff = rng.standard_normal((modes, modes, modes))
     m2 = np.arange(1, modes + 1) ** 2
     coeff = coeff / (m2[:, None, None] + m2[None, :, None] + m2[None, None, :])
     t_tab = _sine_table(grid.t_levels, grid.T, modes)
     a_tab = _sine_table(grid.a_levels, grid.A, modes)
     x_tab = _sine_table(grid.x_nodes, 1.0, modes)
-    values = np.zeros((grid.nt + 1, grid.na + 1, grid.nx + 1))
-    term = np.empty_like(values)
-    for l, m, n in np.ndindex(coeff.shape):
-        ta = (coeff[l, m, n] * t_tab[l])[:, None] * a_tab[m]
-        values += np.multiply(ta[:, :, None], x_tab[n], out=term)
+    values = np.einsum("lmn,lt,ma,nx->tax", coeff, t_tab, a_tab, x_tab, optimize=True)
     return Field(values, "trajectory", grid)
 
 

@@ -1,30 +1,26 @@
 """Weight functions for the weighted (Carleman-type) energy estimates.
 
-Two families of space weights are combined with one time-age pole factor:
+Two space profiles are combined with one time-age pole factor:
 
   * pole factor   Theta(t, a) = 1 / ((t(T-t))^4 a^4), blowing up at t in
     {0, T} and a = 0 — it switches the estimates off at the data faces;
   * degenerate profile  psi(x) = c1 * (ramp(x) - c2) < 0, where
     ramp(x) = integral_{x0}^{x} (r - x0)/k(r) dr bends the profile around
     the degeneracy point;
-  * bump profile  sigma(x) = x(1-x)e^{rho x} with its single critical point
-    placed at a chosen center (inside the core control window), and the
-    derived negative envelope  Psi(x) = e^{kappa sigma} - e^{2 kappa |sigma|_sup};
-  * the products  phi = Theta * psi  and  Phi = Theta * Psi.
+  * bump profile  sigma(x) = x(1-x)e^{rho x}, its critical point at a chosen
+    center inside the core control window, and the negative envelope
+    Psi(x) = e^{kappa sigma} - e^{2 kappa |sigma|_sup};
+  * the weights  phi = Theta * psi  and  Phi = Theta * Psi.
 
-Admissibility of (c1, c2) is what makes phi <= Phi hold pointwise: c2 must
-exceed an explicit threshold so psi stays negative, and c1 must exceed a
-second threshold (depending on c2, kappa, and the bump) so the degenerate
-profile lies below the bump envelope at the gene endpoints — where psi is
+Admissibility of (c1, c2) makes phi <= Phi: c2 must exceed a threshold so
+psi stays negative, and c1 must exceed a second one (depending on c2, kappa
+and the bump) so psi lies below Psi at the gene endpoints, where psi is
 largest and Psi smallest.  Both thresholds are exposed and enforced.
 
-The auxiliary weight  p(x) = (k(x) |x - x0|^4)^{1/3}  drives the weighted
-Hardy-type inequality used by the analysis; it vanishes at the degeneracy.
+The Hardy weight  p(x) = (k(x) |x - x0|^4)^{1/3}  vanishes at the degeneracy.
 
-Magnitudes: Theta is at least (4/T^2)^4 everywhere, so exp(2 s phi) routinely
-underflows double precision.  Evaluators that integrate against these weights
-work in the log domain (see the inequality module); this module only hands
-out values and logarithms.
+Theta is at least (4/T^2)^4, so exp(2 s phi) routinely underflows; the
+inequality module integrates against these weights in the log domain.
 """
 
 from __future__ import annotations
@@ -76,37 +72,16 @@ class BumpProfile:
         )
 
 
-def build_bump(center, tol=1e-14, max_expand=60):
+def build_bump(center):
     """Construct the bump profile with critical point at `center` in (0,1).
 
-    The slope at the center, (1-2c) + rho*c(1-c) (up to the positive factor
-    e^{rho c}), is monotone in the steepness rho, so a guarded bisection on
-    rho finds its root to machine accuracy.
+    The slope at the center is e^{rho c}((1-2c) + rho c(1-c)), which vanishes
+    at rho = (2c-1)/(c(1-c)).
     """
     c = float(center)
     if not 0.0 < c < 1.0:
         raise ValueError(f"bump center {c} must lie strictly inside (0,1)")
-
-    def slope(rho):
-        return (1.0 - 2.0 * c) + rho * c * (1.0 - c)
-
-    lo, hi = -1.0, 1.0
-    for _ in range(max_expand):
-        if slope(lo) <= 0.0 <= slope(hi):
-            break
-        lo *= 2.0
-        hi *= 2.0
-    else:  # pragma: no cover - slope is linear with positive coefficient
-        raise RuntimeError("could not bracket the bump steepness")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol:
-            break
-    rho = 0.5 * (lo + hi)
+    rho = (2.0 * c - 1.0) / (c * (1.0 - c))
     sup = c * (1.0 - c) * np.exp(rho * c)
     return BumpProfile(center=c, steepness=rho, sup_norm=float(sup))
 
@@ -256,15 +231,14 @@ class WeightFamily:
                 f"{self.psi_nodes[idx]:.6g} > {self.Psi_nodes[idx]:.6g}"
             )
 
-        t, a = grid.t_levels[:, None], grid.a_levels[None, :]
-        interior = np.zeros((grid.nt + 1, grid.na + 1), dtype=bool)
-        interior[1:-1, 1:] = True
-        with np.errstate(divide="ignore"):
-            pole = 1.0 / ((t * (grid.T - t)) ** 4 * a**4)
-        self.masked_pole = _read_only(np.where(interior, pole, 0.0))
-        self.face_weights = _read_only(
-            np.where(interior, grid.wt[:, None] * grid.wa[None, :], 0.0)
+        pole = np.zeros((grid.nt + 1, grid.na + 1))
+        face = np.zeros_like(pole)
+        pole[1:-1, 1:] = pole_weight(
+            grid.t_levels[1:-1, None], grid.a_levels[None, 1:], grid.T, grid.A
         )
+        face[1:-1, 1:] = grid.wt[1:-1, None] * grid.wa[None, 1:]
+        self.masked_pole = _read_only(pole)
+        self.face_weights = _read_only(face)
 
     # -- space profiles --------------------------------------------------
     def profile(self, x):
@@ -276,14 +250,3 @@ class WeightFamily:
     def envelope(self, x):
         """Psi(x) = e^{kappa sigma(x)} - e^{2 kappa sup sigma} < 0."""
         return bump_weight(x, self.bump, self.config.bump_gain)
-
-    # -- full weights -------------------------------------------------------
-    def degenerate_weight(self, t, a, x):
-        """phi(t,a,x) = Theta(t,a) * psi(x)."""
-        theta = pole_weight(t, a, self.grid.T, self.grid.A)
-        return theta * self.profile(x)
-
-    def regular_weight(self, t, a, x):
-        """Phi(t,a,x) = Theta(t,a) * Psi(x)."""
-        theta = pole_weight(t, a, self.grid.T, self.grid.A)
-        return theta * self.envelope(x)

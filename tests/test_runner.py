@@ -253,6 +253,15 @@ class TestCli:
         assert err.startswith("config errors:\n  - ")
         assert str(bad) in err and where in err
 
+    def test_non_utf8_config_exits_two_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.ini"
+        bad.write_bytes(b"\xff\xfe" + COARSE_CONFIG.encode("utf-16-le"))
+        code = cli.main(["validate", "--config", str(bad), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config errors:\n  - ")
+        assert f"{bad} is not UTF-8 text" in err
+
     def test_config_path_that_is_a_directory_exits_two(self, tmp_path, capsys):
         code = cli.main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path)])
         err = capsys.readouterr().err

@@ -90,15 +90,16 @@ class TestWeightConfig:
 
 
 class TestWeightFamily:
-    def test_benchmark_family_is_admissible(self, coarse_family, coarse_grid):
+    def test_benchmark_family_is_admissible(self, coarse_family):
         fam = coarse_family
         assert np.all(fam.psi_nodes < 0.0)
         assert np.all(fam.Psi_nodes < 0.0)
         assert np.all(fam.psi_nodes <= fam.Psi_nodes + 1e-15)
-        # degenerate weight below the regular weight at interior nodes
-        t, a = coarse_grid.T / 2, coarse_grid.A
-        x = coarse_grid.x_nodes
-        assert np.all(fam.degenerate_weight(t, a, x) <= fam.regular_weight(t, a, x))
+        # phi = Theta psi below Phi = Theta Psi at every interior node, on
+        # the tables the inequality lab integrates against
+        pole = fam.masked_pole[1:-1, 1:, None]
+        assert np.all(pole > 0.0)
+        assert np.all(pole * fam.psi_nodes <= pole * fam.Psi_nodes)
 
     def test_auto_resolution_applies_fixed_headroom(self, bench_coeffs, coarse_grid):
         cfg = dp.WeightFamily(bench_coeffs, coarse_grid, dp.WeightConfig()).config
