@@ -4,7 +4,9 @@ Fields are stored in long format with the fixed header ``t,a,x,value`` and
 one row per grid point, written in t-major, then age, then gene order.
 Floats are serialized with ``repr``, the shortest decimal string that parses
 back to the identical IEEE double, so round-trips are exact and repeated
-writes of the same field are byte-identical.
+writes of the same field are byte-identical.  A file is written one time
+level at a time, so the writer holds one level's text in memory, never the
+whole file.
 
 Which axes a field carries is read from ``model.FIELD_AXES``.  Two-dimensional
 fields reuse the same four-column layout with a constant label in the
@@ -35,17 +37,15 @@ def write_field_csv(field: Field, path) -> None:
     )
     # a (t, a, x) view: the collapsed axis of a 2-D field has length one
     values = field.values.reshape(len(t_strs), len(a_strs), len(x_strs))
-    lines = [HEADER]
-    for t_s, level in zip(t_strs, values):
-        for a_s, row in zip(a_strs, level):
-            prefix = t_s + "," + a_s + ","
-            lines.extend(
-                prefix + x_s + "," + v_s
-                for x_s, v_s in zip(x_strs, map(repr, row.tolist()))
-            )
+    # one level's lines minus their t label; labels are float reprs, so the
+    # only "%" is the value's, and "%r" formats it with the same float repr
+    body = [a_s + "," + x_s + ",%r" for a_s in a_strs for x_s in x_strs]
     with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines))
-        handle.write("\n")
+        handle.write(HEADER + "\n")
+        for t_s, level in zip(t_strs, values):
+            prefix = t_s + ","
+            template = prefix + ("\n" + prefix).join(body) + "\n"
+            handle.write(template % tuple(level.ravel().tolist()))
 
 
 def _parse_rows(path):

@@ -5,9 +5,10 @@ Every run writes, into one output directory:
                        the summary byte for byte),
   summary.txt          scalar results, deterministically formatted,
   manifest.txt         the sorted list of produced files,
-  timings.txt          wall-clock seconds per stage (the only
-                       non-deterministic output, kept out of the CSVs
-                       and the summary on purpose),
+  timings.txt          wall-clock seconds per stage, and as ``export`` those
+                       of the command spent writing field CSVs, if it
+                       writes any (the only non-deterministic output,
+                       kept out of the CSVs and the summary on purpose),
 plus the command-specific CSV files.  A stage failure aborts the run with
 the stage name but still persists the partial manifest.
 """
@@ -73,9 +74,12 @@ def _write_table(out: Path, name: str, header, rows, files: list) -> None:
     files.append(name)
 
 
-def _export_field(out: Path, name: str, fld: Field, files: list) -> None:
+def _export_field(out: Path, name: str, fld: Field, artifact: RunArtifact) -> None:
+    start = time.perf_counter()
     write_field_csv(fld, out / name)
-    files.append(name)
+    elapsed = time.perf_counter() - start
+    artifact.timings["export"] = artifact.timings.get("export", 0.0) + elapsed
+    artifact.files.append(name)
 
 
 def _gene_rel_diff(row_a, row_b, grid) -> float:
@@ -160,7 +164,7 @@ def _run_simulate(config, out, seed, artifact):
     problem = ForwardProblem(config.coeffs, config.grid, y0)
     state = solve_forward(problem)
     report = energy_report(state, problem)
-    _export_field(out, "state.csv", state, artifact.files)
+    _export_field(out, "state.csv", state, artifact)
     artifact.summary["sup_t_norm"] = report.sup_t_norm
     artifact.summary["sup_a_norm"] = report.sup_a_norm
     artifact.summary["hk_dissipation"] = report.hk_dissipation
@@ -193,8 +197,8 @@ def _run_adjoint(config, out, seed, artifact):
     artifact.summary["characteristic_mismatch"] = _gene_rel_diff(
         row, state.values[n, j, :], grid
     )
-    _export_field(out, "adjoint_state.csv", state, artifact.files)
-    _export_field(out, "newborn_trace.csv", trace, artifact.files)
+    _export_field(out, "adjoint_state.csv", state, artifact)
+    _export_field(out, "newborn_trace.csv", trace, artifact)
 
 
 def _control_summary(artifact, solution, reach):
@@ -241,9 +245,9 @@ def _run_control(config, out, seed, artifact):
     )
     reach = verify_null_reach(solution, y0, config.grid)
     _control_summary(artifact, solution, reach)
-    _export_field(out, "control.csv", solution.control, artifact.files)
-    _export_field(out, "terminal_probe.csv", solution.terminal_probe, artifact.files)
-    _export_field(out, "controlled_state.csv", solution.state, artifact.files)
+    _export_field(out, "control.csv", solution.control, artifact)
+    _export_field(out, "terminal_probe.csv", solution.terminal_probe, artifact)
+    _export_field(out, "controlled_state.csv", solution.state, artifact)
     _write_table(out, "cg_residual_history.csv", _HISTORY_COLUMNS,
                  _history_rows(solution), artifact.files)
 

@@ -1,12 +1,14 @@
 """Field CSV round-trips and experiment-config parsing."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import degenpop as dp
 from degenpop.config import ConfigError
+from tests.conftest import make_benchmark_grid
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +148,44 @@ class TestFieldCsv:
 
     @pytest.mark.parametrize("kind", ["trajectory", "age_gene", "time_gene"])
     def test_bytes_match_reference_writer(self, kind, coarse_grid, tmp_path):
-        g = coarse_grid
-        rng = np.random.default_rng(7)
-        values = rng.standard_normal(g.shape(kind))
-        flat = values.reshape(-1)
-        flat[: len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
-        flat[-len(_SPECIAL_VALUES):] = _SPECIAL_VALUES[::-1]
-        fields = [dp.Field(values, kind, g)]
-        if kind != "trajectory":
-            # a strided view, as a slice of a trajectory would be
-            wide = np.zeros(values.shape[:1] + (2,) + values.shape[1:])
-            wide[:, 1] = values
-            fields.append(dp.Field(wide[:, 1], kind, g))
-        for field in fields:
-            new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-            dp.write_field_csv(field, new)
-            _ref_write_field_csv(field, ref)
-            assert new.read_bytes() == ref.read_bytes()
+        # nx != na != nt on the second grid, so an a/x swap or a slip at a
+        # level boundary changes the bytes
+        for g in (coarse_grid, make_benchmark_grid(50, 20, 8)):
+            rng = np.random.default_rng(7)
+            values = rng.standard_normal(g.shape(kind))
+            flat = values.reshape(-1)
+            flat[: len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
+            flat[-len(_SPECIAL_VALUES):] = _SPECIAL_VALUES[::-1]
+            fields = [dp.Field(values, kind, g)]
+            if kind == "trajectory":
+                # shaped like control.csv: -0.0 off the window columns and
+                # below delta, where most of its values are -0.0
+                box = rng.standard_normal(g.shape(kind))
+                box[:, : g.delta_index] = 0.0
+                fields.append(dp.Field(-(box * g.omega_mask), kind, g))
+            else:
+                # a strided view, as a slice of a trajectory would be
+                wide = np.zeros(values.shape[:1] + (2,) + values.shape[1:])
+                wide[:, 1] = values
+                fields.append(dp.Field(wide[:, 1], kind, g))
+            for field in fields:
+                new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+                dp.write_field_csv(field, new)
+                _ref_write_field_csv(field, ref)
+                assert new.read_bytes() == ref.read_bytes()
+
+    def test_writer_holds_one_level_not_the_whole_file(self, coarse_grid, tmp_path):
+        rng = np.random.default_rng(11)
+        field = dp.Field(rng.standard_normal(coarse_grid.shape("trajectory")),
+                         "trajectory", coarse_grid)
+        path = tmp_path / "trajectory.csv"
+        tracemalloc.start()
+        try:
+            dp.write_field_csv(field, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,22 @@ def check_artifact_files(artifact, out_dir):
     assert again.raw is not None
     # summary.txt is exactly the artifact's formatted summary
     assert (out_dir / "summary.txt").read_text() == artifact.summary_text()
+    check_timings(artifact, out_dir)
+
+
+def check_timings(artifact, out_dir):
+    """timings.txt has snapshot and the command, plus export for field writers."""
+    lines = (out_dir / "timings.txt").read_text().splitlines()
+    seconds = {}
+    for line in lines:
+        key, value = line.split(": ")
+        assert value.endswith(" s")
+        seconds[key] = float(value[:-2])
+    expected = {"snapshot", artifact.command}
+    if artifact.command in ("simulate", "adjoint", "control"):
+        expected.add("export")
+        assert 0.0 < seconds["export"] <= seconds[artifact.command]
+    assert set(seconds) == expected
 
 
 class TestPipelines:
