@@ -18,6 +18,9 @@ from .model import Field
 #: Seed used by every shipped experiment unless overridden.
 DEFAULT_SEED = 4127
 
+#: Sine modes per axis of the age-gene and gene draws.
+_MODES = 8
+
 
 def make_rng(seed=None):
     return np.random.Generator(np.random.PCG64(DEFAULT_SEED if seed is None else seed))
@@ -37,30 +40,30 @@ def _sine_table(coords, length, modes):
     return table
 
 
-def age_gene_draw(rng, grid, age_window=None, modes=8):
+def age_gene_draw(rng, grid, age_window=None):
     """Random age-gene Field; supported in age_window when given.
 
     With a window (lo, hi) the age factors are sin(m*pi*(a-lo)/(hi-lo)) on
     the window and zero outside, so the draw vanishes at both window edges.
     """
-    coeff = rng.standard_normal((modes, modes))
-    m2 = np.arange(1, modes + 1) ** 2
+    coeff = rng.standard_normal((_MODES, _MODES))
+    m2 = np.arange(1, _MODES + 1) ** 2
     coeff = coeff / (m2[:, None] + m2[None, :])
     if age_window is None:
-        age_tab = _sine_table(grid.a_levels, grid.A, modes)
+        age_tab = _sine_table(grid.a_levels, grid.A, _MODES)
     else:
         lo, hi = age_window
         shifted = grid.a_levels - lo
-        age_tab = _sine_table(np.clip(shifted, 0.0, hi - lo), hi - lo, modes)
+        age_tab = _sine_table(np.clip(shifted, 0.0, hi - lo), hi - lo, _MODES)
         age_tab[:, (grid.a_levels <= lo) | (grid.a_levels >= hi)] = 0.0
-    gene_tab = _sine_table(grid.x_nodes, 1.0, modes)
+    gene_tab = _sine_table(grid.x_nodes, 1.0, _MODES)
     values = np.einsum("mn,ma,nx->ax", coeff, age_tab, gene_tab)
     return Field(values, "age_gene", grid)
 
 
-def box_terminal_draw(rng, grid, modes=8):
+def box_terminal_draw(rng, grid):
     """Random terminal datum supported in the observation ages (delta, A)."""
-    return age_gene_draw(rng, grid, age_window=(grid.delta, grid.A), modes=modes)
+    return age_gene_draw(rng, grid, age_window=(grid.delta, grid.A))
 
 
 def trajectory_draw(rng, grid, modes=4):
@@ -75,7 +78,7 @@ def trajectory_draw(rng, grid, modes=4):
     return Field(values, "trajectory", grid)
 
 
-def gene_draw(rng, grid, modes=8):
+def gene_draw(rng, grid):
     """Random gene row vanishing at x = 0 and x = 1."""
-    coeff = rng.standard_normal(modes) / np.arange(1, modes + 1) ** 2
-    return coeff @ _sine_table(grid.x_nodes, 1.0, modes)
+    coeff = rng.standard_normal(_MODES) / np.arange(1, _MODES + 1) ** 2
+    return coeff @ _sine_table(grid.x_nodes, 1.0, _MODES)

@@ -23,12 +23,18 @@ the block of interior (t, a) rows times the gene nodes of its window (all
 of them, the observation window, or the inner gradient window).  The block
 is visited in C order, so the log-sum-exp sees exactly the entries, in the
 order, that a sum over the whole cylinder keeps, and returns the same bits.
+
+The four adjoint ensembles (main and intermediate Carleman, Caccioppoli,
+observability) share one loop, `_ensemble`: per trial it draws the data,
+makes one backward solve and evaluates the trial at every strength (once,
+without one, for observability).
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -146,7 +152,6 @@ class InequalityReport:
     """Ensemble of trials for one inequality on one grid."""
 
     name: str
-    s_values: tuple
     ensemble_size: int
     grid_signature: str
     entries: list  # (trial_index, s, InequalityTrial); s is None when unused
@@ -218,30 +223,24 @@ def _lower_age_mask(grid: SpaceTimeGrid) -> np.ndarray:
     return (np.arange(grid.na + 1) <= grid.delta_index).astype(float)
 
 
-def _span(positive: np.ndarray) -> slice:
-    """Slice from the first to the last True entry (empty when none is)."""
-    idx = np.flatnonzero(positive)
-    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
-
-
 class _Support:
     """The block of nodes where face_weights[:, :, None] * x_weights > 0.
 
-    `ta` slices the (t, a) rows with a positive face weight and `x` the gene
-    nodes with a positive x weight; `index` slices their block, which is
-    read in C order.  `pole` is the masked pole factor on the rows, with a
-    trailing gene axis, and `weights` the weight product on the block.  Any
-    zero the product has inside the block is dropped by `log_weighted_sum`.
+    `ta` slices the interior (t, a) rows t_1..t_{nt-1}, a_1..a_na, where
+    `WeightFamily` puts its face weights, and `x` the gene nodes of the
+    window (all of them for None); `index` slices their block, which is read
+    in C order.  `pole` is the masked pole factor on the rows, with a
+    trailing gene axis, and `weights` the weight product on the block.
     """
 
-    def __init__(self, family: WeightFamily, x_weights: np.ndarray):
-        positive = family.face_weights > 0.0
-        self.ta = (_span(positive.any(axis=1)), _span(positive.any(axis=0)))
-        self.x = _span(x_weights > 0.0)
+    def __init__(self, family: WeightFamily, window):
+        grid = family.grid
+        self.ta = (slice(1, grid.nt), slice(1, grid.na + 1))
+        self.x = slice(None) if window is None else grid.x_window_slice(window)
         self.index = (*self.ta, self.x)
         self.pole = family.masked_pole[self.ta][:, :, None]
         self.face_weights = family.face_weights[self.ta]
-        self.weights = self.face_weights[:, :, None] * x_weights[self.x]
+        self.weights = self.face_weights[:, :, None] * grid.wx[self.x]
 
 
 _SUPPORTS = weakref.WeakKeyDictionary()
@@ -255,9 +254,7 @@ def _support(family: WeightFamily, window=None) -> _Support:
     supports = _SUPPORTS.setdefault(family, {})
     window = None if window is None else tuple(window)
     if window not in supports:
-        grid = family.grid
-        x_weights = grid.wx if window is None else grid.wx * grid.x_window_mask(window)
-        supports[window] = _Support(family, x_weights)
+        supports[window] = _Support(family, window)
     return supports[window]
 
 
@@ -469,35 +466,29 @@ def weight_sup_check(
 # ---------------------------------------------------------------------------
 
 
-def _as_tuple(s_values) -> tuple:
-    if np.isscalar(s_values):
-        return (float(s_values),)
-    return tuple(float(s) for s in s_values)
-
-
 def _renewal_free(coeffs: CoefficientSet) -> CoefficientSet:
-    return CoefficientSet(
-        dispersion=coeffs.dispersion,
-        mu=coeffs.mu,
-        beta=ConstantRate(0.0),
-        gamma=coeffs.gamma,
-        theta=coeffs.theta,
-    )
+    return replace(coeffs, beta=ConstantRate(0.0))
 
 
-def _adjoint_draws(coeffs, grid, trials, seed, with_source):
-    """Yield (index, wT, h, w) for `trials` backward solves from `seed`.
+def _ensemble(name, trial, coeffs, grid, s_values, trials, seed, with_source):
+    """Report of `trial` over `trials` backward solves drawn from `seed`.
 
     Per trial a random terminal datum wT and, `with_source`, a random source
-    h for the renewal-free problem (else h is None and `coeffs` is used).
+    h for the renewal-free problem; one solve w; then trial(w, h, s) for each
+    strength s, with wT for h when there is no source, or trial(w, wT, None)
+    once when `s_values` is None.
     """
-    rng = make_rng(seed)
+    strengths = (None,) if s_values is None else tuple(float(s) for s in s_values)
     if with_source:
         coeffs = _renewal_free(coeffs)
+    rng = make_rng(seed)
+    entries = []
     for idx in range(trials):
         wT = age_gene_draw(rng, grid)
         h = trajectory_draw(rng, grid) if with_source else None
-        yield idx, wT, h, solve_adjoint(AdjointProblem(coeffs, grid, wT, source_h=h))
+        w = solve_adjoint(AdjointProblem(coeffs, grid, wT, source_h=h))
+        entries.extend((idx, s, trial(w, wT if h is None else h, s)) for s in strengths)
+    return InequalityReport(name, trials, grid_signature(grid), entries)
 
 
 def run_carleman_main(
@@ -509,14 +500,8 @@ def run_carleman_main(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble of backward solutions from random terminal data."""
-    s_values = _as_tuple(s_values)
-    entries = []
-    for idx, wT, _, w in _adjoint_draws(coeffs, grid, trials, seed, False):
-        for s in s_values:
-            entries.append((idx, s, carleman_main_trial(w, wT, s, family)))
-    return InequalityReport(
-        "carleman_main", s_values, trials, grid_signature(grid), entries
-    )
+    trial = partial(carleman_main_trial, family=family)
+    return _ensemble("carleman_main", trial, coeffs, grid, s_values, trials, seed, False)
 
 
 def run_carleman_intermediate(
@@ -528,13 +513,9 @@ def run_carleman_intermediate(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble for the renewal-free bound with random sources."""
-    s_values = _as_tuple(s_values)
-    entries = []
-    for idx, _, h, w in _adjoint_draws(coeffs, grid, trials, seed, True):
-        for s in s_values:
-            entries.append((idx, s, carleman_intermediate_trial(w, h, s, family)))
-    return InequalityReport(
-        "carleman_intermediate", s_values, trials, grid_signature(grid), entries
+    trial = partial(carleman_intermediate_trial, family=family)
+    return _ensemble(
+        "carleman_intermediate", trial, coeffs, grid, s_values, trials, seed, True
     )
 
 
@@ -547,14 +528,8 @@ def run_caccioppoli(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble for the window gradient bound (renewal-free sources)."""
-    s_values = _as_tuple(s_values)
-    entries = []
-    for idx, _, h, w in _adjoint_draws(coeffs, grid, trials, seed, True):
-        for s in s_values:
-            entries.append((idx, s, caccioppoli_trial(w, h, s, family)))
-    return InequalityReport(
-        "caccioppoli", s_values, trials, grid_signature(grid), entries
-    )
+    trial = partial(caccioppoli_trial, family=family)
+    return _ensemble("caccioppoli", trial, coeffs, grid, s_values, trials, seed, True)
 
 
 def run_observability(
@@ -564,12 +539,8 @@ def run_observability(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble estimate of the observability constant."""
-    entries = []
-    for idx, wT, _, w in _adjoint_draws(coeffs, grid, trials, seed, False):
-        entries.append((idx, None, observability_trial(w, wT, grid)))
-    return InequalityReport(
-        "observability", (), trials, grid_signature(grid), entries
-    )
+    return _ensemble("observability", lambda w, wT, s: observability_trial(w, wT, grid),
+                     coeffs, grid, None, trials, seed, False)
 
 
 def run_hardy(
@@ -584,7 +555,7 @@ def run_hardy(
     for idx in range(trials):
         nu = gene_draw(rng, grid)
         entries.append((idx, None, hardy_trial(nu, coeffs, grid)))
-    return InequalityReport("hardy_poincare", (), trials, grid_signature(grid), entries)
+    return InequalityReport("hardy_poincare", trials, grid_signature(grid), entries)
 
 
 def run_inequality_lab(

@@ -100,7 +100,6 @@ class ConstantDispersion:
             raise ValueError("constant dispersion must be nonnegative")
         self.const = float(value)
         self.x0 = float(x0)
-        self.alpha = 0.0
 
     def value(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.const)
@@ -593,8 +592,7 @@ def validate_degeneracy(k, gamma, grid):
     if np.any(kv[off] <= 0.0):
         raise ValueError("dispersion must be strictly positive away from x0")
     kd = np.asarray(k.derivative(x), dtype=float)
-    x0 = getattr(k, "x0", 0.0)
-    lhs = (x[off] - x0) * kd[off]
+    lhs = (x[off] - k.x0) * kd[off]
     ratio = lhs / kv[off]
     fitted = float(max(np.max(ratio), 0.0))
     bad = lhs > gamma * kv[off] + TOL_ABS

@@ -18,7 +18,6 @@ from degenpop.ensembles import (
 from degenpop.inequalities import (
     InequalityReport,
     InequalityTrial,
-    _as_tuple,
     _gene_gradient,
     _lower_age_mask,
     _renewal_free,
@@ -113,7 +112,7 @@ class TestTrialBookkeeping:
         entries = [(0, 1.0, _trial_from_logs(np.log(2.0), 0.0)),
                    (1, 1.0, _trial_from_logs(np.log(8.0), 0.0)),
                    (2, 1.0, _trial_from_logs(-np.inf, -np.inf))]
-        report = InequalityReport("demo", (1.0,), 3, "nx4_na4_nt4", entries)
+        report = InequalityReport("demo", 3, "nx4_na4_nt4", entries)
         assert np.isclose(report.fitted_constant, 8.0, rtol=1e-14)
         assert report.excluded_count == 1
         assert report.all_ratios_defined()
@@ -130,7 +129,7 @@ class TestTrialBookkeeping:
         for trial in (carleman_main_trial(w_nan, wT, 5.0, coarse_family),
                       carleman_intermediate_trial(w_nan, h, 5.0, coarse_family),
                       caccioppoli_trial(w_nan, h, 5.0, coarse_family)):
-            report = InequalityReport("poisoned", (5.0,), 1, grid_signature(grid),
+            report = InequalityReport("poisoned", 1, grid_signature(grid),
                                       [(0, 5.0, trial)])
             assert not trial.excluded
             assert np.isnan(trial.log_ratio)
@@ -251,6 +250,34 @@ class TestEnsembleRunners:
         b = dp.run_caccioppoli(bench_coeffs, coarse_grid, coarse_family, (5.0,),
                                trials=2, seed=99)
         assert [r["log_ratio"] for r in a.rows()] == [r["log_ratio"] for r in b.rows()]
+
+    def test_lab_solves_once_per_ensemble_trial(self, bench_coeffs, coarse_grid,
+                                                coarse_family, monkeypatch):
+        import degenpop.inequalities as ineq
+
+        draws = []
+
+        def counting_solve(problem):
+            h = problem.source_h
+            draws.append((problem.wT.values.tobytes(),
+                          None if h is None else h.values.tobytes()))
+            return solve_adjoint(problem)
+
+        monkeypatch.setattr(ineq, "solve_adjoint", counting_solve)
+        s_values = (5.0, 50.0)
+        reports = ineq.run_inequality_lab(bench_coeffs, coarse_grid, coarse_family,
+                                          s_values=s_values, trials=2, seed=4127,
+                                          observability_trials=3)
+        # main, intermediate and Caccioppoli solve once per trial, observability
+        # once per its own trial; main and observability draw the same wT, and
+        # intermediate and Caccioppoli the same (wT, h)
+        assert len(draws) == 3 * 2 + 3
+        assert len(set(draws)) == max(2, 3) + 2
+        strengths = {"carleman_main": 2, "carleman_intermediate": 2,
+                     "caccioppoli": 2, "observability": 1, "hardy_poincare": 1}
+        for name, rep in reports.items():
+            assert len(list(rep.rows())) == rep.ensemble_size * strengths[name], name
+        assert reports["observability"].ensemble_size == 3
 
     def test_renewal_free_strips_only_the_fertility(self, bench_coeffs):
         stripped = _renewal_free(bench_coeffs)
@@ -471,6 +498,12 @@ def _ref_hardy_trial(nu: np.ndarray, coeffs: CoefficientSet, grid: SpaceTimeGrid
     return _trial_from_logs(_safe_log(lhs), _safe_log(rhs))
 
 
+def _as_tuple(s_values) -> tuple:
+    if np.isscalar(s_values):
+        return (float(s_values),)
+    return tuple(float(s) for s in s_values)
+
+
 def _ref_run_carleman_main(
     coeffs: CoefficientSet,
     grid: SpaceTimeGrid,
@@ -489,7 +522,7 @@ def _ref_run_carleman_main(
         for s in s_values:
             entries.append((idx, s, _ref_carleman_main_trial(w, wT, s, family)))
     return InequalityReport(
-        "carleman_main", s_values, trials, grid_signature(grid), entries
+        "carleman_main", trials, grid_signature(grid), entries
     )
 
 
@@ -513,7 +546,7 @@ def _ref_run_carleman_intermediate(
         for s in s_values:
             entries.append((idx, s, _ref_carleman_intermediate_trial(w, h, s, family)))
     return InequalityReport(
-        "carleman_intermediate", s_values, trials, grid_signature(grid), entries
+        "carleman_intermediate", trials, grid_signature(grid), entries
     )
 
 
@@ -537,7 +570,7 @@ def _ref_run_caccioppoli(
         for s in s_values:
             entries.append((idx, s, _ref_caccioppoli_trial(w, h, s, family)))
     return InequalityReport(
-        "caccioppoli", s_values, trials, grid_signature(grid), entries
+        "caccioppoli", trials, grid_signature(grid), entries
     )
 
 
@@ -555,7 +588,7 @@ def _ref_run_observability(
         w = solve_adjoint(AdjointProblem(coeffs, grid, wT))
         entries.append((idx, None, _ref_observability_trial(w, wT, grid)))
     return InequalityReport(
-        "observability", (), trials, grid_signature(grid), entries
+        "observability", trials, grid_signature(grid), entries
     )
 
 
@@ -571,7 +604,7 @@ def _ref_run_hardy(
     for idx in range(trials):
         nu = gene_draw(rng, grid)
         entries.append((idx, None, _ref_hardy_trial(nu, coeffs, grid)))
-    return InequalityReport("hardy_poincare", (), trials, grid_signature(grid), entries)
+    return InequalityReport("hardy_poincare", trials, grid_signature(grid), entries)
 
 
 def _ref_run_inequality_lab(
