@@ -23,17 +23,20 @@ equal come out bit-identical.  Each batch shares one 1-D off-diagonal, and
 each solve takes an (r, m) rhs.
 
 The sweep is bound by the cost of each numpy call, not by arithmetic, so
-`TridiagonalOperator.solve` keeps the number of calls low.  A solve of many
-rows runs gene-major: the factorization is stored as (m, batch) arrays and
-the rhs is copied once into an (m, rows) buffer, so each elimination step is
-one contiguous vector operation written in place.  A solve of one row (the
-adjoint's age-zero row, every step of the characteristic-integral oracle,
-the last step of the trace march) runs the same recurrence on Python
-floats, which costs a few microseconds where the vector loop would spend
-hundreds on 1-element slices.  Both loops round every element through the
-same three IEEE double operations in the same order, with no fused
-multiply-add, so a row solved alone equals the same row of a batched solve
-bit for bit.
+`TridiagonalOperator.solve` keeps the chain of dependent calls short.  It
+factorizes twisted, "burning at both ends" (van der Vorst, Parallel
+Computing 5, 1987): gene 0 is eliminated downward and gene m-1 upward at
+the same time, the two chains meet at the twist gene m // 2, and back
+substitution runs outward from it.  The top and bottom rows of each step sit
+next to each other in a pair-major buffer, so one vector call advances both
+ends, and a solve of many rows makes about 5m/2 calls where the textbook
+sweep makes 5m.  A solve of one row (the adjoint's age-zero row, every step
+of the characteristic-integral oracle, the last step of the trace march)
+runs the same recurrence on Python floats, which costs a few microseconds
+where the vector loop would spend more on 1-element slices.  Both loops
+round every element through the same IEEE double operations in the same
+order, with no fused multiply-add, so a row solved alone equals the same
+row of a batched solve bit for bit.
 """
 
 from __future__ import annotations
@@ -47,41 +50,98 @@ class TridiagonalOperator:
     """A batch of symmetric tridiagonal matrices with a cached factorization.
 
     `lower` and `upper` are 1-D of length m, shared by the whole batch
-    because dispersion depends on x only, and kept as Python floats; their
-    first and last entries are ignored.  `diag` has shape (batch, m).  A
-    batch of size 1 is shared by every rhs row.  Factorization is the
-    standard Thomas forward elimination, stored gene-major: `_cp` and `_inv`
-    have shape (m, batch), so the coefficients of one gene index over the
-    whole batch are contiguous.
+    because dispersion depends on x only; lower[0] and upper[m-1] are
+    ignored.  `diag` has shape (batch, m).  A batch of size 1 is shared by
+    every rhs row.
 
-    `solve` has two loops.  A call with several rows runs the sweep
-    gene-major: the rhs is copied once into an (m, rows) buffer, and each
-    elimination step is one contiguous vector operation written in place.  A
-    call with a single row runs the same recurrence on Python floats.  Both
-    loops perform, for every element, exactly the three IEEE double
-    operations of the textbook sweep, y_0 = r_0 * inv_0, then
-    y_i = (r_i - lower_i * y_{i-1}) * inv_i, then y_i = y_i - cp_i * y_{i+1},
-    each rounded on its own with no fused multiply-add.  Layout and loop
-    therefore do not change a single bit: a row solved alone equals the same
-    row taken from a batched call.
+    The factorization is twisted at gene k = m // 2: step b eliminates gene
+    b downward and gene 2k - b upward (b = 0..k-1), and the twist gene k is
+    solved from what both chains leave.  An even m gets one decoupled unit
+    row as gene m, so that the bottom chain is as long as the top one: its
+    rhs and couplings are +0.0, so no operation it enters changes a bit of
+    a real gene.  The coefficients are stored pair-major,
+    as (2k+2, batch) arrays whose rows 2b and 2b+1 hold top gene b and
+    bottom gene 2k - b; row 2k holds the twist gene and row 2k+1 is unused.
+    `_near` is each gene's coupling to the gene eliminated before it (for
+    the twist, rows 2k and 2k+1 hold its couplings to genes k-1 and k+1),
+    `_inv` the reciprocal pivots and `_cp` the coupling inward times the
+    reciprocal pivot, which back substitution subtracts.
+
+    `solve` has two loops.  A call with several rows copies the rhs once
+    into a pair-major (2k+2, rows) buffer, and each step is one contiguous
+    vector operation over a (2, rows) pair, written in place; a batch of one
+    takes its coefficients from blocks repeated over the rows, since a
+    same-shape operand costs less per call than a scalar or a broadcast
+    one.  A call with a single row runs the same recurrence on Python
+    floats.  Both loops perform, for every element, the same IEEE double
+    operations in the same order, each rounded on its own with no fused
+    multiply-add: z = (r - near * z_prev) * inv down each chain (z = r * inv
+    at its end), z_k = ((r_k - l_k * z_{k-1}) - u_k * z_{k+1}) * inv_k at
+    the twist, then y = z - cp * y_next outward.  A row solved alone
+    therefore equals the same row taken from a batched call.
     """
 
     def __init__(self, lower, diag, upper):
-        self.lower = np.asarray(lower, dtype=float).tolist()
-        upper = np.asarray(upper, dtype=float).tolist()
-        diag_t = np.asarray(diag, dtype=float).T
-        m, batch = diag_t.shape
-        cp = np.empty((m, batch))
-        inv = np.empty((m, batch))
-        inv[0] = 1.0 / diag_t[0]
-        cp[0] = upper[0] * inv[0]
-        for i in range(1, m):
-            inv[i] = 1.0 / (diag_t[i] - self.lower[i] * cp[i - 1])
-            cp[i] = upper[i] * inv[i]
-        self._cp = cp
-        self._inv = inv
+        diag = np.asarray(diag, dtype=float)
+        batch, m = diag.shape
+        k = m // 2
+        size = 2 * k + 1  # m, or m + 1 with the decoupled row
+        lo = np.zeros(size)
+        up = np.zeros(size)
+        lo[1:m] = np.asarray(lower, dtype=float)[1:]
+        up[:m - 1] = np.asarray(upper, dtype=float)[:-1]
+        d = np.ones((size, batch))
+        d[:m] = diag.T
+        top = np.arange(k)
+        genes = np.full(2 * k + 2, k)
+        genes[0:2 * k:2] = top
+        genes[1:2 * k:2] = 2 * k - top
+        # coupling to the gene eliminated before, and to the next one inward
+        near = np.where(genes < k, lo[genes], up[genes])
+        ahead = np.where(genes < k, up[genes], lo[genes])
+        near[2 * k:] = lo[k], up[k]  # the twist gene meets both chains
+        ahead[2 * k:] = 0.0
+        d = d[genes].reshape(k + 1, 2, batch)
+        near_p, ahead_p = near.reshape(k + 1, 2, 1), ahead.reshape(k + 1, 2, 1)
+        inv = np.empty((k + 1, 2, batch))
+        cp = np.empty((k + 1, 2, batch))
+        for b in range(k):
+            inv[b] = 1.0 / (d[b] if b == 0 else d[b] - near_p[b] * cp[b - 1])
+            cp[b] = ahead_p[b] * inv[b]
+        pivot = d[k, 0]
+        if k:
+            t = near_p[k] * cp[k - 1]
+            pivot = pivot - t[0] - t[1]
+        inv[k] = 1.0 / pivot
+        cp[k] = 0.0
         self.m = m
         self.batch = batch
+        self._k = k
+        self._where = np.argsort(genes[:size])[:m]
+        self._genes = np.minimum(genes, m - 1)  # the decoupled row takes any rhs entry
+        self._near = near
+        self._near_list = near.tolist()
+        self._inv = inv.reshape(2 * k + 2, batch)
+        self._cp = cp.reshape(2 * k + 2, batch)
+        self._slot = None
+
+    def _pairs(self, a):
+        """The k+1 pair views, each (2, n), of a pair-major (2k+2, n) array."""
+        return list(a.reshape(self._k + 1, 2, a.shape[1]))
+
+    def _repeated(self, n):
+        """Pair views of the coefficients repeated over n rhs rows.
+
+        `_near` always, and `_inv` and `_cp` too for a batch of one.  One
+        slot: a new row count replaces the blocks of the last one, so an
+        operator holds at most one set however many row counts it solves.
+        """
+        slot = self._slot
+        if slot is None or slot[0] != n:
+            arrays = [self._near[:, None]] + ([self._inv, self._cp] if self.batch == 1 else [])
+            slot = (n, *(self._pairs(np.repeat(a, n, axis=1)) for a in arrays))
+            self._slot = slot
+        return slot[1:]
 
     def solve(self, rhs, rows=None):
         """Solve M y = rhs for an (r, m) rhs; returns the (r, m) solution.
@@ -93,41 +153,64 @@ class TridiagonalOperator:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim != 2 or rhs.shape[1] != self.m:
             raise ValueError(f"rhs must have shape (r, m) with m={self.m}, got {rhs.shape}")
-        cp, inv = self._cp, self._inv
+        inv, cp = self._inv, self._cp
         n_rows = rhs.shape[0]
         if self.batch > 1:
             if rows is not None:
-                cp, inv = cp[:, rows], inv[:, rows]
-            if cp.shape[1] != n_rows:
-                raise ValueError(f"rhs has {n_rows} rows but {cp.shape[1]} matrices "
+                inv, cp = inv[:, rows], cp[:, rows]
+            if inv.shape[1] != n_rows:
+                raise ValueError(f"rhs has {n_rows} rows but {inv.shape[1]} matrices "
                                  f"are selected")
-        lower = self.lower
-        if cp.shape[1] == 1:
-            # one coefficient row: its entries as Python floats serve both loops
-            cp, inv = cp[:, 0].tolist(), inv[:, 0].tolist()
-            if n_rows == 1:
-                r = rhs[0].tolist()
-                y = [0.0] * self.m
-                prev = y[0] = r[0] * inv[0]
-                for i in range(1, self.m):
-                    prev = y[i] = (r[i] - lower[i] * prev) * inv[i]
-                for i in range(self.m - 2, -1, -1):
-                    prev = y[i] = y[i] - cp[i] * prev
-                return np.array(y)[None, :]
-        y = np.empty((self.m, n_rows))
-        np.copyto(y, rhs.T)
-        ys = list(y)
-        tmp = np.empty(n_rows)
+        if n_rows == 1:
+            return self._solve_row(rhs[0], inv[:, 0].tolist(), cp[:, 0].tolist())[None, :]
+        if self.batch == 1:
+            near, invs, cps = self._repeated(n_rows)
+        else:
+            near, = self._repeated(n_rows)
+            invs, cps = self._pairs(inv), self._pairs(cp)
+        k = self._k
+        y = rhs.T[self._genes]
+        if self.m % 2 == 0:
+            y[1] = 0.0
+        ys = self._pairs(y)
+        tmp = np.empty((2, n_rows))
         mul, sub = np.multiply, np.subtract
-        prev = mul(ys[0], inv[0], out=ys[0])
-        for yi, li, ii in zip(ys[1:], lower[1:], inv[1:]):
-            mul(li, prev, out=tmp)
-            sub(yi, tmp, out=yi)
-            prev = mul(yi, ii, out=yi)
-        for yi, ci in zip(ys[-2::-1], cp[-2::-1]):
-            mul(ci, prev, out=tmp)
-            prev = sub(yi, tmp, out=yi)
-        return y.T
+        y_k = ys[k][0]
+        if k:
+            prev = mul(ys[0], invs[0], out=ys[0])
+            for yb, nb, ib in zip(ys[1:k], near[1:k], invs[1:k]):
+                mul(nb, prev, out=tmp)
+                sub(yb, tmp, out=yb)
+                prev = mul(yb, ib, out=yb)
+            mul(near[k], prev, out=tmp)
+            sub(y_k, tmp[0], out=y_k)
+            sub(y_k, tmp[1], out=y_k)
+        nxt = mul(y_k, invs[k][0], out=y_k)[None, :]
+        for yb, cb in zip(reversed(ys[:k]), reversed(cps[:k])):
+            mul(cb, nxt, out=tmp)
+            nxt = sub(yb, tmp, out=yb)
+        return y[self._where].T
+
+    def _solve_row(self, r, inv, cp):
+        """The sweep of `solve` for one rhs row, on Python floats."""
+        k, near = self._k, self._near_list
+        z = r[self._genes].tolist()
+        if self.m % 2 == 0:
+            z[1] = 0.0
+        if k:
+            for s in (0, 1):  # down from gene 0, then up from gene 2k
+                prev = z[s] = z[s] * inv[s]
+                for q in range(s + 2, 2 * k, 2):
+                    prev = z[q] = (z[q] - near[q] * prev) * inv[q]
+            z[2 * k] = ((z[2 * k] - near[2 * k] * z[2 * k - 2])
+                        - near[2 * k + 1] * z[2 * k - 1]) * inv[2 * k]
+            for s in (0, 1):  # outward from the twist
+                prev = z[2 * k]
+                for q in range(2 * k - 2 + s, -1, -2):
+                    prev = z[q] = z[q] - cp[q] * prev
+        else:
+            z[0] = z[0] * inv[0]
+        return np.array(z)[self._where]
 
 
 def level_operators(coeffs, grid) -> list:

@@ -19,6 +19,16 @@ def make_benchmark_grid(nx, na, nt):
     )
 
 
+def make_even_gene_grid():
+    """A grid with an even number m = 24 of interior gene nodes.
+
+    The benchmark grids all have m odd, so only a grid like this one reaches
+    the unpaired step of the kernel's twisted sweep.
+    """
+    return dp.SpaceTimeGrid(T=0.4, A=1.0, nx=25, na=25, nt=10, delta=0.52,
+                            omega=(0.28, 0.72))
+
+
 def make_benchmark_coeffs():
     """k=|x-0.5|^0.5, constant mortality 0.1, fertility 4a(1-a) (zero at a=0)."""
     beta = dp.SeparableRate(age_factor=lambda a: np.where(a > 0, 4 * a * (1 - a), 0.0))

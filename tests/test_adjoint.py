@@ -1,12 +1,14 @@
 """Backward solver, newborn-trace representation, characteristic integral,
 and the discrete duality identity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import degenpop as dp
 from degenpop.stepping import level_operators
-from tests.conftest import make_benchmark_grid, make_mortality_coeffs
+from tests.conftest import make_benchmark_grid, make_even_gene_grid, make_mortality_coeffs
 
 
 def _dead_window_coeffs(start=0.5):
@@ -88,6 +90,16 @@ class TestNewbornTrace:
         solver_row = dp.solve_adjoint(prob).values[:, 0, :]
         trace = dp.trace_age_zero(prob).values
         assert np.array_equal(solver_row, trace)
+
+    @pytest.mark.parametrize("kind", ["benchmark", "tabulated"])
+    def test_trace_identity_is_exact_at_an_even_gene_count(self, kind):
+        g = make_even_gene_grid()
+        coeffs = replace(_dead_window_coeffs(0.5), mu=make_mortality_coeffs(kind, g).mu)
+        prob = dp.AdjointProblem(coeffs, g, _terminal_draw(g))
+        solver_row = dp.solve_adjoint(prob).values[:, 0, :]
+        trace = dp.trace_age_zero(prob).values
+        assert solver_row.tobytes() == trace.tobytes()
+        assert trace.tobytes() == _ref_trace_age_zero(prob).tobytes()
 
     def test_trace_is_insensitive_to_the_fertility_law(self, coarse_grid):
         g = coarse_grid

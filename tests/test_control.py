@@ -5,7 +5,7 @@ import pytest
 
 import degenpop as dp
 from tests.conftest import (make_benchmark_coeffs, make_benchmark_grid,
-                            make_mortality_coeffs)
+                            make_even_gene_grid, make_mortality_coeffs)
 
 
 def _bench_initial(grid):
@@ -58,6 +58,20 @@ def _rough_probe(rng, grid):
     return p
 
 
+def _check_matches_the_full_composition(g, kind):
+    coeffs = make_mortality_coeffs(kind, g)
+    d = g.delta_index
+    rng = dp.make_rng(17)
+    for p in (dp.box_terminal_draw(rng, g).values, _rough_probe(rng, g)):
+        new, ref = dp.gram_apply(p, coeffs, g), _ref_gram_apply(p, coeffs, g)
+        assert new.shape == ref.shape
+        assert new[d:].tobytes() == ref[d:].tobytes()
+        # below the box the composition returns y(T) * 0.0, a zero that
+        # carries the sign of the discarded flow; the march returns +0.0
+        assert np.all(ref[:d] == 0.0)
+        assert new[:d].tobytes() == bytes(new[:d].nbytes)
+
+
 def _cells_id(cells):
     return "x".join(map(str, cells))
 
@@ -67,18 +81,11 @@ class TestGramOperator:
                              ids=_cells_id)
     @pytest.mark.parametrize("kind", ["benchmark", "separable", "tabulated"])
     def test_matches_the_full_composition_bit_for_bit(self, cells, kind):
-        g = make_benchmark_grid(*cells)
-        coeffs = make_mortality_coeffs(kind, g)
-        d = g.delta_index
-        rng = dp.make_rng(17)
-        for p in (dp.box_terminal_draw(rng, g).values, _rough_probe(rng, g)):
-            new, ref = dp.gram_apply(p, coeffs, g), _ref_gram_apply(p, coeffs, g)
-            assert new.shape == ref.shape
-            assert new[d:].tobytes() == ref[d:].tobytes()
-            # below the box the composition returns y(T) * 0.0, a zero that
-            # carries the sign of the discarded flow; the march returns +0.0
-            assert np.all(ref[:d] == 0.0)
-            assert new[:d].tobytes() == bytes(new[:d].nbytes)
+        _check_matches_the_full_composition(make_benchmark_grid(*cells), kind)
+
+    @pytest.mark.parametrize("kind", ["benchmark", "separable", "tabulated"])
+    def test_matches_the_full_composition_at_an_even_gene_count(self, kind):
+        _check_matches_the_full_composition(make_even_gene_grid(), kind)
 
     @pytest.mark.parametrize("cells", [(50, 50, 20), (100, 100, 40)], ids=_cells_id)
     @pytest.mark.parametrize("kind", ["benchmark", "tabulated"])

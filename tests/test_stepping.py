@@ -1,5 +1,6 @@
 """Tridiagonal kernel: both loops of `TridiagonalOperator.solve` against the
-row-major Thomas sweep, compared bit for bit."""
+row-major twisted sweep, compared bit for bit, and against the textbook sweep
+and a dense solve, compared to round-off."""
 
 from dataclasses import replace
 
@@ -11,13 +12,64 @@ from degenpop.model import midpoint_dispersion
 from degenpop.stepping import TridiagonalOperator, level_operators
 from tests.conftest import make_benchmark_grid, make_mortality_coeffs
 
+# odd and even gene counts, down to the degenerate ones with no or one step
+GENE_COUNTS = [1, 2, 3, 4, 48, 49, 99]
 
-def _reference_solve(lower, diag, upper, rhs, rows=None):
-    """Row-major Thomas factorization and sweep, one gene index at a time.
 
-    Off-diagonals may be given per row, shape (batch, m), or shared, shape
-    (m,); any rhs that broadcasts against the selected rows is solved.
+def _twisted_reference(lower, diag, upper, rhs, rows=None):
+    """Row-major twisted factorization and sweep, one gene index at a time.
+
+    Eliminates down from gene 0 to gene k-1 and up from gene m-1 to gene
+    k+1, where k = m // 2, solves the twist gene k from what both ends left,
+    and substitutes back outward.  The off-diagonals are shared, shape (m,);
+    any rhs that broadcasts against the selected rows is solved.
     """
+    diag = np.asarray(diag, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    batch, m = diag.shape
+    k = m // 2
+    inv = np.empty((batch, m))
+    far = np.empty((batch, m))
+    for i in range(k):
+        pivot = diag[:, i] if i == 0 else diag[:, i] - lower[i] * far[:, i - 1]
+        inv[:, i] = 1.0 / pivot
+        far[:, i] = upper[i] * inv[:, i]
+    for j in range(m - 1, k, -1):
+        pivot = diag[:, j] if j == m - 1 else diag[:, j] - upper[j] * far[:, j + 1]
+        inv[:, j] = 1.0 / pivot
+        far[:, j] = lower[j] * inv[:, j]
+    pivot = diag[:, k]
+    if k > 0:
+        pivot = pivot - lower[k] * far[:, k - 1]
+    if k < m - 1:
+        pivot = pivot - upper[k] * far[:, k + 1]
+    inv[:, k] = 1.0 / pivot
+    if rows is not None and batch > 1:
+        inv, far = inv[rows], far[rows]
+    rhs = np.asarray(rhs, dtype=float)
+    y = np.empty(np.broadcast_shapes(rhs.shape, inv.shape))
+    for i in range(k):
+        z = rhs[..., i] if i == 0 else rhs[..., i] - lower[i] * y[..., i - 1]
+        y[..., i] = z * inv[..., i]
+    for j in range(m - 1, k, -1):
+        z = rhs[..., j] if j == m - 1 else rhs[..., j] - upper[j] * y[..., j + 1]
+        y[..., j] = z * inv[..., j]
+    z = rhs[..., k]
+    if k > 0:
+        z = z - lower[k] * y[..., k - 1]
+    if k < m - 1:
+        z = z - upper[k] * y[..., k + 1]
+    y[..., k] = z * inv[..., k]
+    for i in range(k - 1, -1, -1):
+        y[..., i] -= far[..., i] * y[..., i + 1]
+    for j in range(k + 1, m):
+        y[..., j] -= far[..., j] * y[..., j - 1]
+    return y
+
+
+def _textbook_solve(lower, diag, upper, rhs, rows=None):
+    """Row-major textbook Thomas sweep: down from gene 0, back from gene m-1."""
     diag = np.asarray(diag, dtype=float)
     batch, m = diag.shape
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (batch, m))
@@ -39,6 +91,31 @@ def _reference_solve(lower, diag, upper, rhs, rows=None):
     for i in range(m - 2, -1, -1):
         y[..., i] -= cp[..., i] * y[..., i + 1]
     return y
+
+
+def _dense_solve(lower, diag, upper, rhs, rows=None):
+    """np.linalg.solve on each selected matrix, assembled dense."""
+    diag = np.asarray(diag, dtype=float)
+    if rows is not None and diag.shape[0] > 1:
+        diag = diag[rows]
+    diag = np.broadcast_to(diag, rhs.shape)
+    mats = np.zeros(rhs.shape + rhs.shape[-1:])
+    idx = np.arange(rhs.shape[-1])
+    mats[:, idx, idx] = diag
+    mats[:, idx[1:], idx[:-1]] = lower[1:]
+    mats[:, idx[:-1], idx[1:]] = upper[:-1]
+    return np.linalg.solve(mats, rhs[..., None])[..., 0]
+
+
+def _check_solve(op, lower, diag, upper, rhs, rows=None):
+    """Bit for bit the twisted reference; within 1e-14 max|y| of the others."""
+    got = op.solve(rhs, rows=rows)
+    want = _twisted_reference(lower, diag, upper, rhs, rows=rows)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    scale = 1e-14 * np.abs(got).max()
+    assert np.abs(got - _textbook_solve(lower, diag, upper, rhs, rows=rows)).max() <= scale
+    assert np.abs(got - _dense_solve(lower, diag, upper, rhs, rows=rows)).max() <= scale
 
 
 def _diffusion_batch(m, batch, rng):
@@ -64,11 +141,8 @@ class TestSharedBatch:
     @pytest.mark.parametrize("shape", [(1, 49), (150, 49)])
     def test_bit_identical_to_row_major_sweep(self, rng, shape):
         lower, diag, upper = _diffusion_batch(49, 1, rng)
-        rhs = rng.standard_normal(shape)
-        got = TridiagonalOperator(lower, diag, upper).solve(rhs)
-        want = _reference_solve(lower, diag, upper, rhs)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        _check_solve(TridiagonalOperator(lower, diag, upper), lower, diag, upper,
+                     rng.standard_normal(shape))
 
     def test_single_row_equals_row_of_batched_call(self, rng):
         op = TridiagonalOperator(*_diffusion_batch(99, 1, rng))
@@ -76,6 +150,17 @@ class TestSharedBatch:
         batched = op.solve(rhs)
         for r in range(rhs.shape[0]):
             assert np.array_equal(op.solve(rhs[r:r + 1])[0], batched[r])
+
+    @pytest.mark.parametrize("m", [2, 4, 48])
+    def test_single_row_equals_row_of_batched_call_at_an_even_gene_count(self, rng, m):
+        op = TridiagonalOperator(*_diffusion_batch(m, 1, rng))
+        rhs = rng.standard_normal((7, m))
+        rhs[2, -1] = -0.0  # the decoupled row must not flip the sign of a zero
+        rhs[3] = -0.0
+        batched = op.solve(rhs)
+        for r in range(rhs.shape[0]):
+            assert op.solve(rhs[r:r + 1])[0].tobytes() == batched[r].tobytes()
+        assert np.signbit(batched[3]).all()
 
 
 class TestAgeDependentBatch:
@@ -86,14 +171,20 @@ class TestAgeDependentBatch:
         lower, diag, upper = _diffusion_batch(49, self.NA, rng)
         n_rows = len(range(self.NA)[rows]) if rows is not None else self.NA
         rhs = rng.standard_normal((n_rows, 49))
-        got = TridiagonalOperator(lower, diag, upper).solve(rhs, rows=rows)
-        want = _reference_solve(lower, diag, upper, rhs, rows=rows)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        _check_solve(TridiagonalOperator(lower, diag, upper), lower, diag, upper, rhs,
+                     rows=rows)
 
     def test_single_row_equals_row_of_batched_call(self, rng):
         op = TridiagonalOperator(*_diffusion_batch(49, self.NA, rng))
         rhs = rng.standard_normal((self.NA, 49))
+        batched = op.solve(rhs)
+        for j in range(self.NA):
+            alone = op.solve(rhs[j:j + 1], rows=slice(j, j + 1))
+            assert np.array_equal(alone[0], batched[j])
+
+    def test_single_row_equals_row_of_batched_call_at_an_even_gene_count(self, rng):
+        op = TridiagonalOperator(*_diffusion_batch(48, self.NA, rng))
+        rhs = rng.standard_normal((self.NA, 48))
         batched = op.solve(rhs)
         for j in range(self.NA):
             alone = op.solve(rhs[j:j + 1], rows=slice(j, j + 1))
@@ -108,6 +199,23 @@ class TestAgeDependentBatch:
         op = TridiagonalOperator(*_diffusion_batch(49, self.NA, rng))
         with pytest.raises(ValueError, match=f"{rhs_rows} rows but {selected} matrices"):
             op.solve(np.zeros((rhs_rows, 49)), rows=rows)
+
+
+@pytest.mark.parametrize("m", GENE_COUNTS)
+@pytest.mark.parametrize("batch, rows, n_rows", [
+    (1, None, 1), (1, None, 150),
+    (1, slice(3, 5), 6),  # a shared batch ignores rows
+    (40, None, 40), (40, slice(1, 40), 39), (40, slice(3, 4), 1),
+    (40, np.array([5, 0, 39, 5, 12]), 5),
+], ids=["shared-1", "shared-150", "shared-rows", "age-all", "age-slice", "age-one",
+        "age-index"])
+def test_every_gene_count_matches_the_references(rng, m, batch, rows, n_rows):
+    lower, diag, upper = _diffusion_batch(m, batch, rng)
+    op = TridiagonalOperator(lower, diag, upper)
+    _check_solve(op, lower, diag, upper, rng.standard_normal((n_rows, m)), rows=rows)
+    # a new row count replaces the coefficient blocks repeated for the last one
+    n_next = n_rows + 2 if batch == 1 else batch
+    _check_solve(op, lower, diag, upper, rng.standard_normal((n_next, m)))
 
 
 @pytest.mark.parametrize("batch", [1, 40])
@@ -137,7 +245,7 @@ def test_level_operators_match_reference_on_an_age_dependent_mortality():
     rhs = np.random.default_rng(7).standard_normal((grid.na, grid.nx - 1))
     lower, diag0, upper = _implicit_step_coefficients(coeffs, grid)
     diag = diag0[None, :] + grid.dt * mu.level(3, grid)[:grid.na, 1:-1]
-    assert np.array_equal(op.solve(rhs), _reference_solve(lower, diag, upper, rhs))
+    _check_solve(op, lower, diag, upper, rhs)
 
 
 def test_level_operators_collapse_uniform_rows_to_one_shared_matrix():
@@ -150,8 +258,7 @@ def test_level_operators_collapse_uniform_rows_to_one_shared_matrix():
     rhs = np.random.default_rng(7).standard_normal((grid.na, grid.nx - 1))
     lower, diag0, upper = _implicit_step_coefficients(coeffs, grid)
     diag = diag0 + grid.dt * (0.1 + grid.x_nodes[1:-1])
-    want = _reference_solve(lower, diag[None, :], upper, rhs)
-    assert np.array_equal(op.solve(rhs, rows=slice(0, 1)), want)
+    _check_solve(op, lower, diag[None, :], upper, rhs, rows=slice(0, 1))
 
 
 @pytest.mark.parametrize("kind", ["constant", "age_only", "tabulated"])
