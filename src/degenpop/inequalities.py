@@ -28,13 +28,26 @@ The four adjoint ensembles (main and intermediate Carleman, Caccioppoli,
 observability) share one loop, `_ensemble`: per trial it draws the data,
 makes one backward solve and evaluates the trial at every strength (once,
 without one, for observability).
+
+What does not depend on the strength s is computed once per draw and
+shared by its strengths (`_DrawTerms`): the gene gradient w_x^2, the
+squares w^2 and h^2, the logs of h^2 and of w_x^2 on the inner window,
+the pole powers, k, (x-x0)^2/k and the low-age terminal mass.  Each is the
+very subexpression a trial once evaluated per strength, and every product
+with s keeps its order (s * pole * k * w_x^2 still rounds as
+((s pole) k) w_x^2), so the entries keep their bits.  The terms live while
+`_ensemble` evaluates their draw and are dropped with it; a trial called
+on any other data computes them from its own arguments.
 """
 
 from __future__ import annotations
 
+import time
 import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -58,24 +71,37 @@ def log_weighted_sum(log_density: np.ndarray, weights: np.ndarray) -> float:
 
     Entries whose log density is -inf contribute nothing; returns -inf when
     no entry contributes, and NaN when any entry with positive weight has a
-    NaN log density.  Never forms exp of a large argument, and skips the
-    entries whose exp is exactly zero: on these weights that is almost all
-    of them, and np.exp takes a slow path for every one that underflows.
+    NaN log density.  Never forms exp of a large argument, and touches only
+    the live entries, whose exp relative to the top is not exactly zero: on
+    these weights that is one or two of tens of thousands, and np.exp takes
+    a slow path for every one that underflows.
+
+    The result has the bits of the pairwise np.sum over every contributing
+    entry, the dead ones as zeros: adding a zero is exact, so one or two
+    live terms sum alike in any order, and more are summed at their places
+    among the contributing entries.
     """
+    return _log_weighted_sum_into(np.array(log_density, dtype=float), weights)
+
+
+def _log_weighted_sum_into(log_density: np.ndarray, weights) -> float:
+    """`log_weighted_sum` of a float array it may overwrite."""
     w = np.asarray(weights, dtype=float).ravel()
-    g = np.asarray(log_density, dtype=float).ravel()
-    keep = (w > 0.0) & (g != -np.inf)  # keeps NaN, which max() then returns
-    if not np.any(keep):
-        return -np.inf
-    g = g[keep]
-    w = w[keep]
-    top = float(g.max())
+    shifted = log_density.ravel()
+    dead = ~(w > 0.0)
+    if dead.any():
+        shifted[dead] = -np.inf  # keeps NaN, which max() then returns
+    top = float(shifted.max()) if shifted.size else -np.inf
     if not np.isfinite(top):
         return top
-    g -= top
-    live = np.flatnonzero(g >= _EXP_ZERO_BELOW)
-    terms = np.zeros_like(g)
-    terms[live] = w[live] * np.exp(g[live])
+    shifted -= top
+    live = np.flatnonzero(shifted >= _EXP_ZERO_BELOW)
+    terms = w[live] * np.exp(shifted[live])
+    if live.size > 2:
+        kept = np.flatnonzero(shifted > -np.inf)
+        placed = np.zeros(kept.size)
+        placed[np.searchsorted(kept, live)] = terms
+        terms = placed
     return top + float(np.log(np.sum(terms)))
 
 
@@ -111,8 +137,9 @@ def _log_integral(poly: np.ndarray, exponent, weights: np.ndarray) -> float:
     never forms; a zero of poly contributes nothing.
     """
     with np.errstate(divide="ignore"):
-        log_poly = np.log(poly)
-    return log_weighted_sum(log_poly + exponent, weights)
+        log_density = np.log(poly)
+    log_density += exponent
+    return _log_weighted_sum_into(log_density, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +182,8 @@ class InequalityReport:
     ensemble_size: int
     grid_signature: str
     entries: list  # (trial_index, s, InequalityTrial); s is None when unused
+    adjoint_s: float = 0.0  # wall seconds in the ensemble's backward solves
+    trial_s: float = 0.0  # wall seconds evaluating its trials
 
     @property
     def excluded_count(self) -> int:
@@ -258,31 +287,115 @@ def _support(family: WeightFamily, window=None) -> _Support:
     return supports[window]
 
 
-def _weighted_energy(w: Field, s: float, family: WeightFamily):
+class _DrawTerms:
+    """The strength-independent terms of the trials on one draw (w, data).
+
+    `data` is the trial's second argument: the terminal datum wT for the
+    main bound, the source h for the others.  Every term is built on first
+    use from w, data and the family, by the same expression a trial once
+    evaluated per strength, so it has the same bits.  All arrays live on
+    the full support's (t, a) rows; a window's term is a gene slice of them.
+    """
+
+    def __init__(self, w: Field, data, family: WeightFamily):
+        self.w, self.data, self.family = w, data, family
+        self.full = _support(family)
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        return self.family.coeffs.dispersion.value(self.family.grid.x_nodes)
+
+    @cached_property
+    def r2(self) -> np.ndarray:
+        """(x-x0)^2/k, zero at a degenerate node."""
+        x = self.family.grid.x_nodes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r2 = (x - self.family.coeffs.x0) ** 2 / self.k
+        r2[self.k == 0.0] = 0.0
+        return r2
+
+    @cached_property
+    def pole_sq(self) -> np.ndarray:
+        return self.full.pole**2
+
+    @cached_property
+    def pole_cube(self) -> np.ndarray:
+        return self.full.pole**3
+
+    @cached_property
+    def wx_sq(self) -> np.ndarray:
+        return _gene_gradient(self.w.values[self.full.ta], self.family.grid) ** 2
+
+    @cached_property
+    def log_inner_wx_sq(self) -> np.ndarray:
+        """log w_x^2 on the genes of the inner gradient window."""
+        inner = _support(self.family, self.family.grid.omega_inner)
+        with np.errstate(divide="ignore"):
+            return np.log(self.wx_sq[:, :, inner.x])
+
+    @cached_property
+    def vals_sq(self) -> np.ndarray:
+        return self.w.values[self.full.index] ** 2
+
+    @cached_property
+    def data_sq(self) -> np.ndarray:
+        return self.data.values[self.full.index] ** 2
+
+    @cached_property
+    def log_data_sq(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.data.values[self.full.index] ** 2)
+
+    @cached_property
+    def log_low_age(self) -> float:
+        """Log of the data's mass at ages up to the observation threshold."""
+        grid = self.family.grid
+        return _safe_log(inner_product(self.data, self.data, grid, kind="age_gene",
+                                       a_mask=_lower_age_mask(grid)))
+
+
+#: The draw `_ensemble` is evaluating, as (w, data, {family: _DrawTerms}),
+#: per thread and task; None outside `_draw_scope`, so no per-draw array
+#: outlives its draw.
+_DRAW = ContextVar("_DRAW", default=None)
+
+
+@contextmanager
+def _draw_scope(w: Field, data):
+    """Let the trials on (w, data) share their terms until the block exits."""
+    token = _DRAW.set((w, data, {}))
+    try:
+        yield
+    finally:
+        _DRAW.reset(token)
+
+
+def _draw_terms(w: Field, data, family: WeightFamily) -> _DrawTerms:
+    """The terms of the draw in scope when (w, data) is it, else fresh ones."""
+    draw = _DRAW.get()
+    if draw is None or draw[0] is not w or draw[1] is not data:
+        return _DrawTerms(w, data, family)
+    terms = draw[2]
+    if family not in terms:
+        terms[family] = _DrawTerms(w, data, family)
+    return terms[family]
+
+
+def _weighted_energy(terms: _DrawTerms, s: float):
     """Log of the weighted energy, the lhs both Carleman bounds share.
 
     The energy is the integral over the full cylinder of
     (s * pole * k * w_x^2 + s^3 * pole^3 * (x-x0)^2/k * w^2) * exp(2 s phi),
-    with (x-x0)^2/k zero at a degenerate node.  Also returns w_x^2 on the
-    support's (t, a) rows at every gene node and the exponent 2 s phi on the
-    support, which the intermediate bound's rhs reuses.
+    with (x-x0)^2/k zero at a degenerate node.  Also returns the exponent
+    2 s phi on the support, which the intermediate bound's rhs reuses.
     """
-    grid = family.grid
-    full = _support(family)
+    full = terms.full
     th = full.pole
-    vals = w.values[full.index]
-    wx_sq = _gene_gradient(w.values[full.ta], grid) ** 2
-    x = grid.x_nodes
-    k = family.coeffs.dispersion.value(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = (x - family.coeffs.x0) ** 2 / k
-    r2[k == 0.0] = 0.0
-
-    lhs_poly = (s * th * k[full.x] * wx_sq[:, :, full.x]
-                + s**3 * th**3 * r2[full.x] * vals**2)
-    exp_phi = 2.0 * s * th * family.psi_nodes[full.x]
+    lhs_poly = (s * th * terms.k * terms.wx_sq
+                + s**3 * terms.pole_cube * terms.r2 * terms.vals_sq)
+    exp_phi = 2.0 * s * th * terms.family.psi_nodes[full.x]
     log_lhs = _log_integral(lhs_poly, exp_phi, full.weights)
-    return log_lhs, wx_sq, exp_phi
+    return log_lhs, exp_phi
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +412,15 @@ def carleman_main_trial(
     rhs: integral over the window cylinder of s^3 * pole^3 * w^2 * exp(2 s Phi)
          plus the unweighted terminal mass at ages below the threshold.
     """
-    grid = family.grid
-    log_lhs = _weighted_energy(w, s, family)[0]
+    terms = _draw_terms(w, wT, family)
+    log_lhs = _weighted_energy(terms, s)[0]
 
-    window = _support(family, grid.omega)
-    th = window.pole
-    rhs_poly = s**3 * th**3 * w.values[window.index] ** 2
-    exp_reg = 2.0 * s * th * family.Psi_nodes[window.x]
+    window = _support(family, family.grid.omega)
+    rhs_poly = s**3 * terms.pole_cube * terms.vals_sq[:, :, window.x]
+    exp_reg = 2.0 * s * window.pole * family.Psi_nodes[window.x]
     log_obs = _log_integral(rhs_poly, exp_reg, window.weights)
 
-    low_age = inner_product(wT, wT, grid, kind="age_gene", a_mask=_lower_age_mask(grid))
-    log_rhs = log_add(log_obs, _safe_log(low_age))
+    log_rhs = log_add(log_obs, terms.log_low_age)
     return _trial_from_logs(log_lhs, log_rhs)
 
 
@@ -322,18 +433,17 @@ def carleman_intermediate_trial(
     combines the weighted source mass with the one-sided gradient fluxes at
     both gene endpoints; with the profile's sign both fluxes are positive.
     """
-    grid = family.grid
-    full = _support(family)
-    log_lhs, wx_sq, exp_phi = _weighted_energy(w, s, family)
+    terms = _draw_terms(w, h, family)
+    full = terms.full
+    log_lhs, exp_phi = _weighted_energy(terms, s)
 
-    log_src = _log_integral(h.values[full.index] ** 2, exp_phi, full.weights)
+    log_src = _log_weighted_sum_into(terms.log_data_sq + exp_phi, full.weights)
 
     # boundary fluxes: s * k * pole * |x - x0| * w_x^2 * exp(2 s pole * psi)
-    k = family.coeffs.dispersion.value(grid.x_nodes)
     th, x0 = full.pole[:, :, 0], family.coeffs.x0
     log_flux = []
-    for idx, lever in ((grid.nx, 1.0 - x0), (0, x0)):
-        poly = s * k[idx] * lever * th * wx_sq[:, :, idx]
+    for idx, lever in ((family.grid.nx, 1.0 - x0), (0, x0)):
+        poly = s * terms.k[idx] * lever * th * terms.wx_sq[:, :, idx]
         exponent = 2.0 * s * th * family.psi_nodes[idx]
         log_flux.append(_log_integral(poly, exponent, full.face_weights))
     log_rhs = log_add(log_src, *log_flux)
@@ -359,15 +469,15 @@ def caccioppoli_trial(
             "inner gradient window must exclude the degeneracy point "
             f"x0={family.coeffs.x0}"
         )
+    terms = _draw_terms(w, h, family)
     inner = _support(family, (lo, hi))
-    wx_sq = _gene_gradient(w.values[inner.ta], grid)[:, :, inner.x] ** 2
     exp_phi = 2.0 * s * inner.pole * family.psi_nodes[inner.x]
-    log_lhs = _log_integral(wx_sq, exp_phi, inner.weights)
+    log_lhs = _log_weighted_sum_into(terms.log_inner_wx_sq + exp_phi, inner.weights)
 
     window = _support(family, grid.omega)
     th = window.pole
-    rhs_poly = s**2 * th**2 * w.values[window.index] ** 2 + (
-        0.0 if h is None else h.values[window.index] ** 2
+    rhs_poly = s**2 * terms.pole_sq * terms.vals_sq[:, :, window.x] + (
+        0.0 if h is None else terms.data_sq[:, :, window.x]
     )
     exp_phi = 2.0 * s * th * family.psi_nodes[window.x]
     log_rhs = _log_integral(rhs_poly, exp_phi, window.weights)
@@ -476,19 +586,29 @@ def _ensemble(name, trial, coeffs, grid, s_values, trials, seed, with_source):
     Per trial a random terminal datum wT and, `with_source`, a random source
     h for the renewal-free problem; one solve w; then trial(w, h, s) for each
     strength s, with wT for h when there is no source, or trial(w, wT, None)
-    once when `s_values` is None.
+    once when `s_values` is None.  The strengths of one draw run in its
+    `_draw_scope`, so its trials compute each strength-independent term once
+    and share it; every strength-dependent product keeps its order, so the
+    entries have the bits of trials that compute everything per strength.
+    The report records the seconds spent in the solves and in the trials.
     """
     strengths = (None,) if s_values is None else tuple(float(s) for s in s_values)
     if with_source:
         coeffs = _renewal_free(coeffs)
     rng = make_rng(seed)
-    entries = []
+    report = InequalityReport(name, trials, grid_signature(grid), [])
     for idx in range(trials):
         wT = age_gene_draw(rng, grid)
         h = trajectory_draw(rng, grid) if with_source else None
+        data = wT if h is None else h
+        start = time.perf_counter()
         w = solve_adjoint(AdjointProblem(coeffs, grid, wT, source_h=h))
-        entries.extend((idx, s, trial(w, wT if h is None else h, s)) for s in strengths)
-    return InequalityReport(name, trials, grid_signature(grid), entries)
+        solved = time.perf_counter()
+        with _draw_scope(w, data):
+            report.entries.extend((idx, s, trial(w, data, s)) for s in strengths)
+        report.adjoint_s += solved - start
+        report.trial_s += time.perf_counter() - solved
+    return report
 
 
 def run_carleman_main(
@@ -551,11 +671,13 @@ def run_hardy(
 ) -> InequalityReport:
     """Ensemble for the weighted interpolation bound on gene profiles."""
     rng = make_rng(seed)
-    entries = []
+    report = InequalityReport("hardy_poincare", trials, grid_signature(grid), [])
     for idx in range(trials):
         nu = gene_draw(rng, grid)
-        entries.append((idx, None, hardy_trial(nu, coeffs, grid)))
-    return InequalityReport("hardy_poincare", trials, grid_signature(grid), entries)
+        start = time.perf_counter()
+        report.entries.append((idx, None, hardy_trial(nu, coeffs, grid)))
+        report.trial_s += time.perf_counter() - start
+    return report
 
 
 def run_inequality_lab(

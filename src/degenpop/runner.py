@@ -7,8 +7,11 @@ Every run writes, into one output directory:
   manifest.txt         the sorted list of produced files,
   timings.txt          wall-clock seconds per stage, and as ``export`` those
                        of the command spent writing field CSVs, if it
-                       writes any (the only non-deterministic output,
-                       kept out of the CSVs and the summary on purpose),
+                       writes any, and for ``inequalities`` as ``adjoint``
+                       and ``trials`` those spent in the lab's backward
+                       solves and evaluating its trials (the only
+                       non-deterministic output, kept out of the CSVs and
+                       the summary on purpose),
 plus the command-specific CSV files.  A stage failure aborts the run with
 the stage name but still persists the partial manifest.
 """
@@ -278,6 +281,8 @@ def _run_inequalities(config, out, seed, artifact):
     )
     for report in reports.values():
         _export_report(out, report, artifact)
+    artifact.timings["adjoint"] = sum(r.adjoint_s for r in reports.values())
+    artifact.timings["trials"] = sum(r.trial_s for r in reports.values())
 
     for power in (1, 2, 3):
         probe = weight_sup_check(config.family, power)

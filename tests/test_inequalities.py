@@ -1,6 +1,10 @@
 """Log-domain integration, weighted-inequality trials, and ensemble reports."""
 
+import gc
+import itertools
 import re
+import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,8 @@ from degenpop.ensembles import (
 from degenpop.inequalities import (
     InequalityReport,
     InequalityTrial,
+    _DRAW,
+    _draw_scope,
     _gene_gradient,
     _lower_age_mask,
     _renewal_free,
@@ -98,6 +104,85 @@ class TestLogDomainPrimitives:
             weights[rng.random(5000) < 0.1] = 0.0
             got = dp.log_weighted_sum(logs, weights)
             assert got.hex() == _ref_log_weighted_sum(logs, weights).hex(), scale
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("live", [1, 2, 3, 4, 9, 200])
+    def test_matches_the_gathering_log_sum_bit_for_bit(self, seed, live):
+        # dead entries far below the top, -inf entries before and between the
+        # live ones, zero and negative weights, as 1-D and as 3-D blocks
+        rng = np.random.default_rng(seed)
+        n = 3000
+        for top in (0.0, -1.2e5, 3.7e3):
+            logs = top - 1e3 - 1e7 * rng.random(n)
+            logs[rng.random(n) < 0.05] = -np.inf
+            weights = rng.random(n)
+            weights[rng.random(n) < 0.1] = 0.0
+            weights[rng.random(n) < 0.02] = -1.0
+            # live + 1 entries in the live range, one of them without weight:
+            # of like size, whose rounding depends on how they are grouped,
+            # or near the underflow cutoff
+            where = np.sort(rng.choice(np.arange(5, n, 2), size=live + 1, replace=False))
+            spread = np.where(rng.random(live + 1) < 0.5, 2.0, 700.0)
+            logs[where] = top - spread * rng.random(live + 1)
+            logs[where[0]] = top
+            logs[:5] = -np.inf
+            logs[where[:-1] + 1] = -np.inf
+            weights[where] = rng.random(live + 1) + 0.5
+            weights[where[rng.integers(1, live + 1)]] = 0.0
+            for shape in ((n,), (10, 15, 20)):
+                got = dp.log_weighted_sum(logs.reshape(shape), weights.reshape(shape))
+                want = _ref_gathering_log_weighted_sum(logs, weights)
+                assert got.hex() == want.hex(), (top, shape)
+
+    def test_three_live_terms_round_as_grouped_among_the_dead(self):
+        # 1 + 2^-53 + 2^-53 is 1 or 1 + 2^-52 by grouping; np.sum over the
+        # contributing entries groups by position, so every placement of the
+        # three live terms among 17 contributing ones must give its bits
+        tiny = 2.0**-53
+        outcomes = set()
+        for places in itertools.combinations(range(17), 3):
+            for sizes in ((1.0, tiny, tiny), (tiny, 1.0, tiny), (tiny, tiny, 1.0)):
+                logs = np.full(17, -1e4)
+                weights = np.ones(17)
+                logs[list(places)] = 0.0
+                weights[list(places)] = sizes
+                want = _ref_gathering_log_weighted_sum(logs, weights)
+                assert dp.log_weighted_sum(logs, weights).hex() == want.hex(), places
+                outcomes.add(want)
+        assert len(outcomes) == 2
+
+    @pytest.mark.parametrize("case", ["nan_weighted", "nan_unweighted", "inf_weighted",
+                                      "inf_unweighted", "all_minus_inf", "no_weight",
+                                      "empty", "one_entry", "subnormal_tail"])
+    def test_matches_the_gathering_log_sum_on_special_values(self, case):
+        rng = np.random.default_rng(7)
+        logs = -1e6 * rng.random(500)
+        logs[[40, 41, 300]] = (-2.0, -1.0, -3.0)
+        logs[[10, 200]] = -np.inf
+        weights = rng.random(500) + 0.1
+        weights[[20, 60]] = 0.0
+        if case == "nan_weighted":
+            logs[100] = np.nan
+        elif case == "nan_unweighted":
+            logs[20] = np.nan
+        elif case == "inf_weighted":
+            logs[100] = np.inf
+        elif case == "inf_unweighted":
+            logs[60] = np.inf
+        elif case == "all_minus_inf":
+            logs[:] = -np.inf
+        elif case == "no_weight":
+            weights[:] = 0.0
+        elif case == "empty":
+            logs, weights = logs[:0], weights[:0]
+        elif case == "one_entry":
+            logs, weights = logs[40:41], weights[40:41]
+        elif case == "subnormal_tail":
+            logs[[50, 51]] = (-1.0 - 744.5, -1.0 - 749.9)  # exp underflows to subnormals
+        got = dp.log_weighted_sum(logs, weights)
+        want = _ref_gathering_log_weighted_sum(logs, weights)
+        assert isinstance(got, float)
+        assert got.hex() == want.hex()
 
 
 class TestTrialBookkeeping:
@@ -645,6 +730,26 @@ def _ref_log_weighted_sum(log_density: np.ndarray, weights: np.ndarray) -> float
     return top + float(np.log(np.sum(w * np.exp(g - top))))
 
 
+def _ref_gathering_log_weighted_sum(log_density: np.ndarray, weights: np.ndarray) -> float:
+    """The log-sum-exp as it was when it gathered the kept entries and
+    summed the live ones among zeros: a verbatim copy."""
+    w = np.asarray(weights, dtype=float).ravel()
+    g = np.asarray(log_density, dtype=float).ravel()
+    keep = (w > 0.0) & (g != -np.inf)  # keeps NaN, which max() then returns
+    if not np.any(keep):
+        return -np.inf
+    g = g[keep]
+    w = w[keep]
+    top = float(g.max())
+    if not np.isfinite(top):
+        return top
+    g -= top
+    live = np.flatnonzero(g >= -750.0)
+    terms = np.zeros_like(g)
+    terms[live] = w[live] * np.exp(g[live])
+    return top + float(np.log(np.sum(terms)))
+
+
 def _ref_trajectory_draw(rng, grid, modes=4) -> np.ndarray:
     """Trajectory draw values as one einsum call without `optimize`."""
     coeff = rng.standard_normal((modes, modes, modes))
@@ -752,3 +857,115 @@ class TestBitLevelOracle:
         for command in ("validate", "inequalities", "sweep"):
             dp.run_experiment(cfg, command, out_dir=tmp_path / command)
         assert builds == [cfg.family]
+
+
+# ---------------------------------------------------------------------------
+# per-draw terms: shared by the strengths of one draw, dropped with it
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_trial(got: InequalityTrial, want: InequalityTrial, label):
+    assert {k: repr(v) for k, v in asdict(got).items()} == \
+        {k: repr(v) for k, v in asdict(want).items()}, label
+
+
+class TestPerDrawTerms:
+    @pytest.fixture(scope="class")
+    def draws(self, bench_coeffs, coarse_grid):
+        """Two draws, each as (w, wT) for the main bound and (w, h) for the
+        renewal-free bounds."""
+        free = _renewal_free(bench_coeffs)
+        rng = make_rng(1505)
+        out = []
+        for _ in range(2):
+            wT = age_gene_draw(rng, coarse_grid)
+            h = trajectory_draw(rng, coarse_grid)
+            main = solve_adjoint(AdjointProblem(bench_coeffs, coarse_grid, wT))
+            sourced = solve_adjoint(AdjointProblem(free, coarse_grid, wT, source_h=h))
+            out.append(((main, wT), (sourced, h)))
+        return out
+
+    def test_trials_match_the_oracles_on_draws_a_b_a(self, draws, coarse_family,
+                                                      monkeypatch):
+        import degenpop.inequalities as ineq
+
+        # the oracles sum with the gathering log-sum, so neither side shares
+        # the new reduction
+        monkeypatch.setitem(globals(), "log_weighted_sum", _ref_gathering_log_weighted_sum)
+        gradients = []
+
+        def counting_gradient(values, grid):
+            gradients.append(values)
+            return _gene_gradient(values, grid)
+
+        monkeypatch.setattr(ineq, "_gene_gradient", counting_gradient)
+        fam = coarse_family
+        main = (carleman_main_trial, _ref_carleman_main_trial)
+        sourced = ((carleman_intermediate_trial, _ref_carleman_intermediate_trial),
+                   (caccioppoli_trial, _ref_caccioppoli_trial))
+        a, b = draws
+        for label, draw, other, strengths in (("A", a, b, (50.0, 5.0, 20.0)),
+                                              ("B", b, a, (12.5, 35.0)),
+                                              ("A again", a, b, (5.0, 50.0, 35.0, 12.5))):
+            for (w, data), (ow, odata), pairs in ((draw[0], other[0], (main,)),
+                                                  (draw[1], other[1], sourced)):
+                del gradients[:]
+                with _draw_scope(w, data):
+                    for s in strengths:
+                        for trial, ref in pairs:
+                            _assert_same_trial(trial(w, data, s, fam),
+                                               ref(w, data, s, fam), (label, s))
+                    # the draw in scope computes its gradient once
+                    assert len(gradients) == 1, label
+                    # a trial on the other draw computes from its own arguments
+                    for trial, ref in pairs:
+                        _assert_same_trial(trial(ow, odata, strengths[0], fam),
+                                           ref(ow, odata, strengths[0], fam), label)
+                assert _DRAW.get() is None
+        # outside any scope, each call computes from its own arguments
+        (w, wT), (wh, h) = a
+        for s in (35.0, 5.0):
+            _assert_same_trial(carleman_main_trial(w, wT, s, fam),
+                               _ref_carleman_main_trial(w, wT, s, fam), s)
+            for trial, ref in sourced:
+                _assert_same_trial(trial(wh, h, s, fam), ref(wh, h, s, fam), s)
+
+    def test_scope_is_emptied_when_a_trial_raises(self, draws):
+        (w, wT), _ = draws[0]
+        with pytest.raises(ValueError, match="synthetic"):
+            with _draw_scope(w, wT):
+                assert _DRAW.get() is not None
+                raise ValueError("synthetic")
+        assert _DRAW.get() is None
+
+    def test_no_solution_outlives_the_lab(self, bench_coeffs, coarse_grid,
+                                          coarse_family, monkeypatch):
+        import degenpop.inequalities as ineq
+
+        values = []
+
+        def recording_solve(problem):
+            w = solve_adjoint(problem)
+            values.append(weakref.ref(w.values))
+            return w
+
+        monkeypatch.setattr(ineq, "solve_adjoint", recording_solve)
+        reports = ineq.run_inequality_lab(bench_coeffs, coarse_grid, coarse_family,
+                                          s_values=(5.0, 50.0), trials=2, seed=4127,
+                                          observability_trials=3)
+        gc.collect()
+        assert len(values) == 9
+        assert values[-1]() is None
+        assert all(ref() is None for ref in values)
+        assert _DRAW.get() is None
+        assert set(reports) == {"carleman_main", "carleman_intermediate", "caccioppoli",
+                                "observability", "hardy_poincare"}
+
+    def test_reports_time_their_solves_and_trials(self, bench_coeffs, coarse_grid,
+                                                  coarse_family):
+        reports = dp.run_inequality_lab(bench_coeffs, coarse_grid, coarse_family,
+                                        s_values=(5.0,), trials=2, seed=4127,
+                                        observability_trials=3)
+        for name, report in reports.items():
+            assert report.trial_s > 0.0, name
+            assert (report.adjoint_s > 0.0) == (name != "hardy_poincare"), name

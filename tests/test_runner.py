@@ -73,7 +73,8 @@ def check_artifact_files(artifact, out_dir):
 
 
 def check_timings(artifact, out_dir):
-    """timings.txt has snapshot and the command, plus export for field writers."""
+    """timings.txt has snapshot and the command, plus export for field writers
+    and adjoint and trials for the inequality lab."""
     lines = (out_dir / "timings.txt").read_text().splitlines()
     seconds = {}
     for line in lines:
@@ -84,6 +85,12 @@ def check_timings(artifact, out_dir):
     if artifact.command in ("simulate", "adjoint", "control"):
         expected.add("export")
         assert 0.0 < seconds["export"] <= seconds[artifact.command]
+    if artifact.command == "inequalities":
+        expected |= {"adjoint", "trials"}
+        assert 0.0 < seconds["adjoint"] <= seconds[artifact.command]
+        assert 0.0 < seconds["trials"] <= seconds[artifact.command]
+        # each line is rounded to the millisecond
+        assert seconds["adjoint"] + seconds["trials"] <= seconds[artifact.command] + 0.001
     assert set(seconds) == expected
 
 
