@@ -22,7 +22,6 @@ from .control import (
     NullReachReport,
     box_inner,
     box_mask,
-    cost_functional,
     gram_apply,
     solve_control,
     verify_null_reach,
@@ -30,7 +29,6 @@ from .control import (
 from .ensembles import (
     DEFAULT_SEED,
     age_gene_draw,
-    box_terminal_draw,
     gene_draw,
     make_rng,
     trajectory_draw,
@@ -45,6 +43,7 @@ from .forward import (
     solve_forward,
 )
 from .inequalities import (
+    Draw,
     InequalityReport,
     InequalityTrial,
     WeightSupReport,

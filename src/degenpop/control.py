@@ -37,7 +37,7 @@ import numpy as np
 
 from .adjoint import AdjointProblem, solve_adjoint
 from .forward import ForwardProblem, control_norm_sq, solve_forward
-from .model import CoefficientSet, Field, SpaceTimeGrid, _as_values, inner_product
+from .model import CoefficientSet, Field, SpaceTimeGrid, inner_product
 from .stepping import level_operators
 
 
@@ -229,31 +229,6 @@ def solve_control(
         residual_history=history,
         optimality_mismatch=mismatch,
         state=steered,
-    )
-
-
-def cost_functional(
-    control,
-    y0: Field,
-    epsilon: float,
-    coeffs: CoefficientSet,
-    grid: SpaceTimeGrid,
-) -> float:
-    """Penalized cost of an arbitrary control candidate.
-
-    J = (1/(2 epsilon)) * ||terminal box values||^2 + (1/2) * ||control||^2_q.
-    The candidate is restricted to the control window before use.
-    """
-    if epsilon <= 0:
-        raise ValueError("penalty epsilon must be positive")
-    values = _as_values(control)
-    masked = values * grid.omega_mask[None, None, :]
-    flow = solve_forward(
-        ForwardProblem(coeffs, grid, y0, control=Field(masked, "trajectory", grid))
-    )
-    terminal = flow.values[grid.nt] * box_mask(grid)
-    return box_inner(terminal, terminal, grid) / (2.0 * epsilon) + 0.5 * control_norm_sq(
-        masked, grid
     )
 
 

@@ -61,11 +61,6 @@ def age_gene_draw(rng, grid, age_window=None):
     return Field(values, "age_gene", grid)
 
 
-def box_terminal_draw(rng, grid):
-    """Random terminal datum supported in the observation ages (delta, A)."""
-    return age_gene_draw(rng, grid, age_window=(grid.delta, grid.A))
-
-
 def trajectory_draw(rng, grid, modes=4):
     """Random trajectory Field, smooth and vanishing on every face."""
     coeff = rng.standard_normal((modes, modes, modes))

@@ -29,25 +29,22 @@ observability) share one loop, `_ensemble`: per trial it draws the data,
 makes one backward solve and evaluates the trial at every strength (once,
 without one, for observability).
 
-What does not depend on the strength s is computed once per draw and
-shared by its strengths (`_DrawTerms`): the gene gradient w_x^2, the
-squares w^2 and h^2, the logs of h^2 and of w_x^2 on the inner window,
-the pole powers, k, (x-x0)^2/k and the low-age terminal mass.  Each is the
-very subexpression a trial once evaluated per strength, and every product
-with s keeps its order (s * pole * k * w_x^2 still rounds as
-((s pole) k) w_x^2), so the entries keep their bits.  The terms live while
-`_ensemble` evaluates their draw and are dropped with it; a trial called
-on any other data computes them from its own arguments.
+The weighted trials take a `Draw` and a strength s.  What does not depend
+on s is computed once per draw and shared by its strengths: the gene
+gradient w_x^2, the squares w^2 and h^2, the logs of h^2 and of w_x^2 on
+the inner window, the pole powers, k, (x-x0)^2/k and the low-age terminal
+mass.  Each is the very subexpression a trial once evaluated per strength,
+and every product with s keeps its order (s * pole * k * w_x^2 still
+rounds as ((s pole) k) w_x^2), so the entries keep their bits.
+`_ensemble` builds one `Draw` per solve and drops it before the next.
 """
 
 from __future__ import annotations
 
 import time
 import weakref
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -287,19 +284,24 @@ def _support(family: WeightFamily, window=None) -> _Support:
     return supports[window]
 
 
-class _DrawTerms:
-    """The strength-independent terms of the trials on one draw (w, data).
+class Draw:
+    """One backward solution w with its data, and the strength-independent
+    terms of the trials on it.
 
-    `data` is the trial's second argument: the terminal datum wT for the
-    main bound, the source h for the others.  Every term is built on first
+    `data` is the terminal datum wT for the main bound and observability,
+    the source h for the others; `family` is the weight family of the
+    weighted trials (None for observability).  Every term is built on first
     use from w, data and the family, by the same expression a trial once
     evaluated per strength, so it has the same bits.  All arrays live on
     the full support's (t, a) rows; a window's term is a gene slice of them.
     """
 
-    def __init__(self, w: Field, data, family: WeightFamily):
+    def __init__(self, w: Field, data, family: WeightFamily | None):
         self.w, self.data, self.family = w, data, family
-        self.full = _support(family)
+
+    @cached_property
+    def full(self) -> _Support:
+        return _support(self.family)
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -354,34 +356,7 @@ class _DrawTerms:
                                        a_mask=_lower_age_mask(grid)))
 
 
-#: The draw `_ensemble` is evaluating, as (w, data, {family: _DrawTerms}),
-#: per thread and task; None outside `_draw_scope`, so no per-draw array
-#: outlives its draw.
-_DRAW = ContextVar("_DRAW", default=None)
-
-
-@contextmanager
-def _draw_scope(w: Field, data):
-    """Let the trials on (w, data) share their terms until the block exits."""
-    token = _DRAW.set((w, data, {}))
-    try:
-        yield
-    finally:
-        _DRAW.reset(token)
-
-
-def _draw_terms(w: Field, data, family: WeightFamily) -> _DrawTerms:
-    """The terms of the draw in scope when (w, data) is it, else fresh ones."""
-    draw = _DRAW.get()
-    if draw is None or draw[0] is not w or draw[1] is not data:
-        return _DrawTerms(w, data, family)
-    terms = draw[2]
-    if family not in terms:
-        terms[family] = _DrawTerms(w, data, family)
-    return terms[family]
-
-
-def _weighted_energy(terms: _DrawTerms, s: float):
+def _weighted_energy(draw: Draw, s: float):
     """Log of the weighted energy, the lhs both Carleman bounds share.
 
     The energy is the integral over the full cylinder of
@@ -389,11 +364,11 @@ def _weighted_energy(terms: _DrawTerms, s: float):
     with (x-x0)^2/k zero at a degenerate node.  Also returns the exponent
     2 s phi on the support, which the intermediate bound's rhs reuses.
     """
-    full = terms.full
+    full = draw.full
     th = full.pole
-    lhs_poly = (s * th * terms.k * terms.wx_sq
-                + s**3 * terms.pole_cube * terms.r2 * terms.vals_sq)
-    exp_phi = 2.0 * s * th * terms.family.psi_nodes[full.x]
+    lhs_poly = (s * th * draw.k * draw.wx_sq
+                + s**3 * draw.pole_cube * draw.r2 * draw.vals_sq)
+    exp_phi = 2.0 * s * th * draw.family.psi_nodes[full.x]
     log_lhs = _log_integral(lhs_poly, exp_phi, full.weights)
     return log_lhs, exp_phi
 
@@ -403,63 +378,60 @@ def _weighted_energy(terms: _DrawTerms, s: float):
 # ---------------------------------------------------------------------------
 
 
-def carleman_main_trial(
-    w: Field, wT: Field, s: float, family: WeightFamily
-) -> InequalityTrial:
+def carleman_main_trial(draw: Draw, s: float) -> InequalityTrial:
     """Weighted energy of a backward solution vs window observation.
 
+    The draw's data is the terminal datum wT.
     lhs: the weighted energy of `_weighted_energy`.
     rhs: integral over the window cylinder of s^3 * pole^3 * w^2 * exp(2 s Phi)
          plus the unweighted terminal mass at ages below the threshold.
     """
-    terms = _draw_terms(w, wT, family)
-    log_lhs = _weighted_energy(terms, s)[0]
+    family = draw.family
+    log_lhs = _weighted_energy(draw, s)[0]
 
     window = _support(family, family.grid.omega)
-    rhs_poly = s**3 * terms.pole_cube * terms.vals_sq[:, :, window.x]
+    rhs_poly = s**3 * draw.pole_cube * draw.vals_sq[:, :, window.x]
     exp_reg = 2.0 * s * window.pole * family.Psi_nodes[window.x]
     log_obs = _log_integral(rhs_poly, exp_reg, window.weights)
 
-    log_rhs = log_add(log_obs, terms.log_low_age)
+    log_rhs = log_add(log_obs, draw.log_low_age)
     return _trial_from_logs(log_lhs, log_rhs)
 
 
-def carleman_intermediate_trial(
-    w: Field, h: Field, s: float, family: WeightFamily
-) -> InequalityTrial:
+def carleman_intermediate_trial(draw: Draw, s: float) -> InequalityTrial:
     """Same weighted energy, bounded by the source and boundary flux terms.
 
-    Applies to the renewal-free backward problem (zero fertility).  The rhs
-    combines the weighted source mass with the one-sided gradient fluxes at
-    both gene endpoints; with the profile's sign both fluxes are positive.
+    Applies to the renewal-free backward problem (zero fertility); the
+    draw's data is the source h.  The rhs combines the weighted source mass
+    with the one-sided gradient fluxes at both gene endpoints; with the
+    profile's sign both fluxes are positive.
     """
-    terms = _draw_terms(w, h, family)
-    full = terms.full
-    log_lhs, exp_phi = _weighted_energy(terms, s)
+    family, full = draw.family, draw.full
+    log_lhs, exp_phi = _weighted_energy(draw, s)
 
-    log_src = _log_weighted_sum_into(terms.log_data_sq + exp_phi, full.weights)
+    log_src = _log_weighted_sum_into(draw.log_data_sq + exp_phi, full.weights)
 
     # boundary fluxes: s * k * pole * |x - x0| * w_x^2 * exp(2 s pole * psi)
     th, x0 = full.pole[:, :, 0], family.coeffs.x0
     log_flux = []
     for idx, lever in ((family.grid.nx, 1.0 - x0), (0, x0)):
-        poly = s * terms.k[idx] * lever * th * terms.wx_sq[:, :, idx]
+        poly = s * draw.k[idx] * lever * th * draw.wx_sq[:, :, idx]
         exponent = 2.0 * s * th * family.psi_nodes[idx]
         log_flux.append(_log_integral(poly, exponent, full.face_weights))
     log_rhs = log_add(log_src, *log_flux)
     return _trial_from_logs(log_lhs, log_rhs)
 
 
-def caccioppoli_trial(
-    w: Field, h: Field, s: float, family: WeightFamily
-) -> InequalityTrial:
+def caccioppoli_trial(draw: Draw, s: float) -> InequalityTrial:
     """Weighted gradient mass on the inner window vs zero-order window mass.
 
+    The draw's data is the source h (None for none).
     lhs: integral of w_x^2 exp(2 s phi) over the inner window cylinder.
     rhs: integral of (s^2 pole^2 w^2 + h^2) exp(2 s phi) over the full
          observation window cylinder.
     The inner window must stay away from the degeneracy point.
     """
+    family = draw.family
     grid = family.grid
     if grid.omega_inner is None:
         raise ValueError("grid does not define an inner gradient window")
@@ -469,15 +441,14 @@ def caccioppoli_trial(
             "inner gradient window must exclude the degeneracy point "
             f"x0={family.coeffs.x0}"
         )
-    terms = _draw_terms(w, h, family)
     inner = _support(family, (lo, hi))
     exp_phi = 2.0 * s * inner.pole * family.psi_nodes[inner.x]
-    log_lhs = _log_weighted_sum_into(terms.log_inner_wx_sq + exp_phi, inner.weights)
+    log_lhs = _log_weighted_sum_into(draw.log_inner_wx_sq + exp_phi, inner.weights)
 
     window = _support(family, grid.omega)
     th = window.pole
-    rhs_poly = s**2 * terms.pole_sq * terms.vals_sq[:, :, window.x] + (
-        0.0 if h is None else terms.data_sq[:, :, window.x]
+    rhs_poly = s**2 * draw.pole_sq * draw.vals_sq[:, :, window.x] + (
+        0.0 if draw.data is None else draw.data_sq[:, :, window.x]
     )
     exp_phi = 2.0 * s * th * family.psi_nodes[window.x]
     log_rhs = _log_integral(rhs_poly, exp_phi, window.weights)
@@ -545,18 +516,28 @@ def weight_sup_check(
     strictly inside the time range: if the argmax lands on the first or last
     interior time level the probe raises, because the weight is then still
     growing toward the excluded face and the reported value is meaningless.
+
+    The log density d log(s pole) + 2 s pole Psi(x) never forms over the
+    whole cylinder.  Where the pole is finite and positive it is, even as
+    rounded, a nondecreasing function of Psi (a product with 2 s pole > 0
+    and a sum with a constant both keep order), and where the pole is zero
+    it is -inf for every x.  So every (t, a) row peaks at x* = argmax Psi,
+    and the peak in C order is the first maximum of the (t, a) table at x*
+    and then the first maximum over x of that one row.
     """
     if power not in (1, 2, 3):
         raise ValueError("power must be 1, 2 or 3")
     grid = family.grid
     strength = family.config.strength if s is None else float(s)
-    th = family.masked_pole[:, :, None]
+    th = family.masked_pole
+    Psi = family.Psi_nodes
     with np.errstate(divide="ignore"):
-        log_density = power * np.log(strength * th)
-    log_density = log_density + 2.0 * strength * th * family.Psi_nodes[None, None, :]
-    flat = int(np.argmax(log_density))
-    t_idx, a_idx, x_idx = np.unravel_index(flat, log_density.shape)
-    log_value = float(log_density[t_idx, a_idx, x_idx])
+        log_pole = power * np.log(strength * th)
+    table = log_pole + 2.0 * strength * th * Psi[np.argmax(Psi)]
+    t_idx, a_idx = np.unravel_index(int(np.argmax(table)), table.shape)
+    row = log_pole[t_idx, a_idx] + 2.0 * strength * th[t_idx, a_idx] * Psi
+    x_idx = int(np.argmax(row))
+    log_value = float(row[x_idx])
     if t_idx in (1, grid.nt - 1):
         raise RuntimeError(
             "weight peak sits on the first or last interior time level; "
@@ -580,17 +561,17 @@ def _renewal_free(coeffs: CoefficientSet) -> CoefficientSet:
     return replace(coeffs, beta=ConstantRate(0.0))
 
 
-def _ensemble(name, trial, coeffs, grid, s_values, trials, seed, with_source):
+def _ensemble(name, trial, coeffs, grid, family, s_values, trials, seed, with_source):
     """Report of `trial` over `trials` backward solves drawn from `seed`.
 
     Per trial a random terminal datum wT and, `with_source`, a random source
-    h for the renewal-free problem; one solve w; then trial(w, h, s) for each
-    strength s, with wT for h when there is no source, or trial(w, wT, None)
-    once when `s_values` is None.  The strengths of one draw run in its
-    `_draw_scope`, so its trials compute each strength-independent term once
-    and share it; every strength-dependent product keeps its order, so the
-    entries have the bits of trials that compute everything per strength.
-    The report records the seconds spent in the solves and in the trials.
+    h for the renewal-free problem; one solve w; then trial(draw, s) for
+    each strength s on draw = Draw(w, h, family), with wT for h when there
+    is no source, or trial(draw, None) once when `s_values` is None.  The
+    strengths of one draw share its strength-independent terms, and the
+    draw is dropped before the next solve, so no draw's terms outlive its
+    trials.  The report records the seconds spent in the solves and in the
+    trials.
     """
     strengths = (None,) if s_values is None else tuple(float(s) for s in s_values)
     if with_source:
@@ -600,12 +581,12 @@ def _ensemble(name, trial, coeffs, grid, s_values, trials, seed, with_source):
     for idx in range(trials):
         wT = age_gene_draw(rng, grid)
         h = trajectory_draw(rng, grid) if with_source else None
-        data = wT if h is None else h
         start = time.perf_counter()
         w = solve_adjoint(AdjointProblem(coeffs, grid, wT, source_h=h))
         solved = time.perf_counter()
-        with _draw_scope(w, data):
-            report.entries.extend((idx, s, trial(w, data, s)) for s in strengths)
+        draw = Draw(w, wT if h is None else h, family)
+        report.entries.extend((idx, s, trial(draw, s)) for s in strengths)
+        del draw
         report.adjoint_s += solved - start
         report.trial_s += time.perf_counter() - solved
     return report
@@ -620,8 +601,8 @@ def run_carleman_main(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble of backward solutions from random terminal data."""
-    trial = partial(carleman_main_trial, family=family)
-    return _ensemble("carleman_main", trial, coeffs, grid, s_values, trials, seed, False)
+    return _ensemble("carleman_main", carleman_main_trial, coeffs, grid, family,
+                     s_values, trials, seed, False)
 
 
 def run_carleman_intermediate(
@@ -633,10 +614,8 @@ def run_carleman_intermediate(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble for the renewal-free bound with random sources."""
-    trial = partial(carleman_intermediate_trial, family=family)
-    return _ensemble(
-        "carleman_intermediate", trial, coeffs, grid, s_values, trials, seed, True
-    )
+    return _ensemble("carleman_intermediate", carleman_intermediate_trial, coeffs, grid,
+                     family, s_values, trials, seed, True)
 
 
 def run_caccioppoli(
@@ -648,8 +627,8 @@ def run_caccioppoli(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble for the window gradient bound (renewal-free sources)."""
-    trial = partial(caccioppoli_trial, family=family)
-    return _ensemble("caccioppoli", trial, coeffs, grid, s_values, trials, seed, True)
+    return _ensemble("caccioppoli", caccioppoli_trial, coeffs, grid, family,
+                     s_values, trials, seed, True)
 
 
 def run_observability(
@@ -659,8 +638,9 @@ def run_observability(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble estimate of the observability constant."""
-    return _ensemble("observability", lambda w, wT, s: observability_trial(w, wT, grid),
-                     coeffs, grid, None, trials, seed, False)
+    return _ensemble("observability",
+                     lambda draw, s: observability_trial(draw.w, draw.data, grid),
+                     coeffs, grid, None, None, trials, seed, False)
 
 
 def run_hardy(

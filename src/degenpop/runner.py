@@ -13,7 +13,7 @@ Every run writes, into one output directory:
                        non-deterministic output, kept out of the CSVs and
                        the summary on purpose),
 plus the command-specific CSV files.  A stage failure aborts the run with
-the stage name but still persists the partial manifest.
+the stage name but still persists the manifest written so far.
 """
 
 from __future__ import annotations

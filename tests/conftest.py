@@ -60,6 +60,30 @@ def make_mortality_coeffs(kind, grid):
                              gamma=bench.gamma, theta=bench.theta)
 
 
+def box_terminal_draw(rng, grid):
+    """Random terminal datum supported in the observation ages (delta, A)."""
+    return dp.age_gene_draw(rng, grid, age_window=(grid.delta, grid.A))
+
+
+def cost_functional(control, y0, epsilon, coeffs, grid):
+    """Penalized cost of an arbitrary control candidate.
+
+    J = (1/(2 epsilon)) * ||terminal box values||^2 + (1/2) * ||control||^2_q.
+    The candidate (a Field or an array) is restricted to the control window
+    before use.
+    """
+    if epsilon <= 0:
+        raise ValueError("penalty epsilon must be positive")
+    values = control.values if isinstance(control, dp.Field) else np.asarray(control, float)
+    masked = values * grid.omega_mask[None, None, :]
+    flow = dp.solve_forward(
+        dp.ForwardProblem(coeffs, grid, y0, control=dp.Field(masked, "trajectory", grid))
+    )
+    terminal = flow.values[grid.nt] * dp.box_mask(grid)
+    cost = dp.control_norm_sq(masked, grid)
+    return dp.box_inner(terminal, terminal, grid) / (2.0 * epsilon) + 0.5 * cost
+
+
 @pytest.fixture(scope="session")
 def bench_coeffs():
     return make_benchmark_coeffs()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import degenpop as dp
-from tests.conftest import make_benchmark_coeffs, make_benchmark_grid
+from tests.conftest import box_terminal_draw, make_benchmark_coeffs, make_benchmark_grid
 
 SEED = 4127
 BENCHMARK_CONFIG = "configs/benchmark.ini"
@@ -246,8 +246,8 @@ def test_06_gram_symmetry_and_positivity(criterion):
     rng = dp.make_rng(SEED)
     worst_sym = worst_pos = 0.0
     for _ in range(5):
-        p = dp.box_terminal_draw(rng, grid).values
-        q = dp.box_terminal_draw(rng, grid).values
+        p = box_terminal_draw(rng, grid).values
+        q = box_terminal_draw(rng, grid).values
         gp, gq = dp.gram_apply(p, coeffs, grid), dp.gram_apply(q, coeffs, grid)
         a12, a21 = dp.box_inner(gp, q, grid), dp.box_inner(p, gq, grid)
         worst_sym = max(worst_sym, abs(a12 - a21) / max(abs(a12), abs(a21)))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import degenpop as dp
-from tests.conftest import (make_benchmark_coeffs, make_benchmark_grid,
-                            make_even_gene_grid, make_mortality_coeffs)
+from tests.conftest import (box_terminal_draw, cost_functional, make_benchmark_coeffs,
+                            make_benchmark_grid, make_even_gene_grid,
+                            make_mortality_coeffs)
 
 
 def _bench_initial(grid):
@@ -62,7 +63,7 @@ def _check_matches_the_full_composition(g, kind):
     coeffs = make_mortality_coeffs(kind, g)
     d = g.delta_index
     rng = dp.make_rng(17)
-    for p in (dp.box_terminal_draw(rng, g).values, _rough_probe(rng, g)):
+    for p in (box_terminal_draw(rng, g).values, _rough_probe(rng, g)):
         new, ref = dp.gram_apply(p, coeffs, g), _ref_gram_apply(p, coeffs, g)
         assert new.shape == ref.shape
         assert new[d:].tobytes() == ref[d:].tobytes()
@@ -129,8 +130,8 @@ class TestGramOperator:
         g = coarse_grid
         rng = dp.make_rng(101)
         for _ in range(3):
-            p = dp.box_terminal_draw(rng, g).values
-            q = dp.box_terminal_draw(rng, g).values
+            p = box_terminal_draw(rng, g).values
+            q = box_terminal_draw(rng, g).values
             gp = dp.gram_apply(p, bench_coeffs, g)
             gq = dp.gram_apply(q, bench_coeffs, g)
             a12 = dp.box_inner(gp, q, g)
@@ -178,14 +179,14 @@ class TestSolveControl:
                                                   coarse_grid):
         g = coarse_grid
         y0 = _bench_initial(g)
-        j_zero = dp.cost_functional(dp.Field.zeros("trajectory", g), y0, 1e-4,
-                                    bench_coeffs, g)
+        j_zero = cost_functional(dp.Field.zeros("trajectory", g), y0, 1e-4,
+                                 bench_coeffs, g)
         assert solution.cost_value < 0.5 * j_zero
 
     def test_cost_functional_matches_solution_bookkeeping(self, solution,
                                                           bench_coeffs, coarse_grid):
-        j = dp.cost_functional(solution.control, _bench_initial(coarse_grid),
-                               solution.epsilon, bench_coeffs, coarse_grid)
+        j = cost_functional(solution.control, _bench_initial(coarse_grid),
+                            solution.epsilon, bench_coeffs, coarse_grid)
         assert np.isclose(j, solution.cost_value, rtol=1e-12)
 
     def test_smaller_penalty_gives_smaller_terminal_norm(self, solution,

@@ -6,6 +6,7 @@ import re
 import weakref
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,13 +21,14 @@ from degenpop.ensembles import (
     trajectory_draw,
 )
 from degenpop.inequalities import (
+    Draw,
     InequalityReport,
     InequalityTrial,
-    _DRAW,
-    _draw_scope,
+    WeightSupReport,
     _gene_gradient,
     _lower_age_mask,
     _renewal_free,
+    _safe_exp,
     _safe_log,
     _support,
     _trial_from_logs,
@@ -211,9 +213,9 @@ class TestTrialBookkeeping:
         poisoned = w.values.copy()
         poisoned[grid.nt // 2, grid.na // 2, int(0.6 * grid.nx)] = np.nan
         w_nan = Field(poisoned, "trajectory", grid)
-        for trial in (carleman_main_trial(w_nan, wT, 5.0, coarse_family),
-                      carleman_intermediate_trial(w_nan, h, 5.0, coarse_family),
-                      caccioppoli_trial(w_nan, h, 5.0, coarse_family)):
+        for trial in (carleman_main_trial(Draw(w_nan, wT, coarse_family), 5.0),
+                      carleman_intermediate_trial(Draw(w_nan, h, coarse_family), 5.0),
+                      caccioppoli_trial(Draw(w_nan, h, coarse_family), 5.0)):
             report = InequalityReport("poisoned", 1, grid_signature(grid),
                                       [(0, 5.0, trial)])
             assert not trial.excluded
@@ -233,7 +235,7 @@ class TestWeightedTrials:
     def test_main_estimate_ratio_is_finite_and_tiny(self, adjoint_data,
                                                     coarse_family):
         w, wT, _ = adjoint_data
-        trial = carleman_main_trial(w, wT, 5.0, coarse_family)
+        trial = carleman_main_trial(Draw(w, wT, coarse_family), 5.0)
         assert not trial.excluded
         assert np.isfinite(trial.log_lhs) and np.isfinite(trial.log_rhs)
         assert trial.log_ratio < -1e5  # weighted side is astronomically smaller
@@ -244,14 +246,15 @@ class TestWeightedTrials:
         w, _, h = adjoint_data
         # lhs and rhs peak at the same space-time cell, so the log ratio is a
         # moderate, strength-independent number (about log(dx/2) - log(1-x0))
-        r5 = carleman_intermediate_trial(w, h, 5.0, coarse_family)
-        r50 = carleman_intermediate_trial(w, h, 50.0, coarse_family)
+        draw = Draw(w, h, coarse_family)
+        r5 = carleman_intermediate_trial(draw, 5.0)
+        r50 = carleman_intermediate_trial(draw, 50.0)
         assert -6.0 < r5.log_ratio < -2.0
         assert abs(r5.log_ratio - r50.log_ratio) < 0.01
 
     def test_gradient_localization_ratio_finite(self, adjoint_data, coarse_family):
         w, _, h = adjoint_data
-        trial = caccioppoli_trial(w, h, 5.0, coarse_family)
+        trial = caccioppoli_trial(Draw(w, h, coarse_family), 5.0)
         assert np.isfinite(trial.log_lhs) and np.isfinite(trial.log_rhs)
         assert trial.log_ratio < 0.0
 
@@ -265,7 +268,7 @@ class TestWeightedTrials:
         w_bad = dp.Field(w.values, "trajectory", bad_grid)
         h_bad = dp.Field(h.values, "trajectory", bad_grid)
         with pytest.raises(ValueError, match="degeneracy"):
-            caccioppoli_trial(w_bad, h_bad, 5.0, fam)
+            caccioppoli_trial(Draw(w_bad, h_bad, fam), 5.0)
 
     def test_observability_ratio_positive_and_moderate(self, bench_coeffs,
                                                        coarse_grid):
@@ -312,6 +315,36 @@ class TestWeightSupProbe:
     def test_power_validation(self, coarse_family):
         with pytest.raises(ValueError, match="power"):
             dp.weight_sup_check(coarse_family, 4)
+
+    @pytest.mark.parametrize("cells", [(50, 20, 8), (50, 50, 20), (100, 100, 40),
+                                       (50, 150, 60)])
+    def test_separable_probe_matches_the_full_density_oracle(self, bench_coeffs, cells):
+        fam = dp.WeightFamily(bench_coeffs, make_benchmark_grid(*cells), dp.WeightConfig())
+        # 1e-20 barely damps the pole, so its peak runs to a face level and raises
+        for s in (None, 1.0, 5.0, 12.5, 20.0, 35.0, 50.0, 100.0, 1e-20):
+            for power in (1, 2, 3):
+                try:
+                    want = _ref_weight_sup_check(fam, power, s)
+                except RuntimeError as exc:
+                    with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                        dp.weight_sup_check(fam, power, s)
+                    continue
+                _assert_same_fields(dp.weight_sup_check(fam, power, s), want, (s, power))
+
+    def test_tied_peak_row_keeps_the_first_gene_node(self):
+        # Psi peaks at the last gene node, but 2 s pole Psi is far below the
+        # ulp of d log(s pole), so the whole peak row rounds to one density
+        # and the first node is the argmax, as over the full density
+        pole = np.zeros((5, 3))
+        pole[1:-1, 1:] = 2.0**40
+        pole[2, 2] = 2.0**41
+        fam = SimpleNamespace(grid=SimpleNamespace(nt=4), masked_pole=pole,
+                              config=SimpleNamespace(strength=0.5),
+                              Psi_nodes=np.array([-3e-30, -2e-30, -1e-30]))
+        for power in (1, 2, 3):
+            want = _ref_weight_sup_check(fam, power)
+            assert want.argmax == (2, 2, 0)
+            _assert_same_fields(dp.weight_sup_check(fam, power), want, power)
 
 
 class TestEnsembleRunners:
@@ -581,6 +614,61 @@ def _ref_hardy_trial(nu: np.ndarray, coeffs: CoefficientSet, grid: SpaceTimeGrid
     nu_x = np.gradient(nu, grid.dx)
     rhs = float(np.sum(grid.wx * p * nu_x**2))
     return _trial_from_logs(_safe_log(lhs), _safe_log(rhs))
+
+
+def _ref_weight_sup_check(
+    family: WeightFamily, power: int, s: float | None = None
+) -> WeightSupReport:
+    """The peak probe as it was when it formed the whole log density."""
+    if power not in (1, 2, 3):
+        raise ValueError("power must be 1, 2 or 3")
+    grid = family.grid
+    strength = family.config.strength if s is None else float(s)
+    th = family.masked_pole[:, :, None]
+    with np.errstate(divide="ignore"):
+        log_density = power * np.log(strength * th)
+    log_density = log_density + 2.0 * strength * th * family.Psi_nodes[None, None, :]
+    flat = int(np.argmax(log_density))
+    t_idx, a_idx, x_idx = np.unravel_index(flat, log_density.shape)
+    log_value = float(log_density[t_idx, a_idx, x_idx])
+    if t_idx in (1, grid.nt - 1):
+        raise RuntimeError(
+            "weight peak sits on the first or last interior time level; "
+            "refine the grid or reduce the strength"
+        )
+    return WeightSupReport(
+        value=_safe_exp(log_value),
+        log_value=log_value,
+        argmax=(int(t_idx), int(a_idx), int(x_idx)),
+        strength=strength,
+        power=power,
+    )
+
+
+def _ref_integrands(trial, w: Field, data: Field, s: float, family: WeightFamily) -> list:
+    """The (poly, exponent) pairs of the oracle of `trial`, each on its
+    support block, in the order the trial hands them to `_log_integral`."""
+    grid = family.grid
+    th = _ref_masked_pole(family)[:, :, None]
+    vals = w.values
+    wx_sq = _gene_gradient(vals, grid) ** 2
+    k = family.coeffs.dispersion.value(grid.x_nodes)
+    r2 = _ref_distance_ratio(family.coeffs, grid)[None, None, :]
+    exp_phi = 2.0 * s * th * family.psi_nodes[None, None, :]
+    full, window = _support(family).index, _support(family, grid.omega).index
+    if trial is caccioppoli_trial:
+        rhs_poly = s**2 * th**2 * vals**2 + data.values**2
+        return [(rhs_poly[window], exp_phi[window])]
+    lhs_poly = s * th * k[None, None, :] * wx_sq + s**3 * th**3 * r2 * vals**2
+    energy = (lhs_poly[full], exp_phi[full])
+    if trial is carleman_main_trial:
+        exp_reg = 2.0 * s * th * family.Psi_nodes[None, None, :]
+        return [energy, ((s**3 * th**3 * vals**2)[window], exp_reg[window])]
+    th2, x0, ta = th[:, :, 0], family.coeffs.x0, full[:2]
+    fluxes = [((s * k[idx] * lever * th2 * wx_sq[:, :, idx])[ta],
+               (2.0 * s * th2 * family.psi_nodes[idx])[ta])
+              for idx, lever in ((grid.nx, 1.0 - x0), (0, x0))]
+    return [energy, *fluxes]
 
 
 def _as_tuple(s_values) -> tuple:
@@ -864,7 +952,7 @@ class TestBitLevelOracle:
 # ---------------------------------------------------------------------------
 
 
-def _assert_same_trial(got: InequalityTrial, want: InequalityTrial, label):
+def _assert_same_fields(got, want, label):
     assert {k: repr(v) for k, v in asdict(got).items()} == \
         {k: repr(v) for k, v in asdict(want).items()}, label
 
@@ -900,43 +988,76 @@ class TestPerDrawTerms:
 
         monkeypatch.setattr(ineq, "_gene_gradient", counting_gradient)
         fam = coarse_family
-        main = (carleman_main_trial, _ref_carleman_main_trial)
+        main = ((carleman_main_trial, _ref_carleman_main_trial),)
         sourced = ((carleman_intermediate_trial, _ref_carleman_intermediate_trial),
                    (caccioppoli_trial, _ref_caccioppoli_trial))
         a, b = draws
-        for label, draw, other, strengths in (("A", a, b, (50.0, 5.0, 20.0)),
-                                              ("B", b, a, (12.5, 35.0)),
-                                              ("A again", a, b, (5.0, 50.0, 35.0, 12.5))):
-            for (w, data), (ow, odata), pairs in ((draw[0], other[0], (main,)),
-                                                  (draw[1], other[1], sourced)):
+        for label, pair, strengths in (("A", a, (50.0, 5.0, 20.0)),
+                                       ("B", b, (12.5, 35.0)),
+                                       ("A again", a, (5.0, 50.0, 35.0, 12.5))):
+            for (w, data), pairs in zip(pair, (main, sourced)):
                 del gradients[:]
-                with _draw_scope(w, data):
-                    for s in strengths:
-                        for trial, ref in pairs:
-                            _assert_same_trial(trial(w, data, s, fam),
-                                               ref(w, data, s, fam), (label, s))
-                    # the draw in scope computes its gradient once
-                    assert len(gradients) == 1, label
-                    # a trial on the other draw computes from its own arguments
+                draw = Draw(w, data, fam)
+                for s in strengths:
                     for trial, ref in pairs:
-                        _assert_same_trial(trial(ow, odata, strengths[0], fam),
-                                           ref(ow, odata, strengths[0], fam), label)
-                assert _DRAW.get() is None
-        # outside any scope, each call computes from its own arguments
-        (w, wT), (wh, h) = a
-        for s in (35.0, 5.0):
-            _assert_same_trial(carleman_main_trial(w, wT, s, fam),
-                               _ref_carleman_main_trial(w, wT, s, fam), s)
-            for trial, ref in sourced:
-                _assert_same_trial(trial(wh, h, s, fam), ref(wh, h, s, fam), s)
+                        _assert_same_fields(trial(draw, s), ref(w, data, s, fam), (label, s))
+                # one Draw computes its gradient once, for all its trials
+                assert len(gradients) == 1, label
 
-    def test_scope_is_emptied_when_a_trial_raises(self, draws):
-        (w, wT), _ = draws[0]
-        with pytest.raises(ValueError, match="synthetic"):
-            with _draw_scope(w, wT):
-                assert _DRAW.get() is not None
-                raise ValueError("synthetic")
-        assert _DRAW.get() is None
+    def test_integrands_match_the_oracle_by_bytes(self, draws, coarse_family,
+                                                   monkeypatch):
+        # the logs run to 1e6-1e7, whose ulp hides a last-bit change of an
+        # integrand; the polynomial factors and exponents show it
+        import degenpop.inequalities as ineq
+
+        seen = []
+        log_integral = ineq._log_integral
+
+        def recording_log_integral(poly, exponent, weights):
+            seen.append((poly, exponent))
+            return log_integral(poly, exponent, weights)
+
+        monkeypatch.setattr(ineq, "_log_integral", recording_log_integral)
+        fam = coarse_family
+        for main, sourced in draws:
+            for trial, (w, data) in ((carleman_main_trial, main),
+                                     (carleman_intermediate_trial, sourced),
+                                     (caccioppoli_trial, sourced)):
+                draw = Draw(w, data, fam)
+                for s in (5.0, 12.5, 20.0, 35.0, 50.0):
+                    del seen[:]
+                    trial(draw, s)
+                    want = _ref_integrands(trial, w, data, s, fam)
+                    assert len(seen) == len(want), trial.__name__
+                    for got_pair, want_pair in zip(seen, want):
+                        for got, ref in zip(got_pair, want_pair):
+                            assert got.shape == ref.shape, (trial.__name__, s)
+                            assert got.tobytes() == \
+                                np.ascontiguousarray(ref).tobytes(), (trial.__name__, s)
+
+    def test_no_draw_outlives_its_trials(self, bench_coeffs, coarse_grid, coarse_family,
+                                         monkeypatch):
+        import degenpop.inequalities as ineq
+
+        made = []
+
+        def recording_draw(*args):
+            draw = Draw(*args)
+            made.append(weakref.ref(draw))
+            return draw
+
+        def checking_solve(problem):
+            # every earlier draw, and with it its terms, is gone by the next solve
+            assert all(ref() is None for ref in made), len(made)
+            return solve_adjoint(problem)
+
+        monkeypatch.setattr(ineq, "Draw", recording_draw)
+        monkeypatch.setattr(ineq, "solve_adjoint", checking_solve)
+        ineq.run_inequality_lab(bench_coeffs, coarse_grid, coarse_family,
+                                s_values=(5.0, 50.0), trials=2, seed=4127,
+                                observability_trials=3)
+        assert len(made) == 9
+        assert all(ref() is None for ref in made)
 
     def test_no_solution_outlives_the_lab(self, bench_coeffs, coarse_grid,
                                           coarse_family, monkeypatch):
@@ -957,7 +1078,6 @@ class TestPerDrawTerms:
         assert len(values) == 9
         assert values[-1]() is None
         assert all(ref() is None for ref in values)
-        assert _DRAW.get() is None
         assert set(reports) == {"carleman_main", "carleman_intermediate", "caccioppoli",
                                 "observability", "hardy_poincare"}
 
