@@ -17,6 +17,17 @@ control-window restriction of the backward solution generated by ``p``.
 With that sign the controlled terminal box values equal ``epsilon * p`` up
 to the CG residual, which yields a direct optimality check.
 
+The CG is preconditioned.  The Gram operator is block-diagonal by box age
+row, and when one implicit-step matrix serves every level its block has a
+closed form (`box_gram_block`), eigendecomposed once per solve, so that
+(block + epsilon I)^-1 costs two small matrix products per application.
+The block is only the preconditioner: every iteration still applies the
+true `gram_apply` once, and convergence is judged on the unpreconditioned
+residual.  With mortality constant in t and a the block is the operator's
+own, up to round-off, and one iteration reaches round-off; otherwise the
+block takes the mean mortality of the box characteristics, and a few
+iterations remain.
+
 Inside CG the Gram operator never runs the full solvers.  The grid enforces
 T < delta and dt == da, so a characteristic that ends in the box (age at
 least delta at t = T) starts at an age of at least delta - T > 0: it never
@@ -38,7 +49,7 @@ import numpy as np
 from .adjoint import AdjointProblem, solve_adjoint
 from .forward import ForwardProblem, control_norm_sq, solve_forward
 from .model import CoefficientSet, Field, SpaceTimeGrid, inner_product
-from .stepping import level_operators
+from .stepping import level_operators, step_matrix
 
 
 def box_mask(grid: SpaceTimeGrid) -> np.ndarray:
@@ -116,6 +127,56 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
     return out
 
 
+def box_gram_block(coeffs: CoefficientSet, grid: SpaceTimeGrid):
+    """The closed-form Gram block of one box row, eigendecomposed.
+
+    Returns (q, sigma), q orthogonal (m, m) and sigma (m,), with the block
+    q diag(sigma) q^T on the m interior genes.  One implicit-step matrix
+    M = V diag(lam) V^T stands for every level, so the block is
+
+        V [(V^T P V) o K] V^T,     K_ij = dt * sum_{k=1..nt} (lam_i lam_j)^-k,
+
+    with P the window projector; the series is summed in closed form with
+    expm1, which stays accurate where lam_i lam_j is near 1.  M carries the
+    mortality of the box characteristics, exactly when it is the same on all
+    of them (constant in t and a: then every box row of `gram_apply` applies
+    this block, up to round-off) and as their mean otherwise.
+    """
+    nt, na, d, dt = grid.nt, grid.na, grid.delta_index, grid.dt
+    first = coeffs.mu.level(0, grid)[d - nt, 1:-1]
+    total = np.zeros_like(first)
+    same = True
+    for n in range(nt):
+        rows = coeffs.mu.level(n, grid)[d - nt + n:na - nt + n + 1, 1:-1]
+        same = same and bool(np.all(rows == first))
+        total += rows.sum(axis=0)
+    mu = first if same else total / (nt * rows.shape[0])
+
+    lower, diag, upper = step_matrix(coeffs, grid, mu)
+    lam, v = np.linalg.eigh(np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1))
+    s = np.log(lam)[:, None] + np.log(lam)[None, :]
+    series = np.full_like(s, float(nt))
+    np.divide(-np.expm1(-nt * s), np.expm1(s), out=series, where=s > 0.0)
+    window = grid.x_window_slice(grid.omega)
+    v_w = v[window.start - 1:window.stop - 1]
+    sigma, u = np.linalg.eigh((v_w.T @ v_w) * (dt * series))
+    return v @ u, sigma
+
+
+def box_precondition(r, block, epsilon: float, grid: SpaceTimeGrid) -> np.ndarray:
+    """Apply (block + epsilon I)^-1 to every box row of an (na+1, nx+1) array.
+
+    ``block`` is the (q, sigma) of `box_gram_block`; sigma is clipped at 0,
+    so the map is symmetric and positive in the box inner product for any
+    epsilon > 0.  Values outside the box rows and interior genes become 0.
+    """
+    q, sigma = block
+    d = grid.delta_index
+    z = np.zeros_like(r)
+    z[d:, 1:-1] = ((r[d:, 1:-1] @ q) / (np.maximum(sigma, 0.0) + epsilon)) @ q.T
+    return z
+
+
 @dataclass
 class ControlSolution:
     """Output of :func:`solve_control`."""
@@ -158,8 +219,12 @@ def solve_control(
     """Compute the penalized control steering the box population toward zero.
 
     Runs conjugate gradients on (Gram + epsilon I) p = r in the box inner
-    product, with r the free terminal box values; ``tol`` is relative to the
-    norm of r.  Raises ValueError for nonpositive epsilon or tol.
+    product, with r the free terminal box values, preconditioned by
+    (block + epsilon I)^-1 (`box_precondition`).  Each of the
+    ``cg_iterations`` applies `gram_apply` once.  ``residual_history`` holds,
+    per iteration, the unpreconditioned residual's box norm relative to the
+    norm of r, and CG stops once it is at most ``tol``.  Raises ValueError
+    for nonpositive epsilon or tol.
     """
     if epsilon <= 0:
         raise ValueError("penalty epsilon must be positive")
@@ -177,26 +242,28 @@ def solve_control(
     iterations = 0
     converged = True
     if rhs_norm > 0.0:
+        block = box_gram_block(coeffs, grid)
         r = target.copy()
-        d = r.copy()
-        rs = box_inner(r, r, grid)
+        d = box_precondition(r, block, epsilon, grid)
+        rz = box_inner(r, d, grid)
         converged = False
         for iterations in range(1, maxit + 1):
             ad = gram_apply(d, coeffs, grid) + epsilon * d
             dad = box_inner(d, ad, grid)
             if dad <= 0.0:
                 raise RuntimeError("Gram operator lost positivity during CG")
-            alpha = rs / dad
+            alpha = rz / dad
             p += alpha * d
             r -= alpha * ad
-            rs_new = box_inner(r, r, grid)
-            rel = np.sqrt(rs_new) / rhs_norm
+            rel = np.sqrt(box_inner(r, r, grid)) / rhs_norm
             history.append(rel)
             if rel <= tol:
                 converged = True
                 break
-            d = r + (rs_new / rs) * d
-            rs = rs_new
+            z = box_precondition(r, block, epsilon, grid)
+            rz_new = box_inner(r, z, grid)
+            d = z + (rz_new / rz) * d
+            rz = rz_new
     cg_residual = history[-1] if history else 0.0
 
     back = solve_adjoint(AdjointProblem(coeffs, grid, Field(p, "age_gene", grid)))

@@ -14,6 +14,7 @@ with half-cell sampling of k (well defined when k vanishes at a node).
 M[n, j] is symmetric tridiagonal and strictly diagonally dominant with unit
 diagonal shift, so the Thomas algorithm needs no pivoting.
 
+`step_matrix` gives the coefficients of M for given mortality rows, and
 `level_operators` returns the factorized batch {M[n, j] : j = 0..na-1} of
 every time level as a list indexed by n.  Both solvers, the Gram operator's
 box march (`control.gram_apply`), the age-zero trace march, and the
@@ -213,6 +214,24 @@ class TridiagonalOperator:
         return np.array(z)[self._where]
 
 
+def step_matrix(coeffs, grid, mu):
+    """The tridiagonal coefficients of M = I + dt * (-L_k + mu) on interior genes.
+
+    ``mu`` holds mortality on the m interior genes, one row per matrix, in
+    any (..., m) shape.  Returns (lower, diag, upper): the off-diagonals are
+    1-D of length m (lower[0] and upper[m-1] unused, lower[1:] equal to
+    upper[:-1]) and ``diag`` has the shape of ``mu``.  Every matrix the
+    solvers factorize comes from here, as does the control preconditioner's.
+    """
+    dt = grid.dt
+    k_mid = midpoint_dispersion(coeffs.dispersion, grid)
+    inv_dx2 = 1.0 / (grid.dx * grid.dx)
+    lower = -dt * k_mid[:-1] * inv_dx2
+    upper = -dt * k_mid[1:] * inv_dx2
+    diag = 1.0 + dt * (k_mid[:-1] + k_mid[1:]) * inv_dx2 + dt * mu
+    return lower, diag, upper
+
+
 def level_operators(coeffs, grid) -> list:
     """The nt factorized batches of the implicit-step matrices, one per level.
 
@@ -227,18 +246,11 @@ def level_operators(coeffs, grid) -> list:
     shared matrix; when it does not depend on time either, the list repeats
     one factorization at every level.
     """
-    dt = grid.dt
-    k_mid = midpoint_dispersion(coeffs.dispersion, grid)
-    inv_dx2 = 1.0 / (grid.dx * grid.dx)
-    lower = -dt * k_mid[:-1] * inv_dx2
-    upper = -dt * k_mid[1:] * inv_dx2
-    diag0 = 1.0 + dt * (k_mid[:-1] + k_mid[1:]) * inv_dx2
-
     def build(n):
         rows = coeffs.mu.level(n, grid)[: grid.na, 1:-1]
         if np.all(rows == rows[0]):
             rows = rows[:1]
-        return TridiagonalOperator(lower, diag0 + dt * rows, upper)
+        return TridiagonalOperator(*step_matrix(coeffs, grid, rows))
 
     if not coeffs.mu.time_varying:
         return [build(0)] * grid.nt

@@ -153,11 +153,21 @@ def solution(bench_coeffs, coarse_grid):
 
 
 class TestSolveControl:
-    def test_converges_quickly(self, solution):
+    def test_converges_quickly(self, solution, bench_coeffs, coarse_grid):
+        g, tol = coarse_grid, 1e-6
         assert solution.converged
         assert solution.cg_iterations < 100
-        assert solution.cg_residual <= 1e-6
-        assert solution.residual_history[-1] < solution.residual_history[0]
+        history = solution.residual_history
+        assert len(history) == solution.cg_iterations
+        # relative to ||r||, so the residual before the first iteration is 1
+        assert all(rel < 1.0 for rel in history)
+        assert history[-1] == solution.cg_residual <= tol
+        # the recursive residual is not the true one: measure the true one
+        free = dp.solve_forward(dp.ForwardProblem(bench_coeffs, g, _bench_initial(g)))
+        r = free.values[g.nt] * dp.box_mask(g)
+        p = solution.terminal_probe.values
+        gap = dp.gram_apply(p, bench_coeffs, g) + solution.epsilon * p - r
+        assert np.sqrt(dp.box_inner(gap, gap, g) / dp.box_inner(r, r, g)) <= tol
 
     def test_steers_the_box_population_down(self, solution, coarse_grid, bench_coeffs):
         g = coarse_grid
