@@ -42,7 +42,8 @@ def main():
     y0 = dp.Field(a * (1.0 - a) * np.sin(np.pi * x), "age_gene", grid)
     norm0 = dp.l2_norm(y0, grid)
 
-    solution = dp.solve_control(y0, epsilon=1e-4, coeffs=coeffs, grid=grid)
+    problem = dp.ControlProblem(coeffs, grid, y0)
+    solution = dp.solve_control(problem, epsilon=1e-4)
     print("penalized steering on the benchmark problem (eps = 1e-4):")
     print(solution.summary())
 

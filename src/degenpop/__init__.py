@@ -18,6 +18,7 @@ from .adjoint import (
 )
 from .config import ConfigError, ExperimentConfig, initial_datum_values, parse_config
 from .control import (
+    ControlProblem,
     ControlSolution,
     NullReachReport,
     box_inner,

@@ -17,9 +17,14 @@ control-window restriction of the backward solution generated by ``p``.
 With that sign the controlled terminal box values equal ``epsilon * p`` up
 to the CG residual, which yields a direct optimality check.
 
+Neither r nor the Gram operator depends on epsilon.  A `ControlProblem`
+holds the coefficients, the grid and the initial datum, and computes r (one
+free forward solve) and the preconditioner's block on first use; every
+`solve_control` on that problem, one per penalty, reuses both.
+
 The CG is preconditioned.  The Gram operator is block-diagonal by box age
 row, and when one implicit-step matrix serves every level its block has a
-closed form (`box_gram_block`), eigendecomposed once per solve, so that
+closed form (`box_gram_block`), eigendecomposed once per problem, so that
 (block + epsilon I)^-1 costs two small matrix products per application.
 The block is only the preconditioner: every iteration still applies the
 true `gram_apply` once, and convergence is judged on the unpreconditioned
@@ -36,13 +41,15 @@ direction, never touches it.  Each step along such a characteristic is one
 row of the implicit level solve, independent of every other row, so
 `gram_apply` marches just the box characteristics, backward then forward,
 and returns the same box values as the full composition bit for bit.  The
-free, final and steered solves of `solve_control` still use the general
-solvers, which carry the whole population.
+free solve of `ControlProblem` and the final and steered solves of
+`solve_control` still use the general solvers, which carry the whole
+population.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -178,6 +185,46 @@ def box_precondition(r, block, epsilon: float, grid: SpaceTimeGrid) -> np.ndarra
 
 
 @dataclass
+class ControlProblem:
+    """An initial datum to steer, with what every penalty on it shares.
+
+    y0 is an age_gene Field of finite values.  `target` and `block` are
+    built on first use and kept, so a penalty sweep on one problem makes one
+    free forward solve and at most one block build.
+    """
+
+    coeffs: CoefficientSet
+    grid: SpaceTimeGrid
+    y0: Field
+
+    def __post_init__(self):
+        if self.y0.kind != "age_gene":
+            raise ValueError("initial datum must be an age_gene Field")
+        if not np.all(np.isfinite(self.y0.values)):
+            raise ValueError("initial datum contains non-finite values")
+
+    @cached_property
+    def target(self) -> np.ndarray:
+        """r: the free flow's terminal box values, a read-only (na+1, nx+1) array.
+
+        Only this level of the free trajectory is kept.
+        """
+        free = solve_forward(ForwardProblem(self.coeffs, self.grid, self.y0))
+        target = free.values[self.grid.nt] * box_mask(self.grid)
+        target.flags.writeable = False
+        return target
+
+    @cached_property
+    def block(self):
+        """The (q, sigma) of `box_gram_block` for this problem's coefficients.
+
+        `solve_control` reads it only when the target is nonzero, so a
+        problem that needs no control never builds it.
+        """
+        return box_gram_block(self.coeffs, self.grid)
+
+
+@dataclass
 class ControlSolution:
     """Output of :func:`solve_control`."""
 
@@ -209,32 +256,32 @@ class ControlSolution:
 
 
 def solve_control(
-    y0: Field,
+    problem: ControlProblem,
     epsilon: float,
-    coeffs: CoefficientSet,
-    grid: SpaceTimeGrid,
     tol: float = 1e-6,
     maxit: int = 500,
 ) -> ControlSolution:
     """Compute the penalized control steering the box population toward zero.
 
     Runs conjugate gradients on (Gram + epsilon I) p = r in the box inner
-    product, with r the free terminal box values, preconditioned by
-    (block + epsilon I)^-1 (`box_precondition`).  Each of the
+    product, with r the problem's free terminal box values
+    (`ControlProblem.target`), preconditioned by (block + epsilon I)^-1
+    (`box_precondition` on `ControlProblem.block`).  Each of the
     ``cg_iterations`` applies `gram_apply` once.  ``residual_history`` holds,
     per iteration, the unpreconditioned residual's box norm relative to the
-    norm of r, and CG stops once it is at most ``tol``.  Raises ValueError
-    for nonpositive epsilon or tol.
+    norm of r, and CG stops once it is at most ``tol``.  Then one adjoint
+    solve gives the control and one forward solve the steered state.
+    Raises ValueError for nonpositive epsilon or tol, or maxit below 1.
     """
     if epsilon <= 0:
         raise ValueError("penalty epsilon must be positive")
     if tol <= 0:
         raise ValueError("CG tolerance must be positive")
-    if y0.kind != "age_gene":
-        raise ValueError("initial datum must be an age_gene Field")
+    if maxit < 1:
+        raise ValueError("CG iteration cap maxit must be at least 1")
+    coeffs, grid, y0 = problem.coeffs, problem.grid, problem.y0
 
-    free = solve_forward(ForwardProblem(coeffs, grid, y0))
-    target = free.values[grid.nt] * box_mask(grid)
+    target = problem.target
     rhs_norm = np.sqrt(box_inner(target, target, grid))
 
     p = np.zeros_like(target)
@@ -242,7 +289,7 @@ def solve_control(
     iterations = 0
     converged = True
     if rhs_norm > 0.0:
-        block = box_gram_block(coeffs, grid)
+        block = problem.block
         r = target.copy()
         d = box_precondition(r, block, epsilon, grid)
         rz = box_inner(r, d, grid)

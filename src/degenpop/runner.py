@@ -26,7 +26,7 @@ import numpy as np
 
 from .adjoint import AdjointProblem, duhamel_first_case, solve_adjoint, trace_age_zero
 from .config import ExperimentConfig, initial_datum_values
-from .control import solve_control, verify_null_reach
+from .control import ControlProblem, solve_control, verify_null_reach
 from .fieldio import write_field_csv
 from .forward import ForwardProblem, energy_report, solve_forward
 from .inequalities import grid_signature, run_inequality_lab, weight_sup_check
@@ -239,10 +239,8 @@ def _history_rows(solution):
 def _run_control(config, out, seed, artifact):
     y0 = _initial_field(config)
     solution = solve_control(
-        y0,
+        ControlProblem(config.coeffs, config.grid, y0),
         config.penalty,
-        config.coeffs,
-        config.grid,
         tol=config.cg_tol,
         maxit=config.cg_maxit,
     )
@@ -293,12 +291,13 @@ def _run_inequalities(config, out, seed, artifact):
 def _run_sweep(config, out, seed, artifact):
     coeffs, grid = config.coeffs, config.grid
     y0 = _initial_field(config)
+    # every penalty shares the free flow and the preconditioner's block
+    problem = ControlProblem(coeffs, grid, y0)
     history = []
 
     def one_penalty(eps):
         solution = solve_control(
-            y0, eps, coeffs, grid,
-            tol=config.cg_tol, maxit=config.cg_maxit,
+            problem, eps, tol=config.cg_tol, maxit=config.cg_maxit,
         )
         reach = verify_null_reach(solution, y0, grid)
         history.extend(_history_rows(solution))

@@ -270,15 +270,14 @@ def test_07_benchmark_null_control(criterion):
     y0 = dp.Field(dp.initial_datum_values(cfg.grid), "age_gene", cfg.grid)
     norm0_sq = dp.l2_norm_sq(y0, cfg.grid, kind="age_gene")
 
-    solution = dp.solve_control(y0, 1e-4, cfg.coeffs, cfg.grid,
-                                tol=cfg.cg_tol, maxit=cfg.cg_maxit)
+    problem = dp.ControlProblem(cfg.coeffs, cfg.grid, y0)
+    solution = dp.solve_control(problem, 1e-4, tol=cfg.cg_tol, maxit=cfg.cg_maxit)
     ratio = float(np.sqrt(solution.y_final_norm_sq / norm0_sq))
 
     eps_grid = sorted(cfg.penalties)
     norms = []
     for eps in eps_grid:
-        sol = dp.solve_control(y0, eps, cfg.coeffs, cfg.grid,
-                               tol=cfg.cg_tol, maxit=cfg.cg_maxit)
+        sol = dp.solve_control(problem, eps, tol=cfg.cg_tol, maxit=cfg.cg_maxit)
         norms.append(sol.y_final_norm_sq)
     slope = float(np.polyfit(np.log(eps_grid), np.log(norms), 1)[0])
 
@@ -305,8 +304,9 @@ def test_08_control_cost_boundedness(criterion):
     for d in range(5):
         y0 = dp.age_gene_draw(rng, grid)
         norm0_sq = dp.l2_norm_sq(y0, grid, kind="age_gene")
+        problem = dp.ControlProblem(coeffs, grid, y0)
         for j, eps in enumerate(eps_grid):
-            sol = dp.solve_control(y0, eps, coeffs, grid)
+            sol = dp.solve_control(problem, eps)
             quotients[d, j] = sol.control_cost / norm0_sq
 
     finite = bool(np.all(np.isfinite(quotients)) and np.all(quotients > 0.0))

@@ -1,9 +1,13 @@
 """Gram operator structure and the penalized steering solve."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import degenpop as dp
+import degenpop.control as control_module
 from tests.conftest import (box_terminal_draw, cost_functional, make_benchmark_coeffs,
                             make_benchmark_grid, make_even_gene_grid,
                             make_mortality_coeffs)
@@ -146,10 +150,13 @@ class TestGramOperator:
         assert np.all(gp[:g.delta_index] == 0.0)
 
 
+def _problem(coeffs, grid, y0=None):
+    return dp.ControlProblem(coeffs, grid, _bench_initial(grid) if y0 is None else y0)
+
+
 @pytest.fixture(scope="module")
 def solution(bench_coeffs, coarse_grid):
-    return dp.solve_control(_bench_initial(coarse_grid), 1e-4, bench_coeffs,
-                            coarse_grid)
+    return dp.solve_control(_problem(bench_coeffs, coarse_grid), 1e-4)
 
 
 class TestSolveControl:
@@ -201,31 +208,77 @@ class TestSolveControl:
 
     def test_smaller_penalty_gives_smaller_terminal_norm(self, solution,
                                                          bench_coeffs, coarse_grid):
-        loose = dp.solve_control(_bench_initial(coarse_grid), 1e-2, bench_coeffs,
-                                 coarse_grid)
+        loose = dp.solve_control(_problem(bench_coeffs, coarse_grid), 1e-2)
         assert solution.y_final_norm_sq < loose.y_final_norm_sq
         assert solution.state is not None
 
     def test_zero_initial_datum_needs_no_control(self, bench_coeffs, coarse_grid):
-        sol = dp.solve_control(dp.Field.zeros("age_gene", coarse_grid), 1e-4,
-                               bench_coeffs, coarse_grid)
+        zero = dp.Field.zeros("age_gene", coarse_grid)
+        sol = dp.solve_control(_problem(bench_coeffs, coarse_grid, zero), 1e-4)
         assert sol.cg_iterations == 0
         assert sol.y_final_norm_sq == 0.0
         assert np.all(sol.control.values == 0.0)
 
     def test_parameter_validation(self, bench_coeffs, coarse_grid):
-        y0 = _bench_initial(coarse_grid)
+        problem = _problem(bench_coeffs, coarse_grid)
         with pytest.raises(ValueError, match="epsilon"):
-            dp.solve_control(y0, 0.0, bench_coeffs, coarse_grid)
+            dp.solve_control(problem, 0.0)
         with pytest.raises(ValueError, match="tolerance"):
-            dp.solve_control(y0, 1e-4, bench_coeffs, coarse_grid, tol=0.0)
+            dp.solve_control(problem, 1e-4, tol=0.0)
+        # with no iteration allowed, CG would report a residual of 0.0
+        with pytest.raises(ValueError, match="maxit"):
+            dp.solve_control(problem, 1e-4, maxit=0)
+        with pytest.raises(ValueError, match="age_gene"):
+            _problem(bench_coeffs, coarse_grid, dp.Field.zeros("trajectory", coarse_grid))
+        bad = _bench_initial(coarse_grid)
+        bad.values[3, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _problem(bench_coeffs, coarse_grid, bad)
+
+
+class TestControlProblem:
+    def test_target_is_the_free_terminal_box(self, bench_coeffs, coarse_grid):
+        g = coarse_grid
+        problem = _problem(bench_coeffs, g)
+        free = dp.solve_forward(dp.ForwardProblem(bench_coeffs, g, problem.y0))
+        expected = free.values[g.nt] * dp.box_mask(g)
+        assert problem.target.tobytes() == expected.tobytes()
+        assert not problem.target.flags.writeable  # shared by every penalty
+
+    def test_the_free_trajectory_is_not_kept(self, bench_coeffs, coarse_grid,
+                                             monkeypatch):
+        refs = []
+
+        def recording(forward_problem):
+            flow = dp.solve_forward(forward_problem)
+            refs.extend((weakref.ref(flow), weakref.ref(flow.values)))
+            return flow
+
+        monkeypatch.setattr(control_module, "solve_forward", recording)
+        problem = _problem(bench_coeffs, coarse_grid)
+        problem.target
+        gc.collect()
+        assert len(refs) == 2
+        assert all(ref() is None for ref in refs)
+
+    def test_zero_initial_datum_builds_no_block(self, bench_coeffs, coarse_grid,
+                                                monkeypatch):
+        def forbidden(coeffs, grid):
+            raise AssertionError("box_gram_block called for a zero target")
+
+        monkeypatch.setattr(control_module, "box_gram_block", forbidden)
+        zero = dp.Field.zeros("age_gene", coarse_grid)
+        problem = _problem(bench_coeffs, coarse_grid, zero)
+        for eps in (1e-2, 1e-4):
+            assert dp.solve_control(problem, eps).cg_iterations == 0
+        assert "block" not in vars(problem)
 
 
 class TestNullReachReport:
     def test_quotients_normalize_by_initial_size(self, bench_coeffs, coarse_grid):
         g = coarse_grid
         y0 = _bench_initial(g)
-        sol = dp.solve_control(y0, 1e-4, bench_coeffs, g)
+        sol = dp.solve_control(_problem(bench_coeffs, g, y0), 1e-4)
         report = dp.verify_null_reach(sol, y0, g)
         n0 = dp.l2_norm_sq(y0, g, kind="age_gene")
         assert np.isclose(report.box_decay_quotient,
@@ -233,8 +286,8 @@ class TestNullReachReport:
         assert np.isclose(report.cost_quotient, sol.control_cost / n0, rtol=1e-12)
 
     def test_zero_datum_yields_zero_quotients(self, bench_coeffs, coarse_grid):
-        sol = dp.solve_control(dp.Field.zeros("age_gene", coarse_grid), 1e-4,
-                               bench_coeffs, coarse_grid)
+        zero = dp.Field.zeros("age_gene", coarse_grid)
+        sol = dp.solve_control(_problem(bench_coeffs, coarse_grid, zero), 1e-4)
         report = dp.verify_null_reach(sol, dp.Field.zeros("age_gene", coarse_grid),
                                       coarse_grid)
         assert report.box_decay_quotient == 0.0 and report.cost_quotient == 0.0

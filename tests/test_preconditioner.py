@@ -174,7 +174,7 @@ class TestAgainstPlainCG:
         tol = 1e-12
         target = _target(coeffs, g)
         ref, _ = _reference_cg(target, epsilon, coeffs, g, tol)
-        sol = dp.solve_control(_initial(g), epsilon, coeffs, g, tol=tol)
+        sol = dp.solve_control(dp.ControlProblem(coeffs, g, _initial(g)), epsilon, tol=tol)
         assert sol.converged
         gap = sol.terminal_probe.values - ref
         bound = 2.0 * tol * np.sqrt(dp.box_inner(target, target, g)) / epsilon
@@ -186,7 +186,7 @@ class TestAgainstPlainCG:
         g = make_benchmark_grid(50, 20, 8)
         coeffs = _coeffs(mortality)
         _, history = _reference_cg(_target(coeffs, g), epsilon, coeffs, g, 1e-6)
-        sol = dp.solve_control(_initial(g), epsilon, coeffs, g)
+        sol = dp.solve_control(dp.ControlProblem(coeffs, g, _initial(g)), epsilon)
         assert sol.converged
         assert sol.cg_iterations <= len(history)
         if mortality == "constant:0.1":

@@ -5,6 +5,7 @@ import pytest
 
 import degenpop as dp
 from degenpop import cli
+from degenpop import control as control_module
 from degenpop import runner as runner_module
 
 COARSE_CONFIG = """\
@@ -136,11 +137,10 @@ class TestPipelines:
         lines = (tmp_path / "cg_residual_history.csv").read_text().splitlines()
         assert lines[0] == "epsilon,iteration,relative_residual"
         assert len(lines) - 1 == art.summary["cg_iterations"]
-        solution = dp.solve_control(
-            runner_module._initial_field(coarse_config), coarse_config.penalty,
-            coarse_config.coeffs, coarse_config.grid,
-            tol=coarse_config.cg_tol, maxit=coarse_config.cg_maxit,
-        )
+        problem = dp.ControlProblem(coarse_config.coeffs, coarse_config.grid,
+                                    runner_module._initial_field(coarse_config))
+        solution = dp.solve_control(problem, coarse_config.penalty,
+                                    tol=coarse_config.cg_tol, maxit=coarse_config.cg_maxit)
         eps = repr(float(coarse_config.penalty))
         assert lines[1:] == [f"{eps},{it},{float(rel)!r}" for it, rel in
                              enumerate(solution.residual_history, start=1)]
@@ -176,9 +176,10 @@ class TestPipelines:
         assert len(rows) == len(penalties)
         y0 = runner_module._initial_field(coarse_config)
         for row, eps in zip(rows, penalties):
+            # a fresh problem per penalty: the sweep's shared one must match it
+            problem = dp.ControlProblem(coarse_config.coeffs, coarse_config.grid, y0)
             solution = dp.solve_control(
-                y0, eps, coarse_config.coeffs, coarse_config.grid,
-                tol=coarse_config.cg_tol, maxit=coarse_config.cg_maxit,
+                problem, eps, tol=coarse_config.cg_tol, maxit=coarse_config.cg_maxit,
             )
             reach = dp.verify_null_reach(solution, y0, coarse_config.grid)
             expected = [
@@ -196,6 +197,29 @@ class TestPipelines:
         # one row per CG iteration, penalties ascending
         assert history[1:] == expected_history
         assert len(expected_history) == sum(int(r.split(",")[3]) for r in rows)
+
+    def test_sweep_solves_the_free_flow_and_builds_the_block_once(
+        self, coarse_config, tmp_path, monkeypatch
+    ):
+        forward, blocks = [], []
+        build_block = control_module.box_gram_block
+
+        def counting_forward(problem):
+            forward.append(problem.control is None)
+            return dp.solve_forward(problem)
+
+        def counting_block(coeffs, grid):
+            blocks.append(grid)
+            return build_block(coeffs, grid)
+
+        monkeypatch.setattr(control_module, "solve_forward", counting_forward)
+        monkeypatch.setattr(control_module, "box_gram_block", counting_block)
+        dp.run_experiment(coarse_config, "sweep", out_dir=tmp_path)
+        penalties = len(coarse_config.penalties)
+        assert penalties >= 2
+        # one free flow, then one steered flow per penalty
+        assert forward == [True] + [False] * penalties
+        assert len(blocks) == 1
 
     def test_unknown_command_rejected(self, coarse_config, tmp_path):
         with pytest.raises(ValueError, match="unknown command"):
