@@ -33,21 +33,26 @@ own, up to round-off, and one iteration reaches round-off; otherwise the
 block takes the mean mortality of the box characteristics, and a few
 iterations remain.
 
-Inside CG the Gram operator never runs the full solvers.  The grid enforces
-T < delta and dt == da, so a characteristic that ends in the box (age at
-least delta at t = T) starts at an age of at least delta - T > 0: it never
-passes through the newborn row, and the renewal coupling, in either
-direction, never touches it.  Each step along such a characteristic is one
-row of the implicit level solve, independent of every other row, so
-`gram_apply` marches just the box characteristics, backward then forward,
-and returns the same box values as the full composition bit for bit.  The
-free solve of `ControlProblem` and the final and steered solves of
-`solve_control` still use the general solvers, which carry the whole
-population.
+Neither CG nor the steering after it runs the full solvers.  The grid
+enforces T < delta and dt == da, so a characteristic that ends in the box
+(age at least delta at t = T) starts at an age of at least delta - T > 0:
+it never passes through the newborn row, and the renewal coupling, in
+either direction, never touches it.  Each step along such a characteristic
+is one row of the implicit level solve, independent of every other row, so
+one march of just the box characteristics, backward from a probe then
+forward from a start, gives the box values of the full composition bit for
+bit.  `gram_apply` runs it from a zero start.  After CG, `solve_control`
+runs it once more, with probe -p and the initial datum's values at the feet
+of the box characteristics as start: that march yields the steered terminal
+box values and the control on the window, hence every scalar of the
+solution.  Only the free solve of `ControlProblem`, and the control and
+steered trajectory that a `ControlSolution` builds when they are first
+read, use the general solvers, which carry the whole population.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,47 +74,19 @@ def box_inner(u, v, grid: SpaceTimeGrid) -> float:
     return inner_product(u, v, grid, kind="age_gene", a_mask=grid.age_upper_mask())
 
 
-def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray:
-    """Apply the (symmetric, psd) terminal-box Gram operator to a probe.
+def _box_march(probe, start, coeffs: CoefficientSet, grid: SpaceTimeGrid):
+    """March the box characteristics backward from a probe, then forward.
 
-    ``probe`` is an (na+1, nx+1) array; its values below the observation
-    threshold are ignored.  Returns the terminal box values of the forward
-    flow started from zero and driven by the window restriction of the
-    backward solution with terminal datum ``probe``, as an (na+1, nx+1) array
-    that is zero below the threshold.  Raises ValueError for any other probe
-    shape or for non-finite probe values.
-
-    Only the box characteristics are computed.  At level n they occupy the
-    age rows d - nt + n .. na - nt + n (d = delta_index), all at least 1
-    because T < delta.  The backward march solves those rows from the probe
-    and keeps dt * w on the window columns at each level; the forward march
-    solves the same rows from zero with that source added on the window
-    columns.  This is, row for row, the arithmetic of `solve_adjoint`
-    followed by `solve_forward`, which add ``dt * (w * window mask)`` to the
-    forward rhs:
-
-    - Thomas rows are independent and give the same bits in any batch;
-    - the fertility term the full adjoint adds on these rows is
-      dt * (beta * 0.0), because the newborn trace of a box probe is zero;
-    - on the window columns w * 1.0 is w; off them the full composition adds
-      a zero, which changes no value except a -0.0, and the forward rows
-      hold no -0.0: they start at +0.0, and a Thomas sweep whose rhs holds
-      no -0.0 stores none.
-
-    The box rows of the result therefore equal those of the full composition
-    byte for byte.  Below the threshold the result is +0.0; the full
-    composition gives y(T) * 0.0 there, zeros that may carry a sign, and
-    `solve_control` reads only the box values.
+    At level n the box characteristics occupy the age rows d - nt + n ..
+    na - nt + n (d = delta_index), all at least 1 because T < delta.  The
+    backward march solves those rows from the probe's box rows d..na;
+    the forward march starts from ``start``, the values on the rows
+    d - nt .. na - nt and the interior genes at t = 0 (not modified), adds
+    dt * w[n] on the window columns before step n, and solves the same rows.
+    Returns (y, w): y the terminal values on the box rows and interior
+    genes, w the (nt, box rows, window genes) backward values on the window,
+    w[n] at level n.
     """
-    probe = np.asarray(probe, dtype=float)
-    expected = grid.shape("age_gene")
-    if probe.shape != expected:
-        raise ValueError(f"probe must have the age-gene shape {expected}, got {probe.shape}")
-    # the masked probe of the full composition is non-finite exactly when the
-    # probe is (inf * 0.0 is nan), so this raises for the same probes
-    if not np.all(np.isfinite(probe)):
-        raise ValueError("wT contains non-finite values")
-
     nt, na, d, dt = grid.nt, grid.na, grid.delta_index, grid.dt
     ops = level_operators(coeffs, grid)
     window = grid.x_window_slice(grid.omega)
@@ -121,14 +98,66 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
     w = probe[d:, 1:-1]
     # one block for every level: an array per level fragmented the heap and
     # raised the peak RSS of a control run by 3 MB
-    sources = np.empty((nt, w.shape[0], window.stop - window.start))
+    windows = np.empty((nt, w.shape[0], window.stop - window.start))
     for n in range(nt - 1, -1, -1):
         w = ops[n].solve(w, rows=rows(n))
-        np.multiply(w[:, window], dt, out=sources[n])
-    y = np.zeros_like(w)
+        windows[n] = w[:, window]
+    y = np.array(start, dtype=float)
     for n in range(nt):
-        y[:, window] += sources[n]
+        y[:, window] += dt * windows[n]
         y = ops[n].solve(y, rows=rows(n))
+    return y, windows
+
+
+def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray:
+    """Apply the (symmetric, psd) terminal-box Gram operator to a probe.
+
+    ``probe`` is an (na+1, nx+1) array; its values below the observation
+    threshold are ignored.  Returns the terminal box values of the forward
+    flow started from zero and driven by the window restriction of the
+    backward solution with terminal datum ``probe``, as an (na+1, nx+1) array
+    that is zero below the threshold.  Raises ValueError for any other probe
+    shape or for non-finite probe values.
+
+    Only the box characteristics are computed (`_box_march` from a zero
+    start).  This is, row for row, the arithmetic of `solve_adjoint`
+    followed by `solve_forward`, which add ``dt * (w * window mask)`` to the
+    forward rhs:
+
+    - Thomas rows are independent and give the same bits in any batch;
+    - the fertility term the full adjoint adds on these rows is
+      dt * (beta * 0.0), because the newborn trace of a box probe is zero;
+    - on the window columns w * 1.0 is w, and dt * w is what the march adds;
+    - off them the full composition adds a zero, which changes no value
+      except a -0.0, and the forward rows hold no -0.0: they start at +0.0,
+      and a Thomas sweep whose rhs holds no -0.0 stores none.
+
+    The box rows of the result therefore equal those of the full composition
+    byte for byte.  Below the threshold the result is +0.0; the full
+    composition gives y(T) * 0.0 there, zeros that may carry a sign, and
+    `solve_control` reads only the box values.
+
+    The same march steers in `solve_control`: from a start of y0's values
+    and with probe -p, against the full adjoint of p and the forward solve
+    driven by -(w * window mask).  Negation commutes with every operation of
+    a sweep, so the march's w is that control on the window.  The start and
+    w may hold -0.0, where a zero the full composition adds can flip the
+    sign of a zero; but a sweep only adds, subtracts and multiplies data, so
+    no zero's sign reaches a nonzero value: every nonzero value is the same,
+    and only zeros may differ in sign.  Each scalar `solve_control` forms
+    squares these values, so the scalars are identical.
+    """
+    probe = np.asarray(probe, dtype=float)
+    expected = grid.shape("age_gene")
+    if probe.shape != expected:
+        raise ValueError(f"probe must have the age-gene shape {expected}, got {probe.shape}")
+    # the masked probe of the full composition is non-finite exactly when the
+    # probe is (inf * 0.0 is nan), so this raises for the same probes
+    if not np.all(np.isfinite(probe)):
+        raise ValueError("wT contains non-finite values")
+
+    d = grid.delta_index
+    y, _ = _box_march(probe, np.zeros((grid.na - d + 1, grid.nx - 1)), coeffs, grid)
     out = np.zeros(expected)
     out[d:, 1:-1] = y
     return out
@@ -226,9 +255,19 @@ class ControlProblem:
 
 @dataclass
 class ControlSolution:
-    """Output of :func:`solve_control`."""
+    """Output of :func:`solve_control`.
 
-    control: Field
+    Every scalar comes from the one march of the box characteristics after
+    CG.  `control` (minus the window restriction of the backward solution
+    from the probe) and `state` (the controlled forward trajectory) are full
+    trajectories: each is built by one general solve on first access and
+    kept, so a sweep, which reads only the scalars, never builds them.
+    `cg_s` is the wall seconds to the end of CG, the problem's first builds
+    of r and the block included, and `steer_s` those of the march and the
+    scalars after it.
+    """
+
+    problem: ControlProblem = field(repr=False)
     terminal_probe: Field
     y_final_norm_sq: float
     control_cost: float
@@ -237,9 +276,23 @@ class ControlSolution:
     cg_residual: float
     cost_value: float
     converged: bool
-    state: Field  # the controlled forward trajectory
     residual_history: list = field(default_factory=list)
     optimality_mismatch: float = 0.0
+    cg_s: float = 0.0
+    steer_s: float = 0.0
+
+    @cached_property
+    def control(self) -> Field:
+        grid = self.problem.grid
+        back = solve_adjoint(AdjointProblem(self.problem.coeffs, grid, self.terminal_probe))
+        return Field(-(back.values * grid.omega_mask[None, None, :]), "trajectory", grid)
+
+    @cached_property
+    def state(self) -> Field:
+        problem = self.problem
+        return solve_forward(
+            ForwardProblem(problem.coeffs, problem.grid, problem.y0, control=self.control)
+        )
 
     def summary(self) -> str:
         lines = [
@@ -269,8 +322,12 @@ def solve_control(
     (`box_precondition` on `ControlProblem.block`).  Each of the
     ``cg_iterations`` applies `gram_apply` once.  ``residual_history`` holds,
     per iteration, the unpreconditioned residual's box norm relative to the
-    norm of r, and CG stops once it is at most ``tol``.  Then one adjoint
-    solve gives the control and one forward solve the steered state.
+    norm of r, and CG stops once it is at most ``tol``.  Then one march of
+    the box characteristics (`_box_march`, probe -p, started from y0) gives
+    the steered terminal box values and the control on the window, and from
+    them every scalar of the solution, with the bits of the full adjoint and
+    steered forward solves; those solves run only when the solution's
+    `control` or `state` is read.
     Raises ValueError for nonpositive epsilon or tol, or maxit below 1.
     """
     if epsilon <= 0:
@@ -279,7 +336,8 @@ def solve_control(
         raise ValueError("CG tolerance must be positive")
     if maxit < 1:
         raise ValueError("CG iteration cap maxit must be at least 1")
-    coeffs, grid, y0 = problem.coeffs, problem.grid, problem.y0
+    start = time.perf_counter()
+    coeffs, grid = problem.coeffs, problem.grid
 
     target = problem.target
     rhs_norm = np.sqrt(box_inner(target, target, grid))
@@ -312,15 +370,22 @@ def solve_control(
             d = z + (rz_new / rz) * d
             rz = rz_new
     cg_residual = history[-1] if history else 0.0
+    solved = time.perf_counter()
 
-    back = solve_adjoint(AdjointProblem(coeffs, grid, Field(p, "age_gene", grid)))
-    control_values = -(back.values * grid.omega_mask[None, None, :])
-    control = Field(control_values, "trajectory", grid)
-    steered = solve_forward(ForwardProblem(coeffs, grid, y0, control=control))
-    terminal = steered.values[grid.nt] * box_mask(grid)
+    nt, na, box = grid.nt, grid.na, grid.delta_index
+    y, w = _box_march(-p, problem.y0.values[box - nt:na - nt + 1, 1:-1], coeffs, grid)
+    terminal = np.zeros_like(target)
+    terminal[box:, 1:-1] = y
+    # w is the control on the window; placed in a zero block of the shape
+    # `control_norm_sq` takes from a full control, its einsum adds the same
+    # terms in the same order
+    control = np.zeros((nt, na, grid.nx + 1))
+    window = grid.x_window_slice(grid.omega)
+    for n in range(nt):
+        control[n, box - nt + n:na - nt + n + 1, window] = w[n]
 
     y_final_norm_sq = box_inner(terminal, terminal, grid)
-    cost = control_norm_sq(control_values, grid)
+    cost = control_norm_sq(control, grid)
     cost_value = y_final_norm_sq / (2.0 * epsilon) + 0.5 * cost
 
     p_norm = np.sqrt(box_inner(p, p, grid))
@@ -331,7 +396,7 @@ def solve_control(
         mismatch = 0.0
 
     return ControlSolution(
-        control=control,
+        problem=problem,
         terminal_probe=Field(p, "age_gene", grid),
         y_final_norm_sq=y_final_norm_sq,
         control_cost=cost,
@@ -342,7 +407,8 @@ def solve_control(
         converged=converged,
         residual_history=history,
         optimality_mismatch=mismatch,
-        state=steered,
+        cg_s=solved - start,
+        steer_s=time.perf_counter() - solved,
     )
 
 

@@ -7,9 +7,11 @@ Every run writes, into one output directory:
   manifest.txt         the sorted list of produced files,
   timings.txt          wall-clock seconds per stage, and as ``export`` those
                        of the command spent writing field CSVs, if it
-                       writes any, and for ``inequalities`` as ``adjoint``
-                       and ``trials`` those spent in the lab's backward
-                       solves and evaluating its trials (the only
+                       writes any, for ``control`` and ``sweep`` as ``cg``
+                       and ``steer`` those spent solving for the probes and
+                       steering with them, and for ``inequalities`` as
+                       ``adjoint`` and ``trials`` those spent in the lab's
+                       backward solves and evaluating its trials (the only
                        non-deterministic output, kept out of the CSVs and
                        the summary on purpose),
 plus the command-specific CSV files.  A stage failure aborts the run with
@@ -225,6 +227,11 @@ def _control_summary(artifact, solution, reach):
     artifact.summary["cost_quotient"] = reach.cost_quotient
 
 
+def _add_control_timings(artifact, solution):
+    for key, seconds in (("cg", solution.cg_s), ("steer", solution.steer_s)):
+        artifact.timings[key] = artifact.timings.get(key, 0.0) + seconds
+
+
 _HISTORY_COLUMNS = ("epsilon", "iteration", "relative_residual")
 
 
@@ -246,6 +253,7 @@ def _run_control(config, out, seed, artifact):
     )
     reach = verify_null_reach(solution, y0, config.grid)
     _control_summary(artifact, solution, reach)
+    _add_control_timings(artifact, solution)
     _export_field(out, "control.csv", solution.control, artifact)
     _export_field(out, "terminal_probe.csv", solution.terminal_probe, artifact)
     _export_field(out, "controlled_state.csv", solution.state, artifact)
@@ -301,6 +309,7 @@ def _run_sweep(config, out, seed, artifact):
         )
         reach = verify_null_reach(solution, y0, grid)
         history.extend(_history_rows(solution))
+        _add_control_timings(artifact, solution)
         return (
             eps,
             solution.y_final_norm_sq,

@@ -214,10 +214,12 @@ class TestSolveControl:
 
     def test_zero_initial_datum_needs_no_control(self, bench_coeffs, coarse_grid):
         zero = dp.Field.zeros("age_gene", coarse_grid)
-        sol = dp.solve_control(_problem(bench_coeffs, coarse_grid, zero), 1e-4)
+        problem = _problem(bench_coeffs, coarse_grid, zero)
+        sol = dp.solve_control(problem, 1e-4)
         assert sol.cg_iterations == 0
         assert sol.y_final_norm_sq == 0.0
         assert np.all(sol.control.values == 0.0)
+        _check_steers_like_the_full_composition(sol, problem)
 
     def test_parameter_validation(self, bench_coeffs, coarse_grid):
         problem = _problem(bench_coeffs, coarse_grid)
@@ -234,6 +236,94 @@ class TestSolveControl:
         bad.values[3, 4] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             _problem(bench_coeffs, coarse_grid, bad)
+
+
+def _ref_steer(problem, probe, epsilon):
+    """The steering after CG as the full composition, kept as an oracle.
+
+    Full adjoint solve of the probe, minus its window restriction as the
+    control, steered full forward solve from y0, terminal box slice.
+    Returns the four scalars as `solve_control` forms them, the control and
+    the steered trajectory.
+    """
+    coeffs, grid = problem.coeffs, problem.grid
+    back = dp.solve_adjoint(dp.AdjointProblem(coeffs, grid, dp.Field(probe, "age_gene", grid)))
+    control_values = -(back.values * grid.omega_mask[None, None, :])
+    control = dp.Field(control_values, "trajectory", grid)
+    steered = dp.solve_forward(dp.ForwardProblem(coeffs, grid, problem.y0, control=control))
+    terminal = steered.values[grid.nt] * dp.box_mask(grid)
+    y_final_norm_sq = dp.box_inner(terminal, terminal, grid)
+    cost = dp.control_norm_sq(control_values, grid)
+    p_norm = np.sqrt(dp.box_inner(probe, probe, grid))
+    if p_norm > 0.0:
+        gap = terminal / epsilon - probe
+        mismatch = np.sqrt(dp.box_inner(gap, gap, grid)) / p_norm
+    else:
+        mismatch = 0.0
+    scalars = {
+        "y_final_norm_sq": y_final_norm_sq,
+        "control_cost": cost,
+        "cost_value": y_final_norm_sq / (2.0 * epsilon) + 0.5 * cost,
+        "optimality_mismatch": mismatch,
+    }
+    return scalars, control, steered
+
+
+def _signed_initial(grid):
+    """A signed smooth draw with -0.0 on every 11th node, the box feet included."""
+    values = dp.age_gene_draw(dp.make_rng(3), grid).values.copy()
+    values.flat[::11] = -0.0
+    return dp.Field(values, "age_gene", grid)
+
+
+def _check_steers_like_the_full_composition(solution, problem):
+    want, control, state = _ref_steer(problem, solution.terminal_probe.values,
+                                      solution.epsilon)
+    got = {key: getattr(solution, key) for key in want}
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+    assert solution.control.values.tobytes() == control.values.tobytes()
+    assert solution.state.values.tobytes() == state.values.tobytes()
+
+
+class TestSteering:
+    @pytest.mark.parametrize("cells", [(50, 20, 8), (50, 40, 16), (50, 150, 60),
+                                       (100, 100, 40)], ids=_cells_id)
+    @pytest.mark.parametrize("kind", ["benchmark", "separable", "tabulated"])
+    def test_scalars_and_fields_match_the_full_composition(self, cells, kind):
+        g = make_benchmark_grid(*cells)
+        coeffs = make_mortality_coeffs(kind, g)
+        for y0 in (_bench_initial(g), _signed_initial(g)):
+            problem = _problem(coeffs, g, y0)
+            for eps in (1e-2, 1e-5):
+                solution = dp.solve_control(problem, eps)
+                assert solution.cg_iterations >= 1
+                _check_steers_like_the_full_composition(solution, problem)
+
+    def test_fields_are_built_on_first_access_and_kept(self, bench_coeffs, coarse_grid,
+                                                       monkeypatch):
+        calls = []
+
+        def recording(name, solve):
+            def wrapped(full_problem):
+                calls.append(name)
+                return solve(full_problem)
+            return wrapped
+
+        monkeypatch.setattr(control_module, "solve_adjoint",
+                            recording("adjoint", dp.solve_adjoint))
+        monkeypatch.setattr(control_module, "solve_forward",
+                            recording("forward", dp.solve_forward))
+        problem = _problem(bench_coeffs, coarse_grid)
+        solution = dp.solve_control(problem, 1e-4)
+        assert calls == ["forward"]  # the free flow of the target only
+        assert "control" not in vars(solution) and "state" not in vars(solution)
+        control = solution.control
+        assert calls == ["forward", "adjoint"]
+        assert solution.control is control
+        state = solution.state
+        assert calls == ["forward", "adjoint", "forward"]
+        assert solution.state is state and solution.control is control
+        assert calls == ["forward", "adjoint", "forward"]
 
 
 class TestControlProblem:

@@ -1,5 +1,8 @@
 """End-to-end pipeline runs and the command-line entry point."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -74,25 +77,29 @@ def check_artifact_files(artifact, out_dir):
 
 
 def check_timings(artifact, out_dir):
-    """timings.txt has snapshot and the command, plus export for field writers
-    and adjoint and trials for the inequality lab."""
+    """timings.txt has snapshot and the command, plus export for field writers,
+    cg and steer for the control solvers, and adjoint and trials for the
+    inequality lab."""
     lines = (out_dir / "timings.txt").read_text().splitlines()
     seconds = {}
     for line in lines:
         key, value = line.split(": ")
         assert value.endswith(" s")
         seconds[key] = float(value[:-2])
-    expected = {"snapshot", artifact.command}
+    parts = set()
     if artifact.command in ("simulate", "adjoint", "control"):
-        expected.add("export")
-        assert 0.0 < seconds["export"] <= seconds[artifact.command]
+        parts.add("export")
+    if artifact.command in ("control", "sweep"):
+        parts |= {"cg", "steer"}
     if artifact.command == "inequalities":
-        expected |= {"adjoint", "trials"}
-        assert 0.0 < seconds["adjoint"] <= seconds[artifact.command]
-        assert 0.0 < seconds["trials"] <= seconds[artifact.command]
-        # each line is rounded to the millisecond
-        assert seconds["adjoint"] + seconds["trials"] <= seconds[artifact.command] + 0.001
-    assert set(seconds) == expected
+        parts |= {"adjoint", "trials"}
+    assert set(seconds) == {"snapshot", artifact.command} | parts
+    command = seconds[artifact.command]
+    for part in parts:
+        assert 0.0 < seconds[part] <= command, part
+    # the parts are disjoint spans of the command; each line is rounded to
+    # the millisecond
+    assert sum(seconds[part] for part in parts) <= command + 0.001
 
 
 class TestPipelines:
@@ -201,25 +208,72 @@ class TestPipelines:
     def test_sweep_solves_the_free_flow_and_builds_the_block_once(
         self, coarse_config, tmp_path, monkeypatch
     ):
-        forward, blocks = [], []
+        forward, adjoint, blocks = [], [], []
         build_block = control_module.box_gram_block
 
         def counting_forward(problem):
             forward.append(problem.control is None)
             return dp.solve_forward(problem)
 
+        def counting_adjoint(problem):
+            adjoint.append(problem)
+            return dp.solve_adjoint(problem)
+
         def counting_block(coeffs, grid):
             blocks.append(grid)
             return build_block(coeffs, grid)
 
         monkeypatch.setattr(control_module, "solve_forward", counting_forward)
+        monkeypatch.setattr(control_module, "solve_adjoint", counting_adjoint)
         monkeypatch.setattr(control_module, "box_gram_block", counting_block)
         dp.run_experiment(coarse_config, "sweep", out_dir=tmp_path)
-        penalties = len(coarse_config.penalties)
-        assert penalties >= 2
-        # one free flow, then one steered flow per penalty
-        assert forward == [True] + [False] * penalties
+        assert len(coarse_config.penalties) >= 2
+        # the free flow only: every penalty steers on the box characteristics
+        assert forward == [True]
+        assert adjoint == []
         assert len(blocks) == 1
+
+    def test_sweep_keeps_no_full_trajectory(self, coarse_config, tmp_path, monkeypatch):
+        refs = []
+
+        def recording(solve):
+            def wrapped(problem):
+                flow = solve(problem)
+                refs.extend((weakref.ref(flow), weakref.ref(flow.values)))
+                return flow
+            return wrapped
+
+        monkeypatch.setattr(control_module, "solve_forward", recording(dp.solve_forward))
+        monkeypatch.setattr(control_module, "solve_adjoint", recording(dp.solve_adjoint))
+        dp.run_experiment(coarse_config, "sweep", out_dir=tmp_path)
+        gc.collect()
+        assert refs
+        assert all(ref() is None for ref in refs)
+
+    def test_control_builds_its_fields_when_it_exports_them(
+        self, coarse_config, tmp_path, monkeypatch
+    ):
+        events = []
+        write = runner_module.write_field_csv
+
+        def counting_forward(problem):
+            events.append("free" if problem.control is None else "steered")
+            return dp.solve_forward(problem)
+
+        def counting_adjoint(problem):
+            events.append("adjoint")
+            return dp.solve_adjoint(problem)
+
+        def recording_write(fld, path):
+            events.append(path.name)
+            return write(fld, path)
+
+        monkeypatch.setattr(control_module, "solve_forward", counting_forward)
+        monkeypatch.setattr(control_module, "solve_adjoint", counting_adjoint)
+        monkeypatch.setattr(runner_module, "write_field_csv", recording_write)
+        dp.run_experiment(coarse_config, "control", out_dir=tmp_path)
+        assert events == ["free", "adjoint", "control.csv", "terminal_probe.csv",
+                          "steered", "controlled_state.csv"]
 
     def test_unknown_command_rejected(self, coarse_config, tmp_path):
         with pytest.raises(ValueError, match="unknown command"):
