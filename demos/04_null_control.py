@@ -51,7 +51,7 @@ def main():
     ratio = np.sqrt(solution.y_final_norm_sq) / norm0
     print(f"  terminal box norm / initial norm : {ratio:.3e}")
 
-    report = dp.verify_null_reach(solution, y0, grid)
+    report = dp.verify_null_reach(solution)
     print()
     print("scale-free quotients:")
     print(report.summary())

@@ -47,7 +47,7 @@ def main():
     terminal = []
     for eps in penalties:
         sol = dp.solve_control(problem, eps)
-        report = dp.verify_null_reach(sol, y0, grid)
+        report = dp.verify_null_reach(sol)
         terminal.append(sol.y_final_norm_sq)
         print(f"{eps:8.0e} | {sol.cg_iterations:6d} | {sol.y_final_norm_sq:14.6e} | "
               f"{sol.control_cost:12.6e} | {report.box_decay_quotient:14.6f}")

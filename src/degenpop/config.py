@@ -1,8 +1,22 @@
-"""Experiment configuration: INI parsing, validation, resolution.
+"""Experiment configuration: one schema table, parsed and checked in one pass.
 
-Configs are INI files with six fixed sections.  Every key is required
-unless a default is listed; unknown sections or keys are errors, not
-warnings, so a typo cannot silently fall back to a default.
+Configs are INI files with six fixed sections.  `_SCHEMA` declares every
+key exactly once, as section -> key -> (default, parser):
+
+- a default of None marks a required key; any other default is the INI text
+  filled in when the key is absent (and kept in `raw`, so a snapshot
+  reproduces the run);
+- the parser turns the key's text into its value and carries the key's type
+  and range: a finite number, an integer with a lower bound, a positive
+  number, a nonempty list of positives, a pair, an optional value (empty
+  means absent), "auto" or a number, a rate, or text.  It raises ValueError
+  with the message the key's error reports.
+
+Unknown sections or keys are errors, not warnings, so a typo cannot silently
+fall back to a default.  `parse_config` parses every key, then builds the
+grid, the coefficients and the weight family, each only from keys that
+parsed, checking the model invariants on the way; every problem found is
+raised together in one ConfigError.
 
 [model]      dispersion kind and parameters, rates
 [geometry]   cylinder extents, observation threshold, windows, cell counts
@@ -22,7 +36,9 @@ use; `family.config` holds the resolved weights.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,47 +52,151 @@ from .model import (
 )
 from .weights import WeightConfig, WeightFamily
 
+
+def _parse_number(text, kind=float):
+    """A finite float (or, with kind=int, an integer) written as ``text``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"expected {noun}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _integer(text, least=None):
+    """An integer, at least ``least`` if given."""
+    value = _parse_number(text, int)
+    if least is not None and value < least:
+        raise ValueError(f"must be at least {least}")
+    return value
+
+
+def _positive(text):
+    value = _parse_number(text)
+    if not value > 0.0:
+        raise ValueError("must be positive")
+    return value
+
+
+def _numbers(text, count=None):
+    """Comma-separated finite numbers, exactly ``count`` of them if given."""
+    text = text.strip()
+    parts = [p.strip() for p in text.split(",")] if text else []
+    if count is not None and len(parts) != count:
+        raise ValueError(f"expected {count} comma-separated numbers, got {text!r}")
+    return tuple(_parse_number(p) for p in parts)
+
+
+_pair = partial(_numbers, count=2)
+
+
+def _positives(text):
+    values = _numbers(text)
+    if not values:
+        raise ValueError("must list at least one value")
+    if not all(v > 0.0 for v in values):
+        raise ValueError("all entries must be positive")
+    return values
+
+
+def _optional(parse):
+    """Parser of a key whose empty text means absent (None)."""
+    return lambda text: parse(text) if text else None
+
+
+def _auto_or_number(text):
+    return "auto" if text == "auto" else _parse_number(text)
+
+
+def _age_poly(c0, c1, c2, A):
+    def age_factor(a):
+        a = np.asarray(a, dtype=float)
+        return np.where(a > 0.0, c0 + c1 * a + c2 * a * a, 0.0)
+
+    return SeparableRate(age_factor=age_factor)
+
+
+def _mature_hump(scale, start, A):
+    if not 0.0 <= start < A:
+        raise ValueError("hump start must lie in [0, A)")
+
+    def age_factor(a):
+        a = np.asarray(a, dtype=float)
+        hump = 4.0 * (a - start) * (A - a) / (A - start) ** 2
+        return np.where(a > start, hump, 0.0)
+
+    return SeparableRate(age_factor=age_factor, scale=scale)
+
+
+# rate kind -> (argument count, builder(*arguments, max age A))
+_RATES = {
+    "zero": (0, lambda A: ConstantRate(0.0)),
+    "constant": (1, lambda v, A: ConstantRate(v)),
+    "age_poly": (3, _age_poly),
+    "mature_hump": (2, _mature_hump),
+}
+
+
+def _parse_rate(text):
+    """Rate vocabulary: zero | constant:v | age_poly:c0,c1,c2 | mature_hump:scale,start.
+
+    Returns the rate's builder, a function of the max age A.  age_poly values
+    are (c0 + c1 a + c2 a^2) for a > 0 and zero at a = 0; mature_hump is
+    scale * 4 (a-start)(A-a)/(A-start)^2 for a > start, zero below (a
+    fertility with a juvenile dead window), and needs 0 <= start < A.
+    """
+    kind, _, arg = text.partition(":")
+    kind = kind.strip()
+    if kind not in _RATES:
+        raise ValueError(f"unknown rate kind {kind!r}")
+    count, build = _RATES[kind]
+    return partial(build, *_numbers(arg, count))
+
+
 _SCHEMA = {
     "model": {
-        "dispersion": None,
-        "degeneracy_point": None,
-        "exponent": None,
-        "degeneracy_bound": None,
-        "envelope_exponent": "",  # optional; empty -> min(exponent, bound)
-        "mortality": None,
-        "fertility": None,
+        "dispersion": (None, str),
+        "degeneracy_point": (None, _parse_number),
+        "exponent": (None, _parse_number),
+        "degeneracy_bound": (None, _parse_number),
+        # empty -> min(exponent, bound)
+        "envelope_exponent": ("", _optional(_parse_number)),
+        "mortality": (None, _parse_rate),
+        "fertility": (None, _parse_rate),
     },
     "geometry": {
-        "time_horizon": None,
-        "max_age": None,
-        "observation_min_age": None,
-        "control_window": None,
-        "bump_window": "",
-        "gradient_window": "",
-        "gene_cells": None,
-        "age_cells": None,
-        "time_cells": None,
+        "time_horizon": (None, _parse_number),
+        "max_age": (None, _parse_number),
+        "observation_min_age": (None, _parse_number),
+        "control_window": (None, _pair),
+        "bump_window": ("", _optional(_pair)),
+        "gradient_window": ("", _optional(_pair)),
+        "gene_cells": (None, _integer),
+        "age_cells": (None, _integer),
+        "time_cells": (None, _integer),
     },
     "weights": {
-        "profile_scale": "auto",
-        "negativity_offset": "auto",
-        "bump_gain": "1.0",
-        "strength": "20.0",
+        "profile_scale": ("auto", _auto_or_number),
+        "negativity_offset": ("auto", _auto_or_number),
+        "bump_gain": ("1.0", _parse_number),
+        "strength": ("20.0", _parse_number),
     },
     "control": {
-        "penalty": None,
-        "penalties": None,
-        "tolerance": "1e-6",
-        "max_iterations": "500",
+        "penalty": (None, _positive),
+        "penalties": (None, _positives),
+        "tolerance": ("1e-6", _positive),
+        "max_iterations": ("500", partial(_integer, least=1)),
     },
     "lab": {
-        "trials": "20",
-        "observability_trials": "50",
-        "seed": "4127",
-        "strengths": "5,12.5,20,35,50",
+        "trials": ("20", partial(_integer, least=1)),
+        "observability_trials": ("50", partial(_integer, least=1)),
+        "seed": ("4127", partial(_integer, least=0)),
+        "strengths": ("5,12.5,20,35,50", _positives),
     },
     "output": {
-        "directory": "runs/out",
+        "directory": ("runs/out", str),
     },
 }
 
@@ -117,80 +237,6 @@ class ExperimentConfig:
                     lines.append(f"{key} = {self.raw[section][key]}")
             lines.append("")
         return "\n".join(lines)
-
-
-def _parse_float(text, where, errors):
-    try:
-        return float(text)
-    except ValueError:
-        errors.append(f"{where}: expected a number, got {text!r}")
-        return None
-
-
-def _parse_int(text, where, errors):
-    try:
-        return int(text)
-    except ValueError:
-        errors.append(f"{where}: expected an integer, got {text!r}")
-        return None
-
-
-def _parse_floats(text, where, errors, count=None):
-    parts = [p.strip() for p in text.split(",")] if text.strip() else []
-    if count is not None and len(parts) != count:
-        errors.append(f"{where}: expected {count} comma-separated numbers")
-        return None
-    vals = []
-    for p in parts:
-        v = _parse_float(p, where, errors)
-        if v is None:
-            return None
-        vals.append(v)
-    return tuple(vals)
-
-
-def _parse_rate(text, where, max_age, errors):
-    """Rate vocabulary: zero | constant:v | age_poly:c0,c1,c2 | mature_hump:scale,start.
-
-    age_poly values are (c0 + c1 a + c2 a^2) for a > 0 and zero at a = 0;
-    mature_hump is scale * 4 (a-start)(A-a)/(A-start)^2 for a > start, zero
-    below (a fertility with a juvenile dead window).
-    """
-    kind, _, arg = text.partition(":")
-    kind = kind.strip()
-    if kind == "zero":
-        return ConstantRate(0.0)
-    if kind == "constant":
-        v = _parse_float(arg, where, errors)
-        return None if v is None else ConstantRate(v)
-    if kind == "age_poly":
-        cs = _parse_floats(arg, where, errors, count=3)
-        if cs is None:
-            return None
-        c0, c1, c2 = cs
-
-        def age_factor(a, c0=c0, c1=c1, c2=c2):
-            a = np.asarray(a, dtype=float)
-            return np.where(a > 0.0, c0 + c1 * a + c2 * a * a, 0.0)
-
-        return SeparableRate(age_factor=age_factor)
-    if kind == "mature_hump":
-        cs = _parse_floats(arg, where, errors, count=2)
-        if cs is None:
-            return None
-        scale, start = cs
-        if not 0.0 <= start < max_age:
-            errors.append(f"{where}: hump start must lie in [0, A)")
-            return None
-
-        def age_factor(a, start=start, A=max_age):
-            a = np.asarray(a, dtype=float)
-            hump = 4.0 * (a - start) * (A - a) / (A - start) ** 2
-            return np.where(a > start, hump, 0.0)
-
-        return SeparableRate(age_factor=age_factor, scale=scale)
-    errors.append(f"{where}: unknown rate kind {kind!r}")
-    return None
 
 
 def initial_datum_values(grid):
@@ -234,7 +280,7 @@ def parse_config(path) -> ExperimentConfig:
         if section not in parser.sections():
             errors.append(f"missing section [{section}]")
             continue
-        for key, default in keys.items():
+        for key, (default, _) in keys.items():
             if key not in raw.get(section, {}):
                 if default is None:
                     errors.append(f"missing key {section}.{key}")
@@ -243,47 +289,46 @@ def parse_config(path) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
-    def get(section, key):
-        return raw[section][key]
+    # key names are unique across sections; a key that fails to parse is absent
+    values: dict = {}
+    for section, keys in _SCHEMA.items():
+        for key, (_, parse) in keys.items():
+            try:
+                values[key] = parse(raw[section][key])
+            except ValueError as exc:
+                errors.append(f"{section}.{key}: {exc}")
 
-    # geometry ---------------------------------------------------------
-    T = _parse_float(get("geometry", "time_horizon"), "geometry.time_horizon", errors)
-    A = _parse_float(get("geometry", "max_age"), "geometry.max_age", errors)
-    delta = _parse_float(
-        get("geometry", "observation_min_age"), "geometry.observation_min_age", errors
-    )
-    omega = _parse_floats(get("geometry", "control_window"), "geometry.control_window", errors, 2)
-    core = get("geometry", "bump_window")
-    omega_core = (
-        _parse_floats(core, "geometry.bump_window", errors, 2) if core else None
-    )
-    inner = get("geometry", "gradient_window")
-    omega_inner = (
-        _parse_floats(inner, "geometry.gradient_window", errors, 2) if inner else None
-    )
-    nx = _parse_int(get("geometry", "gene_cells"), "geometry.gene_cells", errors)
-    na = _parse_int(get("geometry", "age_cells"), "geometry.age_cells", errors)
-    nt = _parse_int(get("geometry", "time_cells"), "geometry.time_cells", errors)
-    if errors:
-        raise ConfigError(errors)
+    def clean(prefix):
+        """No error found so far starts with ``prefix``."""
+        return not any(error.startswith(prefix) for error in errors)
+
+    def build(where, make, *args):
+        """make(*args), or None if make or an argument is None (its key did not
+        parse) or if make raises ValueError, which is recorded under ``where``."""
+        if make is None or any(arg is None for arg in args):
+            return None
+        try:
+            return make(*args)
+        except ValueError as exc:
+            errors.append(f"{where}: {exc}")
+            return None
 
     grid = None
-    try:
-        grid = SpaceTimeGrid(
-            T=T, A=A, nx=nx, nt=nt, na=na, delta=delta,
-            omega=omega, omega_core=omega_core, omega_inner=omega_inner,
-        )
-    except ValueError as exc:
-        errors.append(f"geometry: {exc}")
+    if clean("geometry."):
+        grid = build("geometry", lambda: SpaceTimeGrid(
+            T=values["time_horizon"], A=values["max_age"], nx=values["gene_cells"],
+            nt=values["time_cells"], na=values["age_cells"],
+            delta=values["observation_min_age"], omega=values["control_window"],
+            omega_core=values["bump_window"], omega_inner=values["gradient_window"],
+        ))
 
-    # model -------------------------------------------------------------
-    x0 = _parse_float(get("model", "degeneracy_point"), "model.degeneracy_point", errors)
-    alpha = _parse_float(get("model", "exponent"), "model.exponent", errors)
-    gamma = _parse_float(get("model", "degeneracy_bound"), "model.degeneracy_bound", errors)
-    theta_text = get("model", "envelope_exponent")
-    kind = get("model", "dispersion")
+    # model: each invariant is checked once the keys it reads have parsed
+    x0 = values.get("degeneracy_point")
+    alpha = values.get("exponent")
+    gamma = values.get("degeneracy_bound")
     dispersion = None
     if None not in (x0, alpha):
+        kind = values["dispersion"]
         if kind == "power_law":
             if not 0.0 < x0 < 1.0:
                 errors.append("model.degeneracy_point: must satisfy 0 < x0 < 1")
@@ -301,82 +346,37 @@ def parse_config(path) -> ExperimentConfig:
     if gamma is not None and not 0.0 <= gamma < 1.0:
         errors.append("model.degeneracy_bound: gamma must lie in [0, 1)")
         gamma = None
-    theta = None
-    if theta_text:
-        theta = _parse_float(theta_text, "model.envelope_exponent", errors)
-    elif alpha is not None and gamma is not None:
+    theta = values.get("envelope_exponent")
+    # the default applies to an empty key, not to one that failed to parse
+    if "envelope_exponent" in values and theta is None and None not in (alpha, gamma):
         theta = min(alpha, gamma) if gamma > 0.0 else None
     if theta is not None and gamma is not None and not 0.0 < theta <= gamma:
         errors.append(
             f"model.envelope_exponent: theta={theta} violates 0 < theta <= gamma={gamma}"
         )
-
-    mu = _parse_rate(get("model", "mortality"), "model.mortality", A or 1.0, errors)
-    beta = _parse_rate(get("model", "fertility"), "model.fertility", A or 1.0, errors)
-
-    coeffs = None
-    if dispersion is not None and gamma is not None and mu is not None and beta is not None:
-        if omega is not None and not (omega[0] < x0 < omega[1]):
+    if dispersion is not None:
+        omega = values.get("control_window")
+        if omega is not None and not omega[0] < x0 < omega[1]:
             errors.append(
                 f"model.degeneracy_point: x0={x0} must lie inside the control "
                 f"window ({omega[0]}, {omega[1]}) (x0 in omega)"
             )
-        coeffs = CoefficientSet(
-            dispersion=dispersion, mu=mu, beta=beta, gamma=gamma, theta=theta
-        )
         if grid is not None:
-            try:
-                grid.validate_x0(x0)
-            except ValueError as exc:
-                errors.append(f"model.degeneracy_point: {exc}")
+            build("model.degeneracy_point", grid.validate_x0, x0)
 
-    # weights -------------------------------------------------------------
-    bump_gain = _parse_float(get("weights", "bump_gain"), "weights.bump_gain", errors)
-    strength = _parse_float(get("weights", "strength"), "weights.strength", errors)
-    family = None
-    if not errors and coeffs is not None and grid is not None:
-        def scale_or_auto(key):
-            text = get("weights", key)
-            return "auto" if text == "auto" else _parse_float(text, f"weights.{key}", errors)
+    A = values.get("max_age")
+    mu = build("model.mortality", values.get("mortality"), A)
+    beta = build("model.fertility", values.get("fertility"), A)
+    coeffs = None
+    if A is not None and clean("model."):
+        coeffs = CoefficientSet(dispersion=dispersion, mu=mu, beta=beta, gamma=gamma, theta=theta)
 
-        c1 = scale_or_auto("profile_scale")
-        c2 = scale_or_auto("negativity_offset")
-        if not errors:
-            try:
-                weights = WeightConfig(c1, c2, bump_gain=bump_gain, strength=strength)
-                family = WeightFamily(coeffs, grid, weights)  # resolves and checks
-            except ValueError as exc:
-                errors.append(f"weights: {exc}")
-
-    # control / lab / output -----------------------------------------------
-    penalty = _parse_float(get("control", "penalty"), "control.penalty", errors)
-    penalties = _parse_floats(get("control", "penalties"), "control.penalties", errors)
-    cg_tol = _parse_float(get("control", "tolerance"), "control.tolerance", errors)
-    cg_maxit = _parse_int(get("control", "max_iterations"), "control.max_iterations", errors)
-
-    trials = _parse_int(get("lab", "trials"), "lab.trials", errors)
-    obs_trials = _parse_int(
-        get("lab", "observability_trials"), "lab.observability_trials", errors
-    )
-    seed = _parse_int(get("lab", "seed"), "lab.seed", errors)
-    strengths = _parse_floats(get("lab", "strengths"), "lab.strengths", errors)
-    # ranges; a value that failed to parse is None and already reported
-    for where, value in (("control.penalty", penalty), ("control.tolerance", cg_tol)):
-        if value is not None and not value > 0.0:
-            errors.append(f"{where}: must be positive")
-    for where, values in (("control.penalties", penalties), ("lab.strengths", strengths)):
-        if values is not None and not values:
-            errors.append(f"{where}: must list at least one value")
-        if values is not None and not all(v > 0.0 for v in values):
-            errors.append(f"{where}: all entries must be positive")
-    for where, value, least in (
-        ("control.max_iterations", cg_maxit, 1), ("lab.trials", trials, 1),
-        ("lab.observability_trials", obs_trials, 1), ("lab.seed", seed, 0),
-    ):
-        if value is not None and value < least:
-            errors.append(f"{where}: must be at least {least}")
-
-    out_dir = get("output", "directory")
+    family = None  # resolves the "auto" weights and checks admissibility
+    if coeffs is not None and grid is not None and clean("weights."):
+        family = build("weights", lambda: WeightFamily(coeffs, grid, WeightConfig(
+            values["profile_scale"], values["negativity_offset"],
+            bump_gain=values["bump_gain"], strength=values["strength"],
+        )))
 
     if errors:
         raise ConfigError(errors)
@@ -385,14 +385,14 @@ def parse_config(path) -> ExperimentConfig:
         coeffs=coeffs,
         grid=grid,
         family=family,
-        penalty=penalty,
-        penalties=penalties,
-        cg_tol=cg_tol,
-        cg_maxit=cg_maxit,
-        trials=trials,
-        observability_trials=obs_trials,
-        seed=seed,
-        strengths=strengths,
-        out_dir=out_dir,
+        penalty=values["penalty"],
+        penalties=values["penalties"],
+        cg_tol=values["tolerance"],
+        cg_maxit=values["max_iterations"],
+        trials=values["trials"],
+        observability_trials=values["observability_trials"],
+        seed=values["seed"],
+        strengths=values["strengths"],
+        out_dir=values["directory"],
         raw=raw,
     )

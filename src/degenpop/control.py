@@ -376,13 +376,12 @@ def solve_control(
     y, w = _box_march(-p, problem.y0.values[box - nt:na - nt + 1, 1:-1], coeffs, grid)
     terminal = np.zeros_like(target)
     terminal[box:, 1:-1] = y
-    # w is the control on the window; placed in a zero block of the shape
-    # `control_norm_sq` takes from a full control, its einsum adds the same
-    # terms in the same order
-    control = np.zeros((nt, na, grid.nx + 1))
-    window = grid.x_window_slice(grid.omega)
-    for n in range(nt):
-        control[n, box - nt + n:na - nt + n + 1, window] = w[n]
+    # w is the control on the window.  Its block over each level's box
+    # characteristic rows, zero off the window, gives `control_norm_sq`'s
+    # einsum the nonzero rows of the full control in the same order; the
+    # full control's other rows hold only zeros, which leave the sum unchanged
+    control = np.zeros((nt, w.shape[1], grid.nx + 1))
+    control[:, :, grid.x_window_slice(grid.omega)] = w
 
     y_final_norm_sq = box_inner(terminal, terminal, grid)
     cost = control_norm_sq(control, grid)
@@ -428,14 +427,16 @@ class NullReachReport:
         )
 
 
-def verify_null_reach(solution: ControlSolution, y0: Field, grid: SpaceTimeGrid) -> NullReachReport:
+def verify_null_reach(solution: ControlSolution) -> NullReachReport:
     """Normalize the terminal box norm and control cost by the initial size.
 
-    Both quotients are zero for a zero initial datum.  Bounded quotients
-    under epsilon refinement are the practical signature of approximate
-    steering of the box population to zero.
+    The initial size is that of the datum the solution steered,
+    ``solution.problem.y0``.  Both quotients are zero for a zero initial
+    datum.  Bounded quotients under epsilon refinement are the practical
+    signature of approximate steering of the box population to zero.
     """
-    y0_norm_sq = inner_product(y0, y0, grid, kind="age_gene")
+    y0 = solution.problem.y0
+    y0_norm_sq = inner_product(y0, y0, solution.problem.grid, kind="age_gene")
     if y0_norm_sq == 0.0:
         return NullReachReport(0.0, 0.0, 0.0)
     return NullReachReport(

@@ -244,14 +244,13 @@ def _history_rows(solution):
 
 
 def _run_control(config, out, seed, artifact):
-    y0 = _initial_field(config)
     solution = solve_control(
-        ControlProblem(config.coeffs, config.grid, y0),
+        ControlProblem(config.coeffs, config.grid, _initial_field(config)),
         config.penalty,
         tol=config.cg_tol,
         maxit=config.cg_maxit,
     )
-    reach = verify_null_reach(solution, y0, config.grid)
+    reach = verify_null_reach(solution)
     _control_summary(artifact, solution, reach)
     _add_control_timings(artifact, solution)
     _export_field(out, "control.csv", solution.control, artifact)
@@ -297,17 +296,15 @@ def _run_inequalities(config, out, seed, artifact):
 
 
 def _run_sweep(config, out, seed, artifact):
-    coeffs, grid = config.coeffs, config.grid
-    y0 = _initial_field(config)
     # every penalty shares the free flow and the preconditioner's block
-    problem = ControlProblem(coeffs, grid, y0)
+    problem = ControlProblem(config.coeffs, config.grid, _initial_field(config))
     history = []
 
     def one_penalty(eps):
         solution = solve_control(
             problem, eps, tol=config.cg_tol, maxit=config.cg_maxit,
         )
-        reach = verify_null_reach(solution, y0, grid)
+        reach = verify_null_reach(solution)
         history.extend(_history_rows(solution))
         _add_control_timings(artifact, solution)
         return (

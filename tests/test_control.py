@@ -369,7 +369,7 @@ class TestNullReachReport:
         g = coarse_grid
         y0 = _bench_initial(g)
         sol = dp.solve_control(_problem(bench_coeffs, g, y0), 1e-4)
-        report = dp.verify_null_reach(sol, y0, g)
+        report = dp.verify_null_reach(sol)
         n0 = dp.l2_norm_sq(y0, g, kind="age_gene")
         assert np.isclose(report.box_decay_quotient,
                           sol.y_final_norm_sq / (1e-4 * n0), rtol=1e-12)
@@ -378,6 +378,5 @@ class TestNullReachReport:
     def test_zero_datum_yields_zero_quotients(self, bench_coeffs, coarse_grid):
         zero = dp.Field.zeros("age_gene", coarse_grid)
         sol = dp.solve_control(_problem(bench_coeffs, coarse_grid, zero), 1e-4)
-        report = dp.verify_null_reach(sol, dp.Field.zeros("age_gene", coarse_grid),
-                                      coarse_grid)
+        report = dp.verify_null_reach(sol)
         assert report.box_decay_quotient == 0.0 and report.cost_quotient == 0.0

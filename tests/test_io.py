@@ -307,6 +307,25 @@ class TestParseConfig:
         ("control", "max_iterations", "0", "must be at least 1"),
         ("control", "penalties", "", "must list at least one value"),
         ("control", "penalties", "1e-3,", "expected a number"),
+        # every number must be finite
+        ("weights", "strength", "nan", "expected a finite number, got 'nan'"),
+        ("weights", "bump_gain", "inf", "expected a finite number, got 'inf'"),
+        ("weights", "profile_scale", "nan", "expected a finite number, got 'nan'"),
+        ("weights", "negativity_offset", "inf", "expected a finite number, got 'inf'"),
+        ("control", "penalty", "inf", "expected a finite number, got 'inf'"),
+        ("control", "penalty", "-inf", "expected a finite number, got '-inf'"),
+        ("control", "tolerance", "inf", "expected a finite number, got 'inf'"),
+        ("lab", "strengths", "5,inf", "expected a finite number, got 'inf'"),
+        ("geometry", "time_horizon", "nan", "expected a finite number, got 'nan'"),
+        ("geometry", "control_window", "0.3,nan", "expected a finite number, got 'nan'"),
+        ("model", "mortality", "constant:nan", "expected a finite number, got 'nan'"),
+        # a rate takes exactly its argument count
+        ("model", "mortality", "zero:abc", "expected 0 comma-separated numbers, got 'abc'"),
+        ("model", "mortality", "zero:5", "expected 0 comma-separated numbers, got '5'"),
+        ("model", "mortality", "constant", "expected 1 comma-separated numbers, got ''"),
+        ("model", "mortality", "constant:1,2", "expected 1 comma-separated numbers, got '1,2'"),
+        ("model", "fertility", "age_poly:0,4", "expected 3 comma-separated numbers, got '0,4'"),
+        ("model", "fertility", "mature_hump:2", "expected 2 comma-separated numbers, got '2'"),
     ])
     def test_out_of_range_values_are_errors(self, tmp_path, section, key, value,
                                             message):
@@ -325,10 +344,17 @@ class TestParseConfig:
             dp.parse_config(write_config(tmp_path, text=text))
 
     def test_errors_are_collected_not_first_only(self, tmp_path):
-        path = write_config(tmp_path, penalty="-1", exponent="1.7")
+        # a malformed cell count no longer hides the errors of the other sections
+        path = write_config(tmp_path, age_cells="20", time_cells="forty", exponent="1.7",
+                            penalty="-1", trials="0")
         with pytest.raises(ConfigError) as err:
             dp.parse_config(path)
-        assert len(err.value.errors) >= 2
+        assert sorted(err.value.errors) == [
+            "control.penalty: must be positive",
+            "geometry.time_cells: expected an integer, got 'forty'",
+            "lab.trials: must be at least 1",
+            "model.exponent: weak degeneracy needs 0 <= alpha < 1",
+        ]
 
     def test_degeneracy_must_sit_in_the_control_window(self, tmp_path):
         path = write_config(tmp_path, control_window="0.6,0.9",

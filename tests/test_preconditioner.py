@@ -13,9 +13,7 @@ from tests.conftest import (make_benchmark_coeffs, make_benchmark_grid,
 def _coeffs(mortality):
     """Benchmark coefficients with mortality given in the config vocabulary."""
     bench = make_benchmark_coeffs()
-    errors = []
-    mu = _parse_rate(mortality, "model.mortality", 1.0, errors)
-    assert not errors
+    mu = _parse_rate(mortality)(1.0)
     return dp.CoefficientSet(dispersion=bench.dispersion, mu=mu, beta=bench.beta,
                              gamma=bench.gamma, theta=bench.theta)
 

@@ -188,7 +188,7 @@ class TestPipelines:
             solution = dp.solve_control(
                 problem, eps, tol=coarse_config.cg_tol, maxit=coarse_config.cg_maxit,
             )
-            reach = dp.verify_null_reach(solution, y0, coarse_config.grid)
+            reach = dp.verify_null_reach(solution)
             expected = [
                 repr(float(eps)),
                 repr(float(solution.y_final_norm_sq)),
