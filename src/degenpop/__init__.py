@@ -22,7 +22,6 @@ from .control import (
     ControlSolution,
     NullReachReport,
     box_inner,
-    box_mask,
     gram_apply,
     solve_control,
     verify_null_reach,

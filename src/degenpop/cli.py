@@ -12,8 +12,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, parse_config
+from .config import _SCHEMA, ConfigError, parse_config
 from .runner import COMMANDS, run_experiment
+
+
+def _seed(text):
+    """A seed override, parsed and bounded as the config's lab.seed."""
+    try:
+        return _SCHEMA["lab"]["seed"][1](text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run the {name} pipeline")
         cmd.add_argument("--config", required=True, help="path to the INI config")
         cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
+        cmd.add_argument("--seed", type=_seed, default=None, help="seed override (at least 0)")
     return parser
 
 

@@ -49,6 +49,7 @@ from .model import (
     PowerLawDispersion,
     SeparableRate,
     SpaceTimeGrid,
+    TOL_ABS,
 )
 from .weights import WeightConfig, WeightFamily
 
@@ -367,6 +368,11 @@ def parse_config(path) -> ExperimentConfig:
     A = values.get("max_age")
     mu = build("model.mortality", values.get("mortality"), A)
     beta = build("model.fertility", values.get("fertility"), A)
+    for key, rate in (("mortality", mu), ("fertility", beta)):
+        # the vocabulary's rates do not vary in time: one level holds every value
+        low = float(np.min(rate.level(0, grid))) if None not in (rate, grid) else 0.0
+        if low < -TOL_ABS:  # the tolerance of validate_rates
+            errors.append(f"model.{key}: must be nonnegative on the grid, found {low:.6g}")
     coeffs = None
     if A is not None and clean("model."):
         coeffs = CoefficientSet(dispersion=dispersion, mu=mu, beta=beta, gamma=gamma, theta=theta)

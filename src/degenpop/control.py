@@ -18,9 +18,9 @@ With that sign the controlled terminal box values equal ``epsilon * p`` up
 to the CG residual, which yields a direct optimality check.
 
 Neither r nor the Gram operator depends on epsilon.  A `ControlProblem`
-holds the coefficients, the grid and the initial datum, and computes r (one
-free forward solve) and the preconditioner's block on first use; every
-`solve_control` on that problem, one per penalty, reuses both.
+holds the coefficients, the grid and the initial datum, and computes r and
+the preconditioner's block on first use; every `solve_control` on that
+problem, one per penalty, reuses both.
 
 The CG is preconditioned.  The Gram operator is block-diagonal by box age
 row, and when one implicit-step matrix serves every level its block has a
@@ -33,21 +33,22 @@ own, up to round-off, and one iteration reaches round-off; otherwise the
 block takes the mean mortality of the box characteristics, and a few
 iterations remain.
 
-Neither CG nor the steering after it runs the full solvers.  The grid
+None of r, CG and the steering after it runs the full solvers.  The grid
 enforces T < delta and dt == da, so a characteristic that ends in the box
 (age at least delta at t = T) starts at an age of at least delta - T > 0:
 it never passes through the newborn row, and the renewal coupling, in
 either direction, never touches it.  Each step along such a characteristic
 is one row of the implicit level solve, independent of every other row, so
-one march of just the box characteristics, backward from a probe then
-forward from a start, gives the box values of the full composition bit for
-bit.  `gram_apply` runs it from a zero start.  After CG, `solve_control`
-runs it once more, with probe -p and the initial datum's values at the feet
-of the box characteristics as start: that march yields the steered terminal
-box values and the control on the window, hence every scalar of the
-solution.  Only the free solve of `ControlProblem`, and the control and
-steered trajectory that a `ControlSolution` builds when they are first
-read, use the general solvers, which carry the whole population.
+one march of just the box characteristics (`_box_march`), backward from a
+probe then forward from a start, gives the box values of the full
+composition bit for bit.  It is the only engine of this module's solves.
+`ControlProblem.target` runs it from y0 with no probe, which is the free
+flow.  `gram_apply` runs it from a zero start.  After CG, `solve_control`
+runs it once more, with probe -p and start y0: that march yields the
+steered terminal box values and the control on the window, hence every
+scalar of the solution.  Only the control and steered trajectory that a
+`ControlSolution` builds when they are first read use the general solvers,
+which carry the whole population.
 """
 
 from __future__ import annotations
@@ -59,14 +60,9 @@ from functools import cached_property
 import numpy as np
 
 from .adjoint import AdjointProblem, solve_adjoint
-from .forward import ForwardProblem, control_norm_sq, solve_forward
+from .forward import ForwardProblem, _cylinder_quadrature, solve_forward
 from .model import CoefficientSet, Field, SpaceTimeGrid, inner_product
 from .stepping import level_operators, step_matrix
-
-
-def box_mask(grid: SpaceTimeGrid) -> np.ndarray:
-    """(na+1, nx+1) indicator of the observation box (ages >= delta)."""
-    return grid.age_upper_mask().astype(float)[:, None] * np.ones(grid.nx + 1)
 
 
 def box_inner(u, v, grid: SpaceTimeGrid) -> float:
@@ -74,39 +70,73 @@ def box_inner(u, v, grid: SpaceTimeGrid) -> float:
     return inner_product(u, v, grid, kind="age_gene", a_mask=grid.age_upper_mask())
 
 
+def _box_rows(grid: SpaceTimeGrid, n: int) -> slice:
+    """The age rows d - nt + n .. na - nt + n of the box characteristics at level n."""
+    return slice(grid.delta_index - grid.nt + n, grid.na - grid.nt + n + 1)
+
+
 def _box_march(probe, start, coeffs: CoefficientSet, grid: SpaceTimeGrid):
     """March the box characteristics backward from a probe, then forward.
 
-    At level n the box characteristics occupy the age rows d - nt + n ..
-    na - nt + n (d = delta_index), all at least 1 because T < delta.  The
-    backward march solves those rows from the probe's box rows d..na;
-    the forward march starts from ``start``, the values on the rows
-    d - nt .. na - nt and the interior genes at t = 0 (not modified), adds
-    dt * w[n] on the window columns before step n, and solves the same rows.
-    Returns (y, w): y the terminal values on the box rows and interior
-    genes, w the (nt, box rows, window genes) backward values on the window,
-    w[n] at level n.
+    ``probe`` (or None) and ``start`` are (na+1, nx+1) age-gene arrays.  At
+    level n the box characteristics occupy the age rows `_box_rows`, all at
+    least 1 because T < delta (d = delta_index below).  The backward march
+    solves those rows from the probe's box rows d..na and interior genes.
+    The forward march starts from the start's values at the feet of the box
+    characteristics (the rows d - nt .. na - nt and the interior genes at
+    t = 0), adds dt * w[n] on the window columns before step n when there
+    is a probe, and solves the same rows.  Returns (y, w): y the (na+1,
+    nx+1) terminal values, on the box rows and interior genes and +0.0
+    elsewhere, and w the (nt, box rows, window genes) backward values on
+    the window, w[n] at level n, or None without a probe.
+
+    This is, row for row, the arithmetic of `solve_adjoint` of the probe
+    followed by `solve_forward` from the start, driven by ``w * window
+    mask`` (the forward rhs gains ``dt`` times it), or by nothing without a
+    probe:
+
+    - Thomas rows are independent and give the same bits in any batch;
+    - the fertility term the full adjoint adds on these rows is
+      dt * (beta * 0.0), because the newborn trace of a box probe is zero;
+    - on the window columns w * 1.0 is w, and dt * w is what the march adds;
+    - off them the full composition adds a zero, which changes no value
+      except the sign of a zero.
+
+    Without a probe nothing is added on either side, so the box rows of y
+    equal those of the full forward solve byte for byte.  From a zero start
+    the forward rows hold no -0.0 (a Thomas sweep whose rhs holds none
+    stores none), so the added zeros change nothing and the box rows again
+    equal the full composition's byte for byte.  From another start and
+    with the probe -p, against the full adjoint of p and the forward solve
+    driven by -(w * window mask): negation commutes with every operation of
+    a sweep, so w is that control on the window.  The start and w may hold
+    -0.0, where an added zero can flip the sign of a zero; but a sweep only
+    adds, subtracts and multiplies data, so no zero's sign reaches a nonzero
+    value: every nonzero value is the same, and only zeros may differ in
+    sign.  Each scalar `solve_control` forms squares these values, so the
+    scalars are identical.
     """
-    nt, na, d, dt = grid.nt, grid.na, grid.delta_index, grid.dt
+    nt, d, dt = grid.nt, grid.delta_index, grid.dt
     ops = level_operators(coeffs, grid)
     window = grid.x_window_slice(grid.omega)
     window = slice(window.start - 1, window.stop - 1)  # in interior gene columns
-
-    def rows(n):
-        return slice(d - nt + n, na - nt + n + 1)
-
-    w = probe[d:, 1:-1]
-    # one block for every level: an array per level fragmented the heap and
-    # raised the peak RSS of a control run by 3 MB
-    windows = np.empty((nt, w.shape[0], window.stop - window.start))
-    for n in range(nt - 1, -1, -1):
-        w = ops[n].solve(w, rows=rows(n))
-        windows[n] = w[:, window]
-    y = np.array(start, dtype=float)
+    windows = None
+    if probe is not None:
+        w = probe[d:, 1:-1]
+        # one block for every level: an array per level fragmented the heap
+        # and raised the peak RSS of a control run by 3 MB
+        windows = np.empty((nt, w.shape[0], window.stop - window.start))
+        for n in range(nt - 1, -1, -1):
+            w = ops[n].solve(w, rows=_box_rows(grid, n))
+            windows[n] = w[:, window]
+    y = np.array(start[_box_rows(grid, 0), 1:-1], dtype=float)
     for n in range(nt):
-        y[:, window] += dt * windows[n]
-        y = ops[n].solve(y, rows=rows(n))
-    return y, windows
+        if windows is not None:
+            y[:, window] += dt * windows[n]
+        y = ops[n].solve(y, rows=_box_rows(grid, n))
+    out = np.zeros(grid.shape("age_gene"))
+    out[d:, 1:-1] = y
+    return out, windows
 
 
 def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray:
@@ -119,33 +149,11 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
     that is zero below the threshold.  Raises ValueError for any other probe
     shape or for non-finite probe values.
 
-    Only the box characteristics are computed (`_box_march` from a zero
-    start).  This is, row for row, the arithmetic of `solve_adjoint`
-    followed by `solve_forward`, which add ``dt * (w * window mask)`` to the
-    forward rhs:
-
-    - Thomas rows are independent and give the same bits in any batch;
-    - the fertility term the full adjoint adds on these rows is
-      dt * (beta * 0.0), because the newborn trace of a box probe is zero;
-    - on the window columns w * 1.0 is w, and dt * w is what the march adds;
-    - off them the full composition adds a zero, which changes no value
-      except a -0.0, and the forward rows hold no -0.0: they start at +0.0,
-      and a Thomas sweep whose rhs holds no -0.0 stores none.
-
-    The box rows of the result therefore equal those of the full composition
-    byte for byte.  Below the threshold the result is +0.0; the full
-    composition gives y(T) * 0.0 there, zeros that may carry a sign, and
-    `solve_control` reads only the box values.
-
-    The same march steers in `solve_control`: from a start of y0's values
-    and with probe -p, against the full adjoint of p and the forward solve
-    driven by -(w * window mask).  Negation commutes with every operation of
-    a sweep, so the march's w is that control on the window.  The start and
-    w may hold -0.0, where a zero the full composition adds can flip the
-    sign of a zero; but a sweep only adds, subtracts and multiplies data, so
-    no zero's sign reaches a nonzero value: every nonzero value is the same,
-    and only zeros may differ in sign.  Each scalar `solve_control` forms
-    squares these values, so the scalars are identical.
+    Only the box characteristics are computed: `_box_march` from a zero
+    start, whose box rows equal those of the full composition byte for
+    byte.  Below the threshold the result is +0.0; the full composition
+    gives y(T) * 0.0 there, zeros that may carry a sign, and `solve_control`
+    reads only the box values.
     """
     probe = np.asarray(probe, dtype=float)
     expected = grid.shape("age_gene")
@@ -156,11 +164,7 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
     if not np.all(np.isfinite(probe)):
         raise ValueError("wT contains non-finite values")
 
-    d = grid.delta_index
-    y, _ = _box_march(probe, np.zeros((grid.na - d + 1, grid.nx - 1)), coeffs, grid)
-    out = np.zeros(expected)
-    out[d:, 1:-1] = y
-    return out
+    return _box_march(probe, np.zeros(expected), coeffs, grid)[0]
 
 
 def box_gram_block(coeffs: CoefficientSet, grid: SpaceTimeGrid):
@@ -178,12 +182,12 @@ def box_gram_block(coeffs: CoefficientSet, grid: SpaceTimeGrid):
     of them (constant in t and a: then every box row of `gram_apply` applies
     this block, up to round-off) and as their mean otherwise.
     """
-    nt, na, d, dt = grid.nt, grid.na, grid.delta_index, grid.dt
-    first = coeffs.mu.level(0, grid)[d - nt, 1:-1]
+    nt, dt = grid.nt, grid.dt
+    first = coeffs.mu.level(0, grid)[_box_rows(grid, 0).start, 1:-1]
     total = np.zeros_like(first)
     same = True
     for n in range(nt):
-        rows = coeffs.mu.level(n, grid)[d - nt + n:na - nt + n + 1, 1:-1]
+        rows = coeffs.mu.level(n, grid)[_box_rows(grid, n), 1:-1]
         same = same and bool(np.all(rows == first))
         total += rows.sum(axis=0)
     mu = first if same else total / (nt * rows.shape[0])
@@ -219,7 +223,7 @@ class ControlProblem:
 
     y0 is an age_gene Field of finite values.  `target` and `block` are
     built on first use and kept, so a penalty sweep on one problem makes one
-    free forward solve and at most one block build.
+    free march of the box characteristics and at most one block build.
     """
 
     coeffs: CoefficientSet
@@ -236,10 +240,11 @@ class ControlProblem:
     def target(self) -> np.ndarray:
         """r: the free flow's terminal box values, a read-only (na+1, nx+1) array.
 
-        Only this level of the free trajectory is kept.
+        One `_box_march` of y0 with no probe: its box rows equal those of a
+        full free `solve_forward` byte for byte, and the other entries are
+        +0.0.  No full trajectory is built.
         """
-        free = solve_forward(ForwardProblem(self.coeffs, self.grid, self.y0))
-        target = free.values[self.grid.nt] * box_mask(self.grid)
+        target = _box_march(None, self.y0.values, self.coeffs, self.grid)[0]
         target.flags.writeable = False
         return target
 
@@ -328,12 +333,13 @@ def solve_control(
     them every scalar of the solution, with the bits of the full adjoint and
     steered forward solves; those solves run only when the solution's
     `control` or `state` is read.
-    Raises ValueError for nonpositive epsilon or tol, or maxit below 1.
+    Raises ValueError for an epsilon or tol that is not positive and
+    finite (NaN included), or maxit below 1.
     """
-    if epsilon <= 0:
-        raise ValueError("penalty epsilon must be positive")
-    if tol <= 0:
-        raise ValueError("CG tolerance must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError("penalty epsilon must be positive and finite")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("CG tolerance must be positive and finite")
     if maxit < 1:
         raise ValueError("CG iteration cap maxit must be at least 1")
     start = time.perf_counter()
@@ -343,16 +349,12 @@ def solve_control(
     rhs_norm = np.sqrt(box_inner(target, target, grid))
 
     p = np.zeros_like(target)
-    history: list[float] = []
-    iterations = 0
-    converged = True
+    history: list[float] = []  # one residual per iteration
     if rhs_norm > 0.0:
-        block = problem.block
         r = target.copy()
-        d = box_precondition(r, block, epsilon, grid)
+        d = box_precondition(r, problem.block, epsilon, grid)
         rz = box_inner(r, d, grid)
-        converged = False
-        for iterations in range(1, maxit + 1):
+        for _ in range(maxit):
             ad = gram_apply(d, coeffs, grid) + epsilon * d
             dad = box_inner(d, ad, grid)
             if dad <= 0.0:
@@ -363,36 +365,34 @@ def solve_control(
             rel = np.sqrt(box_inner(r, r, grid)) / rhs_norm
             history.append(rel)
             if rel <= tol:
-                converged = True
                 break
-            z = box_precondition(r, block, epsilon, grid)
+            z = box_precondition(r, problem.block, epsilon, grid)
             rz_new = box_inner(r, z, grid)
             d = z + (rz_new / rz) * d
             rz = rz_new
+    # CG breaks exactly when the residual reaches tol: it converged when its
+    # last residual is at most tol, and a zero target needs no iteration
     cg_residual = history[-1] if history else 0.0
     solved = time.perf_counter()
 
-    nt, na, box = grid.nt, grid.na, grid.delta_index
-    y, w = _box_march(-p, problem.y0.values[box - nt:na - nt + 1, 1:-1], coeffs, grid)
-    terminal = np.zeros_like(target)
-    terminal[box:, 1:-1] = y
+    terminal, w = _box_march(-p, problem.y0.values, coeffs, grid)
     # w is the control on the window.  Its block over each level's box
     # characteristic rows, zero off the window, gives `control_norm_sq`'s
     # einsum the nonzero rows of the full control in the same order; the
-    # full control's other rows hold only zeros, which leave the sum unchanged
-    control = np.zeros((nt, w.shape[1], grid.nx + 1))
-    control[:, :, grid.x_window_slice(grid.omega)] = w
+    # full control's other rows hold only zeros, which leave the sum
+    # unchanged.  The block is squared in place: a second block of its size
+    # per penalty made the allocator map and unmap memory on every penalty
+    squares = np.zeros((grid.nt, w.shape[1], grid.nx + 1))
+    squares[:, :, grid.x_window_slice(grid.omega)] = w
+    np.multiply(squares, squares, out=squares)
 
     y_final_norm_sq = box_inner(terminal, terminal, grid)
-    cost = control_norm_sq(control, grid)
+    cost = _cylinder_quadrature(squares, grid)
     cost_value = y_final_norm_sq / (2.0 * epsilon) + 0.5 * cost
 
     p_norm = np.sqrt(box_inner(p, p, grid))
-    if p_norm > 0.0:
-        gap = terminal / epsilon - p
-        mismatch = np.sqrt(box_inner(gap, gap, grid)) / p_norm
-    else:
-        mismatch = 0.0
+    gap = terminal / epsilon - p
+    mismatch = np.sqrt(box_inner(gap, gap, grid)) / p_norm if p_norm > 0.0 else 0.0
 
     return ControlSolution(
         problem=problem,
@@ -400,10 +400,10 @@ def solve_control(
         y_final_norm_sq=y_final_norm_sq,
         control_cost=cost,
         epsilon=epsilon,
-        cg_iterations=iterations,
+        cg_iterations=len(history),
         cg_residual=cg_residual,
         cost_value=cost_value,
-        converged=converged,
+        converged=bool(cg_residual <= tol),
         residual_history=history,
         optimality_mismatch=mismatch,
         cg_s=solved - start,

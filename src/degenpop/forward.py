@@ -141,7 +141,12 @@ def control_norm_sq(control_values, grid):
     rectangle rule in (t, a) times the trapezoid rule in the gene variable.
     """
     block = control_values[: grid.nt, : grid.na]
-    return float(grid.dt * grid.da * np.einsum("tax,x->", block * block, grid.wx))
+    return _cylinder_quadrature(block * block, grid)
+
+
+def _cylinder_quadrature(values, grid):
+    """The rule of `control_norm_sq` applied to (t, a, x) samples of an integrand."""
+    return float(grid.dt * grid.da * np.einsum("tax,x->", values, grid.wx))
 
 
 def energy_report(trajectory: Field, problem: ForwardProblem) -> EnergyReport:

@@ -16,12 +16,13 @@ diagonal shift, so the Thomas algorithm needs no pivoting.
 
 `step_matrix` gives the coefficients of M for given mortality rows, and
 `level_operators` returns the factorized batch {M[n, j] : j = 0..na-1} of
-every time level as a list indexed by n.  Both solvers, the box march of
-the Gram operator and of the control's steering (`control._box_march`), the
-age-zero trace march, and the characteristic-integral oracle all draw their
-row-sliced solves from such a list, in the same sweep arithmetic, so that
-quantities the theory says are equal come out bit-identical.  Each batch
-shares one 1-D off-diagonal, and each solve takes an (r, m) rhs.
+every time level as a list indexed by n.  Both solvers, the control's box
+march (`control._box_march`, which gives the free flow of the control
+target, the Gram operator and the steering), the age-zero trace march, and
+the characteristic-integral oracle all draw their row-sliced solves from
+such a list, in the same sweep arithmetic, so that quantities the theory
+says are equal come out bit-identical.  Each batch shares one 1-D
+off-diagonal, and each solve takes an (r, m) rhs.
 
 The sweep is bound by the cost of each numpy call, not by arithmetic, so
 `TridiagonalOperator.solve` keeps the chain of dependent calls short.  It

@@ -60,6 +60,15 @@ def make_mortality_coeffs(kind, grid):
                              gamma=bench.gamma, theta=bench.theta)
 
 
+def box_mask(grid):
+    """(na+1, nx+1) indicator of the observation box (ages >= delta).
+
+    The oracles mask full trajectories with it; the package itself never
+    forms values outside the box.
+    """
+    return grid.age_upper_mask()[:, None] * np.ones(grid.nx + 1)
+
+
 def box_terminal_draw(rng, grid):
     """Random terminal datum supported in the observation ages (delta, A)."""
     return dp.age_gene_draw(rng, grid, age_window=(grid.delta, grid.A))
@@ -79,7 +88,7 @@ def cost_functional(control, y0, epsilon, coeffs, grid):
     flow = dp.solve_forward(
         dp.ForwardProblem(coeffs, grid, y0, control=dp.Field(masked, "trajectory", grid))
     )
-    terminal = flow.values[grid.nt] * dp.box_mask(grid)
+    terminal = flow.values[grid.nt] * box_mask(grid)
     cost = dp.control_norm_sq(masked, grid)
     return dp.box_inner(terminal, terminal, grid) / (2.0 * epsilon) + 0.5 * cost
 

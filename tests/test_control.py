@@ -1,16 +1,13 @@
 """Gram operator structure and the penalized steering solve."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
 import degenpop as dp
 import degenpop.control as control_module
-from tests.conftest import (box_terminal_draw, cost_functional, make_benchmark_coeffs,
-                            make_benchmark_grid, make_even_gene_grid,
-                            make_mortality_coeffs)
+from tests.conftest import (box_mask, box_terminal_draw, cost_functional,
+                            make_benchmark_coeffs, make_benchmark_grid,
+                            make_even_gene_grid, make_mortality_coeffs)
 
 
 def _bench_initial(grid):
@@ -30,7 +27,7 @@ class TestBoxGeometry:
 
     def test_box_mask_shape_and_support(self, coarse_grid):
         g = coarse_grid
-        mask = dp.box_mask(g)
+        mask = box_mask(g)
         assert mask.shape == (g.na + 1, g.nx + 1)
         assert np.all(mask[g.delta_index:] == 1.0)
         assert np.all(mask[:g.delta_index] == 0.0)
@@ -42,7 +39,7 @@ def _ref_gram_apply(probe, coeffs, grid):
     Adjoint solve of the masked probe, window restriction, forward solve
     from zero, terminal box slice: every row of both trajectories.
     """
-    mask = dp.box_mask(grid)
+    mask = box_mask(grid)
     probe = np.asarray(probe, dtype=float) * mask
     back = dp.solve_adjoint(dp.AdjointProblem(coeffs, grid, dp.Field(probe, "age_gene", grid)))
     control = dp.Field(back.values * grid.omega_mask[None, None, :], "trajectory", grid)
@@ -97,7 +94,7 @@ class TestGramOperator:
     def test_symmetric_to_round_off_and_positive_on_rough_probes(self, cells, kind):
         g = make_benchmark_grid(*cells)
         coeffs = make_mortality_coeffs(kind, g)
-        mask = dp.box_mask(g)
+        mask = box_mask(g)
         rng = dp.make_rng(29)
         for _ in range(3):
             p = rng.standard_normal(g.shape("age_gene")) * mask
@@ -171,7 +168,7 @@ class TestSolveControl:
         assert history[-1] == solution.cg_residual <= tol
         # the recursive residual is not the true one: measure the true one
         free = dp.solve_forward(dp.ForwardProblem(bench_coeffs, g, _bench_initial(g)))
-        r = free.values[g.nt] * dp.box_mask(g)
+        r = free.values[g.nt] * box_mask(g)
         p = solution.terminal_probe.values
         gap = dp.gram_apply(p, bench_coeffs, g) + solution.epsilon * p - r
         assert np.sqrt(dp.box_inner(gap, gap, g) / dp.box_inner(r, r, g)) <= tol
@@ -180,8 +177,8 @@ class TestSolveControl:
         g = coarse_grid
         y0 = _bench_initial(g)
         free = dp.solve_forward(dp.ForwardProblem(bench_coeffs, g, y0))
-        free_norm = dp.box_inner(free.values[g.nt] * dp.box_mask(g),
-                                 free.values[g.nt] * dp.box_mask(g), g)
+        free_norm = dp.box_inner(free.values[g.nt] * box_mask(g),
+                                 free.values[g.nt] * box_mask(g), g)
         assert solution.y_final_norm_sq < 1e-3 * free_norm
 
     def test_optimality_identity(self, solution):
@@ -223,10 +220,13 @@ class TestSolveControl:
 
     def test_parameter_validation(self, bench_coeffs, coarse_grid):
         problem = _problem(bench_coeffs, coarse_grid)
-        with pytest.raises(ValueError, match="epsilon"):
-            dp.solve_control(problem, 0.0)
-        with pytest.raises(ValueError, match="tolerance"):
-            dp.solve_control(problem, 1e-4, tol=0.0)
+        # NaN and inf used to fail inside CG with a misleading error
+        for epsilon in (0.0, -1e-4, np.nan, np.inf):
+            with pytest.raises(ValueError, match="penalty epsilon must be positive and finite"):
+                dp.solve_control(problem, epsilon)
+        for tol in (0.0, -1e-6, np.nan, np.inf):
+            with pytest.raises(ValueError, match="CG tolerance must be positive and finite"):
+                dp.solve_control(problem, 1e-4, tol=tol)
         # with no iteration allowed, CG would report a residual of 0.0
         with pytest.raises(ValueError, match="maxit"):
             dp.solve_control(problem, 1e-4, maxit=0)
@@ -251,7 +251,7 @@ def _ref_steer(problem, probe, epsilon):
     control_values = -(back.values * grid.omega_mask[None, None, :])
     control = dp.Field(control_values, "trajectory", grid)
     steered = dp.solve_forward(dp.ForwardProblem(coeffs, grid, problem.y0, control=control))
-    terminal = steered.values[grid.nt] * dp.box_mask(grid)
+    terminal = steered.values[grid.nt] * box_mask(grid)
     y_final_norm_sq = dp.box_inner(terminal, terminal, grid)
     cost = dp.control_norm_sq(control_values, grid)
     p_norm = np.sqrt(dp.box_inner(probe, probe, grid))
@@ -315,41 +315,43 @@ class TestSteering:
                             recording("forward", dp.solve_forward))
         problem = _problem(bench_coeffs, coarse_grid)
         solution = dp.solve_control(problem, 1e-4)
-        assert calls == ["forward"]  # the free flow of the target only
+        assert calls == []  # the free flow of the target is a box march
         assert "control" not in vars(solution) and "state" not in vars(solution)
         control = solution.control
-        assert calls == ["forward", "adjoint"]
+        assert calls == ["adjoint"]
         assert solution.control is control
         state = solution.state
-        assert calls == ["forward", "adjoint", "forward"]
+        assert calls == ["adjoint", "forward"]
         assert solution.state is state and solution.control is control
-        assert calls == ["forward", "adjoint", "forward"]
+        assert calls == ["adjoint", "forward"]
 
 
 class TestControlProblem:
-    def test_target_is_the_free_terminal_box(self, bench_coeffs, coarse_grid):
-        g = coarse_grid
-        problem = _problem(bench_coeffs, g)
-        free = dp.solve_forward(dp.ForwardProblem(bench_coeffs, g, problem.y0))
-        expected = free.values[g.nt] * dp.box_mask(g)
-        assert problem.target.tobytes() == expected.tobytes()
-        assert not problem.target.flags.writeable  # shared by every penalty
+    @pytest.mark.parametrize("cells", [(50, 20, 8), (50, 40, 16), (50, 150, 60),
+                                       (100, 100, 40)], ids=_cells_id)
+    @pytest.mark.parametrize("kind", ["benchmark", "separable", "tabulated"])
+    def test_target_matches_the_full_free_solve(self, cells, kind):
+        g = make_benchmark_grid(*cells)
+        coeffs = make_mortality_coeffs(kind, g)
+        d = g.delta_index
+        for y0 in (_bench_initial(g), _signed_initial(g)):
+            target = _problem(coeffs, g, y0).target
+            free = dp.solve_forward(dp.ForwardProblem(coeffs, g, y0)).values[g.nt]
+            assert target.shape == free.shape
+            assert target[d:].tobytes() == free[d:].tobytes()
+            assert target[:d].tobytes() == bytes(target[:d].nbytes)  # +0.0 only
+            assert not target.flags.writeable  # shared by every penalty
 
-    def test_the_free_trajectory_is_not_kept(self, bench_coeffs, coarse_grid,
-                                             monkeypatch):
-        refs = []
+    def test_no_full_solve_is_made(self, bench_coeffs, coarse_grid, monkeypatch):
+        def forbidden(full_problem):
+            raise AssertionError("a full solve was made")
 
-        def recording(forward_problem):
-            flow = dp.solve_forward(forward_problem)
-            refs.extend((weakref.ref(flow), weakref.ref(flow.values)))
-            return flow
-
-        monkeypatch.setattr(control_module, "solve_forward", recording)
+        monkeypatch.setattr(control_module, "solve_forward", forbidden)
+        monkeypatch.setattr(control_module, "solve_adjoint", forbidden)
         problem = _problem(bench_coeffs, coarse_grid)
-        problem.target
-        gc.collect()
-        assert len(refs) == 2
-        assert all(ref() is None for ref in refs)
+        for eps in (1e-2, 1e-4):
+            dp.solve_control(problem, eps)
+        assert "target" in vars(problem) and "block" in vars(problem)
 
     def test_zero_initial_datum_builds_no_block(self, bench_coeffs, coarse_grid,
                                                 monkeypatch):

@@ -326,6 +326,9 @@ class TestParseConfig:
         ("model", "mortality", "constant:1,2", "expected 1 comma-separated numbers, got '1,2'"),
         ("model", "fertility", "age_poly:0,4", "expected 3 comma-separated numbers, got '0,4'"),
         ("model", "fertility", "mature_hump:2", "expected 2 comma-separated numbers, got '2'"),
+        # a rate must be nonnegative on every grid node
+        ("model", "mortality", "constant:-5", "must be nonnegative on the grid, found -5"),
+        ("model", "fertility", "age_poly:0,4,-5", "must be nonnegative on the grid, found -1"),
     ])
     def test_out_of_range_values_are_errors(self, tmp_path, section, key, value,
                                             message):

@@ -6,7 +6,7 @@ import pytest
 import degenpop as dp
 from degenpop.config import _parse_rate
 from degenpop.control import box_gram_block, box_precondition
-from tests.conftest import (make_benchmark_coeffs, make_benchmark_grid,
+from tests.conftest import (box_mask, make_benchmark_coeffs, make_benchmark_grid,
                             make_mortality_coeffs)
 
 
@@ -154,7 +154,7 @@ def _reference_cg(target, epsilon, coeffs, grid, tol, maxit=2000):
 
 def _target(coeffs, grid):
     free = dp.solve_forward(dp.ForwardProblem(coeffs, grid, _initial(grid)))
-    return free.values[grid.nt] * dp.box_mask(grid)
+    return free.values[grid.nt] * box_mask(grid)
 
 
 MORTALITIES = ["constant:0.1", "age_poly:0.1,0.5,1.0", "mature_hump:2.0,0.5"]
