@@ -24,6 +24,7 @@ from .control import (
     box_inner,
     gram_apply,
     solve_control,
+    steer,
     verify_null_reach,
 )
 from .ensembles import (

@@ -102,6 +102,16 @@ def _positives(text):
     return values
 
 
+def _penalties(text):
+    """Positive penalties, each listed once: a sweep fits its slope over them."""
+    values = _positives(text)
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError("each penalty must be listed once, repeated: "
+                         + ", ".join(map(repr, repeated)))
+    return values
+
+
 def _optional(parse):
     """Parser of a key whose empty text means absent (None)."""
     return lambda text: parse(text) if text else None
@@ -186,7 +196,7 @@ _SCHEMA = {
     },
     "control": {
         "penalty": (None, _positive),
-        "penalties": (None, _positives),
+        "penalties": (None, _penalties),
         "tolerance": ("1e-6", _positive),
         "max_iterations": ("500", partial(_integer, least=1)),
     },

@@ -40,15 +40,19 @@ it never passes through the newborn row, and the renewal coupling, in
 either direction, never touches it.  Each step along such a characteristic
 is one row of the implicit level solve, independent of every other row, so
 one march of just the box characteristics (`_box_march`), backward from a
-probe then forward from a start, gives the box values of the full
-composition bit for bit.  It is the only engine of this module's solves.
-`ControlProblem.target` runs it from y0 with no probe, which is the free
-flow.  `gram_apply` runs it from a zero start.  After CG, `solve_control`
-runs it once more, with probe -p and start y0: that march yields the
-steered terminal box values and the control on the window, hence every
-scalar of the solution.  Only the control and steered trajectory that a
-`ControlSolution` builds when they are first read use the general solvers,
-which carry the whole population.
+stack of probes then forward from a start, gives the box values of the full
+composition bit for bit, for each probe of the stack.  It is the only
+engine of this module's solves.  `ControlProblem.target` runs it from y0
+with no probe, which is the free flow.  `gram_apply` runs it from a zero
+start with a stack of one probe.  `solve_control` stops after CG, and
+`steer` runs one march for all the solutions it is given, with the probes
+-p of every penalty stacked and start y0: that march yields each penalty's
+steered terminal box values and control on the window, hence every scalar
+of its solution.  A sweep solves its penalties one by one, then steers them
+together; a solution whose scalars are read before any `steer` steers
+itself alone, with the same bits.  Only the control and steered trajectory
+that a `ControlSolution` builds when they are first read use the general
+solvers, which carry the whole population.
 """
 
 from __future__ import annotations
@@ -75,27 +79,34 @@ def _box_rows(grid: SpaceTimeGrid, n: int) -> slice:
     return slice(grid.delta_index - grid.nt + n, grid.na - grid.nt + n + 1)
 
 
-def _box_march(probe, start, coeffs: CoefficientSet, grid: SpaceTimeGrid):
-    """March the box characteristics backward from a probe, then forward.
+def _box_march(probes, start, coeffs: CoefficientSet, grid: SpaceTimeGrid):
+    """March the box characteristics backward from a stack of probes, then forward.
 
-    ``probe`` (or None) and ``start`` are (na+1, nx+1) age-gene arrays.  At
-    level n the box characteristics occupy the age rows `_box_rows`, all at
-    least 1 because T < delta (d = delta_index below).  The backward march
-    solves those rows from the probe's box rows d..na and interior genes.
-    The forward march starts from the start's values at the feet of the box
-    characteristics (the rows d - nt .. na - nt and the interior genes at
-    t = 0), adds dt * w[n] on the window columns before step n when there
-    is a probe, and solves the same rows.  Returns (y, w): y the (na+1,
-    nx+1) terminal values, on the box rows and interior genes and +0.0
-    elsewhere, and w the (nt, box rows, window genes) backward values on
-    the window, w[n] at level n, or None without a probe.
+    ``probes`` is a (P, na+1, nx+1) stack of age-gene arrays, or None for a
+    single march with no probe (P = 1); ``start`` is one (na+1, nx+1) array,
+    shared by the whole stack.  At level n the box characteristics occupy
+    the R age rows `_box_rows`, all at least 1 because T < delta (d =
+    delta_index below), and the stack solves them P times over, probe p in
+    rows p*R .. p*R + R - 1 of every level solve.  The backward march solves
+    those rows from each probe's box rows d..na and interior genes.  The
+    forward march starts every probe from the start's values at the feet of
+    the box characteristics (the rows d - nt .. na - nt and the interior
+    genes at t = 0), adds dt * w[n] on the window columns before step n when
+    there are probes, and solves the same rows.  Returns (y, w): y the (P,
+    na+1, nx+1) terminal values, on the box rows and interior genes and +0.0
+    elsewhere, and w the (nt, P*R, window genes) backward values on the
+    window, w[n] at level n in the stack's row order, or None without
+    probes.
 
-    This is, row for row, the arithmetic of `solve_adjoint` of the probe
-    followed by `solve_forward` from the start, driven by ``w * window
-    mask`` (the forward rhs gains ``dt`` times it), or by nothing without a
-    probe:
+    For each probe this is, row for row, the arithmetic of `solve_adjoint`
+    of the probe followed by `solve_forward` from the start, driven by ``w
+    * window mask`` (the forward rhs gains ``dt`` times it), or by nothing
+    without a probe:
 
-    - Thomas rows are independent and give the same bits in any batch;
+    - Thomas rows are independent and give the same bits in any batch, so
+      a probe's R rows come out of a stacked solve as they would alone; an
+      age-dependent batch pairs each stacked row with its own age row's
+      matrix, by the level's box rows tiled P times;
     - the fertility term the full adjoint adds on these rows is
       dt * (beta * 0.0), because the newborn trace of a box probe is zero;
     - on the window columns w * 1.0 is w, and dt * w is what the march adds;
@@ -113,29 +124,35 @@ def _box_march(probe, start, coeffs: CoefficientSet, grid: SpaceTimeGrid):
     -0.0, where an added zero can flip the sign of a zero; but a sweep only
     adds, subtracts and multiplies data, so no zero's sign reaches a nonzero
     value: every nonzero value is the same, and only zeros may differ in
-    sign.  Each scalar `solve_control` forms squares these values, so the
-    scalars are identical.
+    sign.  Each scalar `steer` forms squares these values, so the scalars
+    are identical.
     """
     nt, d, dt = grid.nt, grid.delta_index, grid.dt
+    stack = 1 if probes is None else len(probes)
     ops = level_operators(coeffs, grid)
+
+    def rows(n):
+        box = _box_rows(grid, n)
+        return box if stack == 1 else np.tile(np.arange(box.start, box.stop), stack)
+
     window = grid.x_window_slice(grid.omega)
     window = slice(window.start - 1, window.stop - 1)  # in interior gene columns
     windows = None
-    if probe is not None:
-        w = probe[d:, 1:-1]
+    if probes is not None:
+        w = probes[:, d:, 1:-1].reshape(-1, grid.nx - 1)
         # one block for every level: an array per level fragmented the heap
         # and raised the peak RSS of a control run by 3 MB
         windows = np.empty((nt, w.shape[0], window.stop - window.start))
         for n in range(nt - 1, -1, -1):
-            w = ops[n].solve(w, rows=_box_rows(grid, n))
+            w = ops[n].solve(w, rows=rows(n))
             windows[n] = w[:, window]
-    y = np.array(start[_box_rows(grid, 0), 1:-1], dtype=float)
+    y = np.tile(np.asarray(start, dtype=float)[_box_rows(grid, 0), 1:-1], (stack, 1))
     for n in range(nt):
         if windows is not None:
             y[:, window] += dt * windows[n]
-        y = ops[n].solve(y, rows=_box_rows(grid, n))
-    out = np.zeros(grid.shape("age_gene"))
-    out[d:, 1:-1] = y
+        y = ops[n].solve(y, rows=rows(n))
+    out = np.zeros((stack, *grid.shape("age_gene")))
+    out[:, d:, 1:-1] = y.reshape(stack, -1, grid.nx - 1)
     return out, windows
 
 
@@ -149,11 +166,11 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
     that is zero below the threshold.  Raises ValueError for any other probe
     shape or for non-finite probe values.
 
-    Only the box characteristics are computed: `_box_march` from a zero
-    start, whose box rows equal those of the full composition byte for
-    byte.  Below the threshold the result is +0.0; the full composition
-    gives y(T) * 0.0 there, zeros that may carry a sign, and `solve_control`
-    reads only the box values.
+    Only the box characteristics are computed: `_box_march` of a stack of
+    one probe from a zero start, whose box rows equal those of the full
+    composition byte for byte.  Below the threshold the result is +0.0; the
+    full composition gives y(T) * 0.0 there, zeros that may carry a sign,
+    and `solve_control` reads only the box values.
     """
     probe = np.asarray(probe, dtype=float)
     expected = grid.shape("age_gene")
@@ -164,7 +181,7 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
     if not np.all(np.isfinite(probe)):
         raise ValueError("wT contains non-finite values")
 
-    return _box_march(probe, np.zeros(expected), coeffs, grid)[0]
+    return _box_march(probe[None], np.zeros(expected), coeffs, grid)[0][0]
 
 
 def box_gram_block(coeffs: CoefficientSet, grid: SpaceTimeGrid):
@@ -221,9 +238,10 @@ def box_precondition(r, block, epsilon: float, grid: SpaceTimeGrid) -> np.ndarra
 class ControlProblem:
     """An initial datum to steer, with what every penalty on it shares.
 
-    y0 is an age_gene Field of finite values.  `target` and `block` are
-    built on first use and kept, so a penalty sweep on one problem makes one
-    free march of the box characteristics and at most one block build.
+    y0 is an age_gene Field of finite values on the problem's grid.
+    `target` and `block` are built on first use and kept, so a penalty sweep
+    on one problem makes one free march of the box characteristics and at
+    most one block build.
     """
 
     coeffs: CoefficientSet
@@ -233,6 +251,10 @@ class ControlProblem:
     def __post_init__(self):
         if self.y0.kind != "age_gene":
             raise ValueError("initial datum must be an age_gene Field")
+        expected = self.grid.shape("age_gene")
+        if self.y0.values.shape != expected:
+            raise ValueError(f"initial datum must have the age-gene shape {expected}, "
+                             f"got {self.y0.values.shape}")
         if not np.all(np.isfinite(self.y0.values)):
             raise ValueError("initial datum contains non-finite values")
 
@@ -244,7 +266,7 @@ class ControlProblem:
         full free `solve_forward` byte for byte, and the other entries are
         +0.0.  No full trajectory is built.
         """
-        target = _box_march(None, self.y0.values, self.coeffs, self.grid)[0]
+        target = _box_march(None, self.y0.values, self.coeffs, self.grid)[0][0]
         target.flags.writeable = False
         return target
 
@@ -258,33 +280,48 @@ class ControlProblem:
         return box_gram_block(self.coeffs, self.grid)
 
 
+def _steered(name: str, doc: str) -> property:
+    """A scalar of the steering, which a solution not yet steered runs alone."""
+    def read(solution):
+        if solution._scalars is None:
+            steer([solution])
+        return solution._scalars[name]
+
+    return property(read, doc=doc)
+
+
 @dataclass
 class ControlSolution:
     """Output of :func:`solve_control`.
 
-    Every scalar comes from the one march of the box characteristics after
-    CG.  `control` (minus the window restriction of the backward solution
-    from the probe) and `state` (the controlled forward trajectory) are full
-    trajectories: each is built by one general solve on first access and
-    kept, so a sweep, which reads only the scalars, never builds them.
-    `cg_s` is the wall seconds to the end of CG, the problem's first builds
-    of r and the block included, and `steer_s` those of the march and the
-    scalars after it.
+    The CG part (probe, iterations, residuals) is set by `solve_control`.
+    The four scalars of the steering come from one march of the box
+    characteristics, made by `steer` for every solution it is given at once;
+    reading one of them before any `steer` steers this solution alone, with
+    the same bits.  `control` (minus the window restriction of the backward
+    solution from the probe) and `state` (the controlled forward trajectory)
+    are full trajectories: each is built by one general solve on first
+    access and kept, so a sweep, which reads only the scalars, never builds
+    them.  `cg_s` is the wall seconds to the end of CG, the problem's first
+    builds of r and the block included.
     """
 
     problem: ControlProblem = field(repr=False)
     terminal_probe: Field
-    y_final_norm_sq: float
-    control_cost: float
     epsilon: float
     cg_iterations: int
     cg_residual: float
-    cost_value: float
     converged: bool
     residual_history: list = field(default_factory=list)
-    optimality_mismatch: float = 0.0
     cg_s: float = 0.0
-    steer_s: float = 0.0
+    _scalars: dict | None = field(default=None, init=False, repr=False)
+
+    y_final_norm_sq = _steered("y_final_norm_sq", "Box norm^2 of the steered y(T).")
+    control_cost = _steered("control_cost", "Squared norm of the control on (0, T) x omega.")
+    cost_value = _steered("cost_value", "y_final_norm_sq / (2 eps) + control_cost / 2.")
+    optimality_mismatch = _steered(
+        "optimality_mismatch", "Box norm of y(T) / eps - p, relative to that of p."
+    )
 
     @cached_property
     def control(self) -> Field:
@@ -327,12 +364,10 @@ def solve_control(
     (`box_precondition` on `ControlProblem.block`).  Each of the
     ``cg_iterations`` applies `gram_apply` once.  ``residual_history`` holds,
     per iteration, the unpreconditioned residual's box norm relative to the
-    norm of r, and CG stops once it is at most ``tol``.  Then one march of
-    the box characteristics (`_box_march`, probe -p, started from y0) gives
-    the steered terminal box values and the control on the window, and from
-    them every scalar of the solution, with the bits of the full adjoint and
-    steered forward solves; those solves run only when the solution's
-    `control` or `state` is read.
+    norm of r, and CG stops once it is at most ``tol``.  The solve stops
+    there: the steering with -p, which gives the solution's four scalars, is
+    made by `steer`, for several solutions of the problem in one march, or
+    by the first read of a scalar for this solution alone.
     Raises ValueError for an epsilon or tol that is not positive and
     finite (NaN included), or maxit below 1.
     """
@@ -373,42 +408,70 @@ def solve_control(
     # CG breaks exactly when the residual reaches tol: it converged when its
     # last residual is at most tol, and a zero target needs no iteration
     cg_residual = history[-1] if history else 0.0
-    solved = time.perf_counter()
-
-    terminal, w = _box_march(-p, problem.y0.values, coeffs, grid)
-    # w is the control on the window.  Its block over each level's box
-    # characteristic rows, zero off the window, gives `control_norm_sq`'s
-    # einsum the nonzero rows of the full control in the same order; the
-    # full control's other rows hold only zeros, which leave the sum
-    # unchanged.  The block is squared in place: a second block of its size
-    # per penalty made the allocator map and unmap memory on every penalty
-    squares = np.zeros((grid.nt, w.shape[1], grid.nx + 1))
-    squares[:, :, grid.x_window_slice(grid.omega)] = w
-    np.multiply(squares, squares, out=squares)
-
-    y_final_norm_sq = box_inner(terminal, terminal, grid)
-    cost = _cylinder_quadrature(squares, grid)
-    cost_value = y_final_norm_sq / (2.0 * epsilon) + 0.5 * cost
-
-    p_norm = np.sqrt(box_inner(p, p, grid))
-    gap = terminal / epsilon - p
-    mismatch = np.sqrt(box_inner(gap, gap, grid)) / p_norm if p_norm > 0.0 else 0.0
-
     return ControlSolution(
         problem=problem,
         terminal_probe=Field(p, "age_gene", grid),
-        y_final_norm_sq=y_final_norm_sq,
-        control_cost=cost,
         epsilon=epsilon,
         cg_iterations=len(history),
         cg_residual=cg_residual,
-        cost_value=cost_value,
         converged=bool(cg_residual <= tol),
         residual_history=history,
-        optimality_mismatch=mismatch,
-        cg_s=solved - start,
-        steer_s=time.perf_counter() - solved,
+        cg_s=time.perf_counter() - start,
     )
+
+
+def steer(solutions) -> None:
+    """Steer every solution not yet steered with one stacked box march.
+
+    The solutions must share one `ControlProblem`; otherwise raises
+    ValueError.  One `_box_march`, the probes -p of the pending solutions
+    stacked and started from y0, gives each its steered terminal box values
+    and its control on the window, with the bits of the full adjoint and
+    steered forward solves; those solves run only when a solution's
+    `control` or `state` is read.  From them each solution gets its four
+    scalars.  Solutions already steered are skipped, so a second call makes
+    no march.
+    """
+    solutions = list(solutions)
+    if not solutions:
+        return
+    problem = solutions[0].problem
+    if any(solution.problem is not problem for solution in solutions):
+        raise ValueError("steer needs solutions of one ControlProblem")
+    pending = [solution for solution in solutions if solution._scalars is None]
+    if not pending:
+        return
+    grid = problem.grid
+    probes = np.stack([-solution.terminal_probe.values for solution in pending])
+    terminals, w = _box_march(probes, problem.y0.values, problem.coeffs, grid)
+    # w is each penalty's control on the window, R rows of the stack apiece.
+    # Its block over each level's box characteristic rows, zero off the
+    # window, gives `control_norm_sq`'s einsum the nonzero rows of the full
+    # control in the same order; the full control's other rows hold only
+    # zeros, which leave the sum unchanged.  One block serves every penalty,
+    # squared in place: its window columns are rewritten for each, and its
+    # other columns stay zero.  A fresh block per penalty would keep two
+    # alive at once, the last one freed only after the next is made
+    rows = w.shape[1] // len(pending)
+    squares = np.zeros((grid.nt, rows, grid.nx + 1))
+    window = grid.x_window_slice(grid.omega)
+    for i, (solution, terminal) in enumerate(zip(pending, terminals)):
+        squares[:, :, window] = w[:, i * rows:(i + 1) * rows]
+        np.multiply(squares, squares, out=squares)
+
+        epsilon, p = solution.epsilon, solution.terminal_probe.values
+        y_final_norm_sq = box_inner(terminal, terminal, grid)
+        cost = _cylinder_quadrature(squares, grid)
+        p_norm = np.sqrt(box_inner(p, p, grid))
+        gap = terminal / epsilon - p
+        solution._scalars = {
+            "y_final_norm_sq": y_final_norm_sq,
+            "control_cost": cost,
+            "cost_value": y_final_norm_sq / (2.0 * epsilon) + 0.5 * cost,
+            "optimality_mismatch": (
+                np.sqrt(box_inner(gap, gap, grid)) / p_norm if p_norm > 0.0 else 0.0
+            ),
+        }
 
 
 @dataclass

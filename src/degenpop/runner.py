@@ -8,8 +8,9 @@ Every run writes, into one output directory:
   timings.txt          wall-clock seconds per stage, and as ``export`` those
                        of the command spent writing field CSVs, if it
                        writes any, for ``control`` and ``sweep`` as ``cg``
-                       and ``steer`` those spent solving for the probes and
-                       steering with them, and for ``inequalities`` as
+                       those spent solving for the probes and as ``steer``
+                       those of the one call that steers with all of them,
+                       and for ``inequalities`` as
                        ``adjoint`` and ``trials`` those spent in the lab's
                        backward solves and evaluating its trials (the only
                        non-deterministic output, kept out of the CSVs and
@@ -28,7 +29,7 @@ import numpy as np
 
 from .adjoint import AdjointProblem, duhamel_first_case, solve_adjoint, trace_age_zero
 from .config import ExperimentConfig, initial_datum_values
-from .control import ControlProblem, solve_control, verify_null_reach
+from .control import ControlProblem, solve_control, steer, verify_null_reach
 from .fieldio import write_field_csv
 from .forward import ForwardProblem, energy_report, solve_forward
 from .inequalities import grid_signature, run_inequality_lab, weight_sup_check
@@ -227,9 +228,22 @@ def _control_summary(artifact, solution, reach):
     artifact.summary["cost_quotient"] = reach.cost_quotient
 
 
-def _add_control_timings(artifact, solution):
-    for key, seconds in (("cg", solution.cg_s), ("steer", solution.steer_s)):
-        artifact.timings[key] = artifact.timings.get(key, 0.0) + seconds
+def _solve_and_steer(config, penalties, artifact):
+    """One CG solve per penalty on one problem, then one `steer` for them all.
+
+    Every penalty shares the free flow and the preconditioner's block, and
+    the steering is one stacked march of the box characteristics.
+    """
+    problem = ControlProblem(config.coeffs, config.grid, _initial_field(config))
+    solutions = [
+        solve_control(problem, eps, tol=config.cg_tol, maxit=config.cg_maxit)
+        for eps in penalties
+    ]
+    start = time.perf_counter()
+    steer(solutions)
+    artifact.timings["cg"] = sum(solution.cg_s for solution in solutions)
+    artifact.timings["steer"] = time.perf_counter() - start
+    return solutions
 
 
 _HISTORY_COLUMNS = ("epsilon", "iteration", "relative_residual")
@@ -244,15 +258,8 @@ def _history_rows(solution):
 
 
 def _run_control(config, out, seed, artifact):
-    solution = solve_control(
-        ControlProblem(config.coeffs, config.grid, _initial_field(config)),
-        config.penalty,
-        tol=config.cg_tol,
-        maxit=config.cg_maxit,
-    )
-    reach = verify_null_reach(solution)
-    _control_summary(artifact, solution, reach)
-    _add_control_timings(artifact, solution)
+    solution, = _solve_and_steer(config, [config.penalty], artifact)
+    _control_summary(artifact, solution, verify_null_reach(solution))
     _export_field(out, "control.csv", solution.control, artifact)
     _export_field(out, "terminal_probe.csv", solution.terminal_probe, artifact)
     _export_field(out, "controlled_state.csv", solution.state, artifact)
@@ -296,28 +303,19 @@ def _run_inequalities(config, out, seed, artifact):
 
 
 def _run_sweep(config, out, seed, artifact):
-    # every penalty shares the free flow and the preconditioner's block
-    problem = ControlProblem(config.coeffs, config.grid, _initial_field(config))
-    history = []
-
-    def one_penalty(eps):
-        solution = solve_control(
-            problem, eps, tol=config.cg_tol, maxit=config.cg_maxit,
-        )
+    history, rows = [], []
+    for solution in _solve_and_steer(config, sorted(config.penalties), artifact):
         reach = verify_null_reach(solution)
         history.extend(_history_rows(solution))
-        _add_control_timings(artifact, solution)
-        return (
-            eps,
+        rows.append((
+            solution.epsilon,
             solution.y_final_norm_sq,
             solution.control_cost,
             solution.cg_iterations,
             solution.cg_residual,
             reach.box_decay_quotient,
             reach.cost_quotient,
-        )
-
-    rows = [one_penalty(eps) for eps in sorted(config.penalties)]
+        ))
     _write_table(
         out,
         "sweep_control.csv",

@@ -1,5 +1,7 @@
 """Gram operator structure and the penalized steering solve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,10 @@ class TestSolveControl:
         bad.values[3, 4] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             _problem(bench_coeffs, coarse_grid, bad)
+        # a datum of another grid used to give scalars read from the wrong rows
+        small, other = make_benchmark_grid(50, 20, 8), make_benchmark_grid(50, 40, 16)
+        with pytest.raises(ValueError, match=r"age-gene shape \(21, 51\), got \(41, 51\)"):
+            _problem(bench_coeffs, small, _bench_initial(other))
 
 
 def _ref_steer(problem, probe, epsilon):
@@ -285,6 +291,11 @@ def _check_steers_like_the_full_composition(solution, problem):
     assert solution.state.values.tobytes() == state.values.tobytes()
 
 
+def _scalars(solution):
+    return [repr(getattr(solution, key)) for key in
+            ("y_final_norm_sq", "control_cost", "cost_value", "optimality_mismatch")]
+
+
 class TestSteering:
     @pytest.mark.parametrize("cells", [(50, 20, 8), (50, 40, 16), (50, 150, 60),
                                        (100, 100, 40)], ids=_cells_id)
@@ -294,10 +305,49 @@ class TestSteering:
         coeffs = make_mortality_coeffs(kind, g)
         for y0 in (_bench_initial(g), _signed_initial(g)):
             problem = _problem(coeffs, g, y0)
-            for eps in (1e-2, 1e-5):
-                solution = dp.solve_control(problem, eps)
+            solved = {eps: dp.solve_control(problem, eps) for eps in (1e-2, 1e-4, 1e-5)}
+            for solution in solved.values():
                 assert solution.cg_iterations >= 1
+                # read before any steer: the solution steers itself alone
                 _check_steers_like_the_full_composition(solution, problem)
+            # stacks of one, two and four penalties, shuffled, one repeated;
+            # `replace` copies a solution's CG result, not its steering
+            for stack in ((1e-2,), (1e-5, 1e-2), (1e-4, 1e-2, 1e-5, 1e-4)):
+                solutions = [dataclasses.replace(solved[eps]) for eps in stack]
+                dp.steer(solutions)
+                for solution in solutions:
+                    assert solution._scalars is not None
+                    assert _scalars(solution) == _scalars(solved[solution.epsilon])
+
+    def test_steer_marches_once_and_only_for_unsteered_solutions(
+        self, bench_coeffs, coarse_grid, monkeypatch
+    ):
+        marches = []
+        march = control_module._box_march
+
+        def counting(probes, start, coeffs, grid):
+            marches.append(None if probes is None else len(probes))
+            return march(probes, start, coeffs, grid)
+
+        problem = _problem(bench_coeffs, coarse_grid)
+        solutions = [dp.solve_control(problem, eps) for eps in (1e-2, 1e-4, 1e-3)]
+        monkeypatch.setattr(control_module, "_box_march", counting)
+        dp.steer(solutions[:2])
+        assert marches == [2]
+        dp.steer(solutions)  # only the third is pending
+        assert marches == [2, 1]
+        dp.steer(solutions)
+        for solution in solutions:
+            solution.summary()
+        dp.steer([])
+        assert marches == [2, 1]
+
+    def test_steer_needs_solutions_of_one_problem(self, bench_coeffs, coarse_grid):
+        first, second = (dp.solve_control(_problem(bench_coeffs, coarse_grid), 1e-4)
+                         for _ in range(2))
+        with pytest.raises(ValueError, match="one ControlProblem"):
+            dp.steer([first, second])
+        assert first._scalars is None and second._scalars is None
 
     def test_fields_are_built_on_first_access_and_kept(self, bench_coeffs, coarse_grid,
                                                        monkeypatch):

@@ -307,6 +307,9 @@ class TestParseConfig:
         ("control", "max_iterations", "0", "must be at least 1"),
         ("control", "penalties", "", "must list at least one value"),
         ("control", "penalties", "1e-3,", "expected a number"),
+        # a sweep fits its slope over distinct penalties, 0.001 being 1e-3
+        ("control", "penalties", "1e-3,1e-2,0.001",
+         "each penalty must be listed once, repeated: 0.001"),
         # every number must be finite
         ("weights", "strength", "nan", "expected a finite number, got 'nan'"),
         ("weights", "bump_gain", "inf", "expected a finite number, got 'inf'"),

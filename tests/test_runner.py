@@ -230,6 +230,23 @@ class TestPipelines:
         assert adjoint == []
         assert len(blocks) == 1
 
+    def test_sweep_steers_every_penalty_in_one_march(self, coarse_config, tmp_path,
+                                                     monkeypatch):
+        stacks = []
+        march = control_module._box_march
+
+        def counting(probes, start, coeffs, grid):
+            stacks.append(None if probes is None else len(probes))
+            return march(probes, start, coeffs, grid)
+
+        monkeypatch.setattr(control_module, "_box_march", counting)
+        dp.run_experiment(coarse_config, "sweep", out_dir=tmp_path)
+        rows = (tmp_path / "sweep_control.csv").read_text().splitlines()[1:]
+        iterations = sum(int(row.split(",")[3]) for row in rows)
+        # the free flow, one Gram apply per CG iteration, one steering march
+        assert len(stacks) == 1 + iterations + 1
+        assert stacks == [None] + [1] * iterations + [len(coarse_config.penalties)]
+
     def test_sweep_keeps_no_full_trajectory(self, coarse_config, tmp_path, monkeypatch):
         # no full solve is made, so no full trajectory ever exists
         def forbidden(problem):
