@@ -14,16 +14,16 @@ for several alpha, shows that the fitted degeneracy exponent recovers alpha,
 and then shows how a coefficient that breaks hypothesis 3 is reported.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 import degenpop as dp
 
 
 def main():
-    grid = dp.SpaceTimeGrid(
-        T=0.4, A=1.0, nx=100, nt=40, na=100, delta=0.5,
-        omega=(0.3, 0.7), omega_core=(0.44, 0.64), omega_inner=(0.56, 0.64),
-    )
+    grid = dp.parse_config(
+        Path(__file__).resolve().parents[1] / "configs" / "benchmark.ini").grid
 
     print("== power-law dispersions k = |x - 0.5|^alpha ==")
     for alpha in (0.25, 0.5, 0.75):

@@ -12,30 +12,17 @@ sup-in-age L2 norms plus the dispersion seminorm, divided by the squared
 data norm), which stays O(1) for a stable scheme.
 """
 
-import numpy as np
+from pathlib import Path
 
 import degenpop as dp
 
 
-def benchmark(nx, na, nt):
-    grid = dp.SpaceTimeGrid(
-        T=0.4, A=1.0, nx=nx, nt=nt, na=na, delta=0.5,
-        omega=(0.3, 0.7), omega_core=(0.44, 0.64), omega_inner=(0.56, 0.64),
-    )
-    beta = dp.SeparableRate(age_factor=lambda a: np.where(a > 0, 4 * a * (1 - a), 0.0))
-    coeffs = dp.CoefficientSet(
-        dispersion=dp.PowerLawDispersion(0.5, 0.5),
-        mu=dp.ConstantRate(0.1), beta=beta, gamma=0.5, theta=0.5,
-    )
-    return grid, coeffs
-
-
 def main():
-    grid, coeffs = benchmark(nx=100, na=100, nt=40)
+    config = dp.parse_config(
+        Path(__file__).resolve().parents[1] / "configs" / "benchmark.ini")
+    grid, coeffs = config.grid, config.coeffs
 
-    a = grid.a_levels[:, None]
-    x = grid.x_nodes[None, :]
-    y0 = dp.Field(a * (1.0 - a) * np.sin(np.pi * x), "age_gene", grid)
+    y0 = dp.Field(dp.initial_datum_values(grid), "age_gene", grid)
 
     problem = dp.ForwardProblem(coeffs, grid, y0)
     trajectory = dp.solve_forward(problem)

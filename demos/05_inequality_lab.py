@@ -16,32 +16,20 @@ stability of those constants under grid refinement, which the acceptance
 suite checks -- are the numerical signature that the estimates hold.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 import degenpop as dp
 
 
-def benchmark(nx, na, nt):
-    grid = dp.SpaceTimeGrid(
-        T=0.4, A=1.0, nx=nx, nt=nt, na=na, delta=0.5,
-        omega=(0.3, 0.7), omega_core=(0.44, 0.64), omega_inner=(0.56, 0.64),
-    )
-    beta = dp.SeparableRate(age_factor=lambda a: np.where(a > 0, 4 * a * (1 - a), 0.0))
-    coeffs = dp.CoefficientSet(
-        dispersion=dp.PowerLawDispersion(0.5, 0.5),
-        mu=dp.ConstantRate(0.1), beta=beta, gamma=0.5, theta=0.5,
-    )
-    return grid, coeffs
-
-
 def main():
-    grid, coeffs = benchmark(nx=100, na=100, nt=40)
-
-    family = dp.WeightFamily(coeffs, grid, dp.WeightConfig())
-    config = family.config
+    config = dp.parse_config(
+        Path(__file__).resolve().parents[1] / "configs" / "benchmark.ini")
+    family = config.family
     print("weight family (auto-resolved admissible parameters):")
-    print(f"  profile scale c1     : {config.profile_scale:.6f}")
-    print(f"  negativity offset c2 : {config.negativity_offset:.6f}")
+    print(f"  profile scale c1     : {family.config.profile_scale:.6f}")
+    print(f"  negativity offset c2 : {family.config.negativity_offset:.6f}")
     for d in (1, 2, 3):
         sup = dp.weight_sup_check(family, d)
         print(f"  peak of s^{d} pole^{d} exp(2 s Phi) (log): {sup.log_value:.1f}, "
@@ -50,7 +38,7 @@ def main():
     print()
     print("running every inequality check (10 trials each, coarse grid)...")
     reports = dp.run_inequality_lab(
-        coeffs, grid, family, s_values=(5.0, 20.0, 50.0),
+        config.coeffs, config.grid, family, s_values=(5.0, 20.0, 50.0),
         trials=10, seed=dp.DEFAULT_SEED,
     )
     for name, report in reports.items():

@@ -12,32 +12,21 @@ This script sweeps four penalties on a coarse grid, prints the table of
 terminal norms, costs, and quotients, and fits the decay slope in log-log.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 import degenpop as dp
 
 
-def benchmark(nx, na, nt):
-    grid = dp.SpaceTimeGrid(
-        T=0.4, A=1.0, nx=nx, nt=nt, na=na, delta=0.5,
-        omega=(0.3, 0.7), omega_core=(0.44, 0.64), omega_inner=(0.56, 0.64),
-    )
-    beta = dp.SeparableRate(age_factor=lambda a: np.where(a > 0, 4 * a * (1 - a), 0.0))
-    coeffs = dp.CoefficientSet(
-        dispersion=dp.PowerLawDispersion(0.5, 0.5),
-        mu=dp.ConstantRate(0.1), beta=beta, gamma=0.5, theta=0.5,
-    )
-    return grid, coeffs
-
-
 def main():
-    grid, coeffs = benchmark(nx=100, na=100, nt=40)
+    config = dp.parse_config(
+        Path(__file__).resolve().parents[1] / "configs" / "benchmark.ini")
+    grid, coeffs = config.grid, config.coeffs
 
-    a = grid.a_levels[:, None]
-    x = grid.x_nodes[None, :]
-    y0 = dp.Field(a * (1.0 - a) * np.sin(np.pi * x), "age_gene", grid)
+    y0 = dp.Field(dp.initial_datum_values(grid), "age_gene", grid)
 
-    penalties = (1e-2, 1e-3, 1e-4, 1e-5)
+    penalties = config.penalties
     print("penalty sweep on the benchmark steering problem:")
     print(f"{'eps':>8} | {'CG its':>6} | {'||y(T)||_box^2':>14} | "
           f"{'control cost':>12} | {'decay quotient':>14}")

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forward import _cylinder_quadrature
 from .model import Field, _as_values, inner_product
 from .stepping import level_operators
 
@@ -192,6 +193,6 @@ def duality_residual(y_traj: Field, w_traj: Field, control, y0, wT, grid) -> flo
     else:
         cv = _as_values(control)
         block = cv[: grid.nt, : grid.na] * wv[: grid.nt, : grid.na]
-        pair_q = float(grid.dt * grid.da * np.einsum("tax,x->", block, grid.wx))
+        pair_q = _cylinder_quadrature(block, grid)
     scale = max(abs(pair_T), abs(pair_0), abs(pair_q))
     return abs(pair_T - pair_0 - pair_q) / max(1.0, scale)

@@ -50,6 +50,7 @@ from .model import (
     SeparableRate,
     SpaceTimeGrid,
     TOL_ABS,
+    validate_degeneracy,
 )
 from .weights import WeightConfig, WeightFamily
 
@@ -393,6 +394,17 @@ def parse_config(path) -> ExperimentConfig:
             values["profile_scale"], values["negativity_offset"],
             bump_gain=values["bump_gain"], strength=values["strength"],
         )))
+        if family is None:
+            # a broken (x - x0) k' <= gamma k shows in the weights only as its
+            # symptom: name the hypothesis too
+            report = build("model.degeneracy_bound", validate_degeneracy,
+                           dispersion, gamma, grid)
+            if report is not None and not report.passed:
+                errors.append(
+                    f"model.degeneracy_bound: weak degeneracy (x - x0) k'(x) <= "
+                    f"gamma k(x) fails: fitted exponent {report.fitted_gamma:.6g} "
+                    f"> gamma={gamma}"
+                )
 
     if errors:
         raise ConfigError(errors)

@@ -57,7 +57,6 @@ solvers, which carry the whole population.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -302,8 +301,7 @@ class ControlSolution:
     solution from the probe) and `state` (the controlled forward trajectory)
     are full trajectories: each is built by one general solve on first
     access and kept, so a sweep, which reads only the scalars, never builds
-    them.  `cg_s` is the wall seconds to the end of CG, the problem's first
-    builds of r and the block included.
+    them.
     """
 
     problem: ControlProblem = field(repr=False)
@@ -313,7 +311,6 @@ class ControlSolution:
     cg_residual: float
     converged: bool
     residual_history: list = field(default_factory=list)
-    cg_s: float = 0.0
     _scalars: dict | None = field(default=None, init=False, repr=False)
 
     y_final_norm_sq = _steered("y_final_norm_sq", "Box norm^2 of the steered y(T).")
@@ -377,7 +374,6 @@ def solve_control(
         raise ValueError("CG tolerance must be positive and finite")
     if maxit < 1:
         raise ValueError("CG iteration cap maxit must be at least 1")
-    start = time.perf_counter()
     coeffs, grid = problem.coeffs, problem.grid
 
     target = problem.target
@@ -416,7 +412,6 @@ def solve_control(
         cg_residual=cg_residual,
         converged=bool(cg_residual <= tol),
         residual_history=history,
-        cg_s=time.perf_counter() - start,
     )
 
 

@@ -378,6 +378,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="negativity offset"):
             dp.parse_config(write_config(tmp_path, text=text))
 
+    def test_broken_weak_degeneracy_is_named_beside_its_weights_symptom(self, tmp_path):
+        # alpha = 0.7 > gamma = 0.5 breaks (x - x0) k' <= gamma k; the weight
+        # family built on gamma is rejected first, for a consequence of it
+        path = write_config(tmp_path, exponent="0.7", age_cells="20", time_cells="8")
+        with pytest.raises(ConfigError) as err:
+            dp.parse_config(path)
+        assert err.value.errors == [
+            "weights: degenerate profile fails to be negative on the grid",
+            "model.degeneracy_bound: weak degeneracy (x - x0) k'(x) <= gamma k(x) "
+            "fails: fitted exponent 0.7 > gamma=0.5",
+        ]
+        # weights rejected on their own keys add no degeneracy error
+        text = BASE_CONFIG.replace("[weights]", "[weights]\nnegativity_offset = 0.1")
+        with pytest.raises(ConfigError) as err:
+            dp.parse_config(write_config(tmp_path, text=text))
+        assert [e.split(":")[0] for e in err.value.errors] == ["weights"]
+
     def test_rate_vocabulary(self, tmp_path):
         cfg = dp.parse_config(write_config(
             tmp_path, mortality="zero", fertility="mature_hump:2.0,0.5"))

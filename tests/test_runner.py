@@ -408,6 +408,17 @@ class TestCli:
         assert code == 1
         assert "run failed" in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_one_without_traceback(self, coarse_config_path,
+                                                           tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        code = cli.main(["validate", "--config", str(coarse_config_path),
+                         "--out", str(taken)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"run failed: cannot create output directory {taken}: File exists\n"
+        assert taken.read_text() == "kept"
+
     def test_failed_validation_exits_one(self, tmp_path, capsys):
         # constant fertility parses fine but gives newborns a positive birth
         # rate, which the rate validator rejects
