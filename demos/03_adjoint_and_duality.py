@@ -37,10 +37,10 @@ def main():
     w = dp.solve_adjoint(problem)
     trace = dp.trace_age_zero(problem)
 
-    # Newborn row of the full backward solve vs the pure-evolution trace.
-    newborn = w.values[:, 0, :]
-    gap = (dp.l2_norm(newborn - trace.values, grid, kind="time_gene")
-           / dp.l2_norm(newborn, grid, kind="time_gene"))
+    # Newborn row of the full backward solve vs the pure-evolution trace,
+    # relative to the trace, as `degenpop adjoint` reports trace_mismatch.
+    gap = (dp.l2_norm(w.values[:, 0, :] - trace.values, grid, kind="time_gene")
+           / dp.l2_norm(trace, grid, kind="time_gene"))
     print("newborn-row trace (benchmark fertility, fertile below the horizon):")
     print(f"  relative L2 gap over the age-zero row: {gap:.4f}")
     print("  (the gap is the renewal feedback; it vanishes when fertility")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import _cylinder_quadrature
-from .model import Field, _as_values, inner_product
+from .model import Field, checked_values, inner_product
 from .stepping import level_operators
 
 
@@ -54,12 +54,9 @@ class AdjointProblem:
     source_h: Field | None = None
 
     def __post_init__(self):
-        if self.wT.kind != "age_gene":
-            raise ValueError("wT must be an age_gene field")
-        if not np.all(np.isfinite(self.wT.values)):
-            raise ValueError("wT contains non-finite values")
-        if self.source_h is not None and self.source_h.kind != "trajectory":
-            raise ValueError("source_h must be a trajectory field")
+        checked_values("wT", self.wT, "age_gene", self.grid)
+        if self.source_h is not None:
+            checked_values("source_h", self.source_h, "trajectory", self.grid)
 
 
 def solve_adjoint(problem: AdjointProblem) -> Field:
@@ -182,16 +179,16 @@ def duality_residual(y_traj: Field, w_traj: Field, control, y0, wT, grid) -> flo
     with pairings of 1e-3 to 1e-2, report the absolute defect, although it
     reaches 0.15 of the largest pairing at (100, 100, 40).
     """
-    yv = y_traj.values
-    wv = w_traj.values
-    y0v = _as_values(y0)
-    wTv = _as_values(wT)
+    yv = checked_values("y_traj", y_traj, "trajectory", grid)
+    wv = checked_values("w_traj", w_traj, "trajectory", grid)
+    y0v = checked_values("y0", y0, "age_gene", grid)
+    wTv = checked_values("wT", wT, "age_gene", grid)
     pair_T = inner_product(yv[grid.nt], wTv, grid, kind="age_gene")
     pair_0 = inner_product(y0v, wv[0], grid, kind="age_gene")
     if control is None:
         pair_q = 0.0
     else:
-        cv = _as_values(control)
+        cv = checked_values("control", control, "trajectory", grid)
         block = cv[: grid.nt, : grid.na] * wv[: grid.nt, : grid.na]
         pair_q = _cylinder_quadrature(block, grid)
     scale = max(abs(pair_T), abs(pair_0), abs(pair_q))

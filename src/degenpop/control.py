@@ -64,7 +64,7 @@ import numpy as np
 
 from .adjoint import AdjointProblem, solve_adjoint
 from .forward import ForwardProblem, _cylinder_quadrature, solve_forward
-from .model import CoefficientSet, Field, SpaceTimeGrid, inner_product
+from .model import CoefficientSet, Field, SpaceTimeGrid, checked_values, inner_product
 from .stepping import level_operators, step_matrix
 
 
@@ -162,8 +162,8 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
     threshold are ignored.  Returns the terminal box values of the forward
     flow started from zero and driven by the window restriction of the
     backward solution with terminal datum ``probe``, as an (na+1, nx+1) array
-    that is zero below the threshold.  Raises ValueError for any other probe
-    shape or for non-finite probe values.
+    that is zero below the threshold.  The probe is checked as ``wT``, like the
+    full composition's masked probe, which is non-finite exactly when it is.
 
     Only the box characteristics are computed: `_box_march` of a stack of
     one probe from a zero start, whose box rows equal those of the full
@@ -171,16 +171,8 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
     full composition gives y(T) * 0.0 there, zeros that may carry a sign,
     and `solve_control` reads only the box values.
     """
-    probe = np.asarray(probe, dtype=float)
-    expected = grid.shape("age_gene")
-    if probe.shape != expected:
-        raise ValueError(f"probe must have the age-gene shape {expected}, got {probe.shape}")
-    # the masked probe of the full composition is non-finite exactly when the
-    # probe is (inf * 0.0 is nan), so this raises for the same probes
-    if not np.all(np.isfinite(probe)):
-        raise ValueError("wT contains non-finite values")
-
-    return _box_march(probe[None], np.zeros(expected), coeffs, grid)[0][0]
+    probe = checked_values("wT", probe, "age_gene", grid)
+    return _box_march(probe[None], np.zeros(probe.shape), coeffs, grid)[0][0]
 
 
 def box_gram_block(coeffs: CoefficientSet, grid: SpaceTimeGrid):
@@ -248,14 +240,7 @@ class ControlProblem:
     y0: Field
 
     def __post_init__(self):
-        if self.y0.kind != "age_gene":
-            raise ValueError("initial datum must be an age_gene Field")
-        expected = self.grid.shape("age_gene")
-        if self.y0.values.shape != expected:
-            raise ValueError(f"initial datum must have the age-gene shape {expected}, "
-                             f"got {self.y0.values.shape}")
-        if not np.all(np.isfinite(self.y0.values)):
-            raise ValueError("initial datum contains non-finite values")
+        checked_values("y0", self.y0, "age_gene", self.grid)
 
     @cached_property
     def target(self) -> np.ndarray:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Field, _as_values, inner_product, l2_norm_sq, hk_seminorm, TOL_ABS
+from .model import (Field, _as_values, checked_values, inner_product, l2_norm_sq,
+                    hk_seminorm, TOL_ABS)
 from .stepping import level_operators
 
 
@@ -48,12 +49,9 @@ class ForwardProblem:
     control: Field | None = None
 
     def __post_init__(self):
-        if self.y0.kind != "age_gene":
-            raise ValueError("y0 must be an age_gene field")
-        if not np.all(np.isfinite(self.y0.values)):
-            raise ValueError("y0 contains non-finite values")
-        if self.control is not None and self.control.kind != "trajectory":
-            raise ValueError("control must be a trajectory field")
+        checked_values("y0", self.y0, "age_gene", self.grid)
+        if self.control is not None:
+            checked_values("control", self.control, "trajectory", self.grid)
 
     def masked_control(self):
         """Control values restricted to the window; warns about outside mass.

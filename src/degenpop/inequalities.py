@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -179,8 +179,8 @@ class InequalityReport:
     ensemble_size: int
     grid_signature: str
     entries: list  # (trial_index, s, InequalityTrial); s is None when unused
-    adjoint_s: float = 0.0  # wall seconds in the ensemble's backward solves
-    trial_s: float = 0.0  # wall seconds evaluating its trials
+    adjoint_s: float = field(default=0.0, repr=False, compare=False)  # solve wall seconds
+    trial_s: float = field(default=0.0, repr=False, compare=False)  # trial wall seconds
 
     @property
     def excluded_count(self) -> int:
@@ -422,6 +422,16 @@ def carleman_intermediate_trial(draw: Draw, s: float) -> InequalityTrial:
     return _trial_from_logs(log_lhs, log_rhs)
 
 
+def _inner_window(family: WeightFamily) -> tuple:
+    """The grid's inner gradient window; ValueError when it is missing or holds x0."""
+    window, x0 = family.grid.omega_inner, family.coeffs.x0
+    if window is None:
+        raise ValueError("grid does not define an inner gradient window")
+    if window[0] <= x0 <= window[1]:
+        raise ValueError(f"inner gradient window must exclude the degeneracy point x0={x0}")
+    return window
+
+
 def caccioppoli_trial(draw: Draw, s: float) -> InequalityTrial:
     """Weighted gradient mass on the inner window vs zero-order window mass.
 
@@ -432,20 +442,11 @@ def caccioppoli_trial(draw: Draw, s: float) -> InequalityTrial:
     The inner window must stay away from the degeneracy point.
     """
     family = draw.family
-    grid = family.grid
-    if grid.omega_inner is None:
-        raise ValueError("grid does not define an inner gradient window")
-    lo, hi = grid.omega_inner
-    if lo <= family.coeffs.x0 <= hi:
-        raise ValueError(
-            "inner gradient window must exclude the degeneracy point "
-            f"x0={family.coeffs.x0}"
-        )
-    inner = _support(family, (lo, hi))
+    inner = _support(family, _inner_window(family))
     exp_phi = 2.0 * s * inner.pole * family.psi_nodes[inner.x]
     log_lhs = _log_weighted_sum_into(draw.log_inner_wx_sq + exp_phi, inner.weights)
 
-    window = _support(family, grid.omega)
+    window = _support(family, family.grid.omega)
     th = window.pole
     rhs_poly = s**2 * draw.pole_sq * draw.vals_sq[:, :, window.x] + (
         0.0 if draw.data is None else draw.data_sq[:, :, window.x]
@@ -670,6 +671,7 @@ def run_inequality_lab(
     observability_trials: int = 50,
 ) -> dict:
     """Run every inequality check once and collect the reports."""
+    _inner_window(family)  # before the first solve
     return {
         "carleman_main": run_carleman_main(coeffs, grid, family, s_values, trials, seed),
         "carleman_intermediate": run_carleman_intermediate(

@@ -472,6 +472,23 @@ def _as_values(f):
     return f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
 
 
+def checked_values(name, f, kind, grid):
+    """Values of the input ``name``, a Field or an array; the one check of a solver input.
+
+    Raises ValueError naming the input for a Field of another kind, a shape
+    other than ``grid.shape(kind)`` (a Field of another grid), or a non-finite value.
+    """
+    if isinstance(f, Field) and f.kind != kind:
+        raise ValueError(f"{name} must be a field of kind {kind!r}, got {f.kind!r}")
+    values, expected = _as_values(f), grid.shape(kind)
+    if values.shape != expected:
+        raise ValueError(f"{name} must have the {kind.replace('_', '-')} shape "
+                         f"{expected}, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} contains non-finite values")
+    return values
+
+
 def inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None):
     """Trapezoidal L2 inner product of two fields of the same kind.
 

@@ -1,6 +1,7 @@
 """Backward solver, newborn-trace representation, characteristic integral,
 and the discrete duality identity."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -222,3 +223,43 @@ class TestProblemValidation:
         bad[2, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             dp.AdjointProblem(bench_coeffs, g, dp.Field(bad, "age_gene", g))
+        values = dp.trajectory_draw(dp.make_rng(7), g).values
+        values[-1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="^source_h contains non-finite values$"):
+            dp.AdjointProblem(bench_coeffs, g, dp.age_gene_draw(dp.make_rng(11), g),
+                              source_h=dp.Field(values, "trajectory", g))
+
+    def test_inputs_of_another_grid_are_rejected(self, bench_coeffs):
+        # before, a source of a 16-level grid ran on its first 8 levels, and a
+        # wT of another gene count failed inside the solve with numpy's
+        # broadcast error
+        g, other = make_benchmark_grid(50, 20, 8), make_benchmark_grid(50, 40, 16)
+        wT = dp.age_gene_draw(dp.make_rng(11), g)
+        with pytest.raises(ValueError, match=r"^source_h must have the trajectory shape "
+                                             r"\(9, 21, 51\), got \(17, 41, 51\)$"):
+            dp.AdjointProblem(bench_coeffs, g, wT,
+                              source_h=dp.trajectory_draw(dp.make_rng(7), other))
+        wide = dp.Field(np.ones((g.na + 1, 101)), "age_gene", make_benchmark_grid(100, 20, 8))
+        with pytest.raises(ValueError, match=r"^wT must have the age-gene shape "
+                                             r"\(21, 51\), got \(21, 101\)$"):
+            dp.AdjointProblem(bench_coeffs, g, wide)
+
+    @pytest.mark.parametrize("name", ["y_traj", "w_traj", "control", "y0", "wT"])
+    def test_duality_residual_rejects_each_field_of_another_grid(self, bench_coeffs, name):
+        # before, a control of a 16-level grid was paired on its first 8 levels
+        # and gave 4.93e-06, the residual of the right control
+        g, other = make_benchmark_grid(50, 20, 8), make_benchmark_grid(50, 40, 16)
+        rng = dp.make_rng(23)
+        y0, wT = dp.age_gene_draw(rng, g), dp.age_gene_draw(rng, g)
+        control = dp.Field(dp.trajectory_draw(rng, g).values * g.omega_mask, "trajectory", g)
+        fields = {
+            "y_traj": dp.solve_forward(dp.ForwardProblem(bench_coeffs, g, y0, control=control)),
+            "w_traj": dp.solve_adjoint(dp.AdjointProblem(bench_coeffs, g, wT)),
+            "control": control, "y0": y0, "wT": wT,
+        }
+        assert dp.duality_residual(*fields.values(), g) < 1e-3
+        kind = fields[name].kind
+        fields[name] = dp.Field.zeros(kind, other)
+        shapes = re.escape(f"{g.shape(kind)}, got {other.shape(kind)}")
+        with pytest.raises(ValueError, match=rf"^{name} must have the \S+ shape {shapes}$"):
+            dp.duality_residual(*fields.values(), g)

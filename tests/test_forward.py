@@ -157,6 +157,26 @@ class TestLinearityAndSources:
         bad[1, 1] = np.inf
         with pytest.raises(ValueError, match="finite"):
             dp.ForwardProblem(bench_coeffs, g, dp.Field(bad, "age_gene", g))
+        values = dp.trajectory_draw(dp.make_rng(7), g).values * g.omega_mask
+        values[3, g.delta_index, g.nx // 2] = np.nan
+        with pytest.raises(ValueError, match="^control contains non-finite values$"):
+            dp.ForwardProblem(bench_coeffs, g, dp.Field.zeros("age_gene", g),
+                              control=dp.Field(values, "trajectory", g))
+
+    def test_inputs_of_another_grid_are_rejected(self, bench_coeffs):
+        # before, a control of a 16-level grid ran on its first 8 levels, and a
+        # y0 of another gene count failed inside the solve with numpy's
+        # broadcast error
+        g, other = make_benchmark_grid(50, 20, 8), make_benchmark_grid(50, 40, 16)
+        y0 = dp.Field(np.ones(g.shape("age_gene")), "age_gene", g)
+        control = dp.trajectory_draw(dp.make_rng(7), other)
+        with pytest.raises(ValueError, match=r"^control must have the trajectory shape "
+                                             r"\(9, 21, 51\), got \(17, 41, 51\)$"):
+            dp.ForwardProblem(bench_coeffs, g, y0, control=control)
+        wide = dp.Field(np.ones((g.na + 1, 101)), "age_gene", make_benchmark_grid(100, 20, 8))
+        with pytest.raises(ValueError, match=r"^y0 must have the age-gene shape "
+                                             r"\(21, 51\), got \(21, 101\)$"):
+            dp.ForwardProblem(bench_coeffs, g, wide)
 
 
 class TestEnergyReport:

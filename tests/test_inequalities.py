@@ -4,7 +4,7 @@ import gc
 import itertools
 import re
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -396,6 +396,26 @@ class TestEnsembleRunners:
         for name, rep in reports.items():
             assert len(list(rep.rows())) == rep.ensemble_size * strengths[name], name
         assert reports["observability"].ensemble_size == 3
+
+    @pytest.mark.parametrize("inner, message", [
+        ((0.44, 0.56), "inner gradient window must exclude the degeneracy point x0=0.5"),
+        (None, "grid does not define an inner gradient window"),
+    ], ids=["holds_x0", "missing"])
+    def test_lab_rejects_its_gradient_window_before_any_solve(self, bench_coeffs, monkeypatch,
+                                                              inner, message):
+        # before, both Carleman ensembles and one Caccioppoli draw were solved
+        # first (41 solves at the benchmark's lab sizes)
+        import degenpop.inequalities as ineq
+
+        grid = replace(make_benchmark_grid(50, 20, 8), omega_inner=inner)
+        family = dp.WeightFamily(bench_coeffs, grid, dp.WeightConfig())
+        solves = []
+        monkeypatch.setattr(ineq, "solve_adjoint",
+                            lambda problem: solves.append(problem) or solve_adjoint(problem))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ineq.run_inequality_lab(bench_coeffs, grid, family, s_values=(5.0,), trials=2,
+                                    seed=4127, observability_trials=3)
+        assert solves == []
 
     def test_renewal_free_strips_only_the_fertility(self, bench_coeffs):
         stripped = _renewal_free(bench_coeffs)
@@ -1089,3 +1109,13 @@ class TestPerDrawTerms:
         for name, report in reports.items():
             assert report.trial_s > 0.0, name
             assert (report.adjoint_s > 0.0) == (name != "hardy_poincare"), name
+
+    def test_wall_time_stays_out_of_repr_and_equality(self, bench_coeffs, coarse_grid,
+                                                      coarse_family):
+        report = dp.run_caccioppoli(bench_coeffs, coarse_grid, coarse_family, (5.0,),
+                                    trials=2, seed=99)
+        again = replace(report, adjoint_s=report.adjoint_s + 1.0,
+                        trial_s=report.trial_s + 1.0)
+        assert again == report and repr(again) == repr(report)
+        assert "adjoint_s" not in repr(report) and "trial_s" not in repr(report)
+        assert again != replace(report, entries=report.entries[:-1])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import degenpop as dp
-from degenpop.model import FIELD_AXES
+from degenpop.model import FIELD_AXES, checked_values
 from tests.conftest import make_benchmark_grid
 
 
@@ -269,6 +269,28 @@ class TestFieldsAndNorms:
             dp.Field(np.zeros((2, 2)), "age_gene", coarse_grid)
         f = dp.Field.zeros("trajectory", coarse_grid)
         assert f.values.shape == (21, 51, 51)
+
+    def test_checked_values_owns_kind_shape_and_finiteness(self):
+        g, other = make_benchmark_grid(50, 20, 8), make_benchmark_grid(50, 40, 16)
+        values = np.arange(21.0 * 51).reshape(21, 51)
+        field = dp.Field(values, "age_gene", g)
+        assert checked_values("y0", field, "age_gene", g) is field.values
+        assert checked_values("wT", values.tolist(), "age_gene", g).tobytes() == values.tobytes()
+        with pytest.raises(ValueError, match="^y0 must be a field of kind 'age_gene', "
+                                             "got 'time_gene'$"):
+            checked_values("y0", dp.Field.zeros("time_gene", g), "age_gene", g)
+        # a Field is valid on its own grid, but not on another one
+        with pytest.raises(ValueError, match=r"^y0 must have the age-gene shape "
+                                             r"\(21, 51\), got \(41, 51\)$"):
+            checked_values("y0", dp.Field.zeros("age_gene", other), "age_gene", g)
+        with pytest.raises(ValueError, match=r"^wT must have the age-gene shape "
+                                             r"\(21, 51\), got \(51,\)$"):
+            checked_values("wT", np.zeros(51), "age_gene", g)
+        for bad in (np.nan, np.inf, -np.inf):
+            trajectory = np.zeros(g.shape("trajectory"))
+            trajectory[-1, -1, -1] = bad
+            with pytest.raises(ValueError, match="^control contains non-finite values$"):
+                checked_values("control", trajectory, "trajectory", g)
 
     def test_trapezoid_rule_exact_on_linear_functions(self, coarse_grid):
         g = coarse_grid

@@ -408,6 +408,21 @@ class TestCli:
         assert code == 1
         assert "run failed" in capsys.readouterr().err
 
+    def test_gradient_window_on_x0_exits_one_before_any_solve(self, tmp_path, capsys,
+                                                              monkeypatch):
+        import degenpop.inequalities as ineq
+
+        solves = []
+        monkeypatch.setattr(ineq, "solve_adjoint", solves.append)
+        bad = tmp_path / "window.ini"
+        bad.write_text(COARSE_CONFIG.replace("gradient_window = 0.56,0.64",
+                                             "gradient_window = 0.44,0.56"))
+        code = cli.main(["inequalities", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "inner gradient window must exclude the degeneracy point x0=0.5" \
+            in capsys.readouterr().err
+        assert solves == []
+
     def test_out_naming_a_file_exits_one_without_traceback(self, coarse_config_path,
                                                            tmp_path, capsys):
         taken = tmp_path / "taken"
