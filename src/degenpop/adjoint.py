@@ -16,11 +16,12 @@ the backward step
 
 Within each level the age-zero row is solved FIRST: its own source vanishes
 (newborns are not fertile), after which every other age has w(t_n, 0, .)
-available.  The matrices are exactly the ones the forward sweep factors at
-the same level, for any mortality, so the discrete duality identity
-(`duality_residual`) is exact to round-off for terminal data on the rows
-delta <= a < A, with any initial datum and window control: such data never
-reach the newborn row, since T < delta.  Other data meet two defects.  The
+available; without fertility no age waits for the trace, and a level is one
+batched solve of all ages.  The matrices are exactly the ones the forward
+sweep factors at the same level, for any mortality, so the discrete duality
+identity (`duality_residual`) is exact to round-off for terminal data on the
+rows delta <= a < A, with any initial datum and window control: such data
+never reach the newborn row, since T < delta.  Other data meet two defects.  The
 renewal coupling is first-order (the forward trapezoid in age at t_{n+1} is
 not the transpose of the adjoint's fertility source at t_n), and the
 terminal pairing weighs the a = A row da/2 where its characteristic carries da.
@@ -66,6 +67,7 @@ def solve_adjoint(problem: AdjointProblem) -> Field:
     dt = grid.dt
     ops = level_operators(coeffs, grid)
     h = None if problem.source_h is None else problem.source_h.values
+    renewal_free = coeffs.beta.is_zero
 
     w = np.zeros((nt + 1, na + 1, grid.nx + 1))
     w[nt] = problem.wT.values
@@ -74,6 +76,14 @@ def solve_adjoint(problem: AdjointProblem) -> Field:
 
     for n in range(nt - 1, -1, -1):
         w[n, na, :] = 0.0
+        if renewal_free:
+            # no renewal: every age solves at once, as a Thomas row gives the
+            # same bits alone or in any batch
+            rhs = w[n + 1, 1:na + 1, 1:-1]
+            if h is not None:
+                rhs = rhs - dt * h[n, :na, 1:-1]
+            w[n, :na, 1:-1] = ops[n].solve(rhs, rows=slice(0, na))
+            continue
         # age-zero row first: its fertility factor is zero by hypothesis
         rhs0 = w[n + 1, 1, 1:-1]
         if h is not None:

@@ -24,19 +24,34 @@ of them, the observation window, or the inner gradient window).  The block
 is visited in C order, so the log-sum-exp sees exactly the entries, in the
 order, that a sum over the whole cylinder keeps, and returns the same bits.
 
+Of that block only a few rows can reach the top: the log weight 2 s pole psi
+jumps by thousands or more between neighbouring (t, a) rows (ROADMAP
+item 7).  `_log_row_integral` bounds each row's log density by
+fl(2 s pole max psi) + 710, above the log of any finite double, takes a
+lower bound `low` on the top from the 16 rows of the largest bounds, and
+evaluates only the rows whose bound reaches low - 751.  No other row holds the top or an entry within 750 of it, so
+these rows give the top and every live term.  One or two live terms sum to
+the same bits in any order; with more, their pairwise sum depends on where
+the dead entries sit, and the integral is summed over all rows, as it is
+when the head rows hold no finite entry, a row factor is not positive, or
+the draw holds a non-finite value.  On the lab's grid an integral reads 16
+of its 950 rows (66 for the source term, whose h vanishes at the gene ends
+where psi peaks); at (100, 100, 40) 20 of 600 integrals fall back.  The two
+flux faces are one gene node each and are summed whole.
+
 The four adjoint ensembles (main and intermediate Carleman, Caccioppoli,
 observability) share one loop, `_ensemble`: per trial it draws the data,
 makes one backward solve and evaluates the trial at every strength (once,
 without one, for observability).
 
 The weighted trials take a `Draw` and a strength s.  What does not depend
-on s is computed once per draw and shared by its strengths: the gene
-gradient w_x^2, the squares w^2 and h^2, the logs of h^2 and of w_x^2 on
-the inner window, the pole powers, k, (x-x0)^2/k and the low-age terminal
-mass.  Each is the very subexpression a trial once evaluated per strength,
-and every product with s keeps its order (s * pole * k * w_x^2 still
-rounds as ((s pole) k) w_x^2), so the entries keep their bits.
-`_ensemble` builds one `Draw` per solve and drops it before the next.
+on s is computed once per draw, or once per family, and shared by its
+strengths: a support row's gene gradient w_x^2 on its first request, the
+pole powers, k, (x-x0)^2/k and the low-age terminal mass.  Each is the very
+subexpression a trial once evaluated per strength on the whole block, and
+every product with s keeps its order (s * pole * k * w_x^2 still rounds as
+((s pole) k) w_x^2), so the entries keep their bits.  `_ensemble` builds
+one `Draw` per solve and drops it before the next.
 """
 
 from __future__ import annotations
@@ -83,16 +98,9 @@ def log_weighted_sum(log_density: np.ndarray, weights: np.ndarray) -> float:
 
 def _log_weighted_sum_into(log_density: np.ndarray, weights) -> float:
     """`log_weighted_sum` of a float array it may overwrite."""
-    w = np.asarray(weights, dtype=float).ravel()
-    shifted = log_density.ravel()
-    dead = ~(w > 0.0)
-    if dead.any():
-        shifted[dead] = -np.inf  # keeps NaN, which max() then returns
-    top = float(shifted.max()) if shifted.size else -np.inf
+    top, shifted, w, live = _shift_to_top(log_density, weights)
     if not np.isfinite(top):
         return top
-    shifted -= top
-    live = np.flatnonzero(shifted >= _EXP_ZERO_BELOW)
     terms = w[live] * np.exp(shifted[live])
     if live.size > 2:
         kept = np.flatnonzero(shifted > -np.inf)
@@ -100,6 +108,23 @@ def _log_weighted_sum_into(log_density: np.ndarray, weights) -> float:
         placed[np.searchsorted(kept, live)] = terms
         terms = placed
     return top + float(np.log(np.sum(terms)))
+
+
+def _shift_to_top(log_density: np.ndarray, weights):
+    """The top of the weighted entries, and the flat log density and weights
+    with the log density less the top in place (-inf where the weight is not
+    positive), and the indices of the live entries.  Only the top when it is
+    not finite."""
+    w = np.asarray(weights, dtype=float).ravel()
+    shifted = log_density.ravel()
+    dead = ~(w > 0.0)
+    if dead.any():
+        shifted[dead] = -np.inf  # keeps NaN, which max() then returns
+    top = float(shifted.max()) if shifted.size else -np.inf
+    if not np.isfinite(top):
+        return top, None, None, None
+    shifted -= top
+    return top, shifted, w, np.flatnonzero(shifted >= _EXP_ZERO_BELOW)
 
 
 def log_add(*logs: float) -> float:
@@ -137,6 +162,60 @@ def _log_integral(poly: np.ndarray, exponent, weights: np.ndarray) -> float:
         log_density = np.log(poly)
     log_density += exponent
     return _log_weighted_sum_into(log_density, weights)
+
+
+#: Above log(DBL_MAX) = 709.78: log(f) stays below it for every finite f.
+_LOG_MAX = 710.0
+
+#: How many rows of the largest bounds give the lower bound on the top.
+_HEAD_ROWS = 16
+
+
+def _log_row_integral(support, c: np.ndarray, psi: np.ndarray, integrand,
+                      finite: bool) -> float:
+    """`_log_integral` of integrand(rows) * exp(c_r psi_x) over the support's
+    block, evaluating only the rows that can reach its top.
+
+    The block's (t, a) rows are flattened in C order; `c` holds their factors
+    2 s pole as an (R, 1) column, `psi` the profile on the support's genes,
+    and integrand(rows) returns the factor f >= 0 on the given rows, finite
+    when `finite`.  Every entry of row r is then at most its bound
+    fl(c_r max psi) + _LOG_MAX, as the roundings of a product with c_r > 0
+    and of a sum keep order.  The head rows of the largest bounds give a
+    lower bound `low` on the top; a row whose bound is below low - 751
+    holds neither the top nor a live entry, so the rows at or above it give
+    the full block's top and live terms.  With at most two live terms their
+    sum has the same bits in any order (module docstring); with more, no
+    finite `low`, a c_r that is not positive, or `finite` false, the sum
+    runs over all rows, through the same integrand, as `_log_integral`.
+    """
+    weights = support.row_weights
+
+    def log_density(rows):
+        with np.errstate(divide="ignore"):
+            out = np.log(np.ascontiguousarray(integrand(rows)))
+        out += c[rows] * psi
+        return out
+
+    if finite and np.all(c > 0.0):
+        bound = c[:, 0] * psi.max() + _LOG_MAX
+        heads = min(_HEAD_ROWS, bound.size)
+        head = np.argpartition(bound, -heads)[-heads:]
+        head_density = log_density(head)
+        head_density[~(weights[head] > 0.0)] = -np.inf
+        low = float(head_density.max())
+        if np.isfinite(low):
+            floor = low - (751.0 + np.spacing(abs(low)))
+            rows = np.flatnonzero(bound >= floor)
+            if rows.size <= head.size:  # then every such row is a head row
+                keep = bound[head] >= floor
+                rows, density = head[keep], head_density[keep]
+            else:
+                density = log_density(rows)
+            top, shifted, w, live = _shift_to_top(density, weights[rows])
+            if np.isfinite(top) and live.size <= 2:
+                return top + float(np.log(np.sum(w[live] * np.exp(shifted[live]))))
+    return _log_weighted_sum_into(log_density(np.arange(c.shape[0])), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +336,10 @@ class _Support:
     window (all of them for None); `index` slices their block, which is read
     in C order.  `pole` is the masked pole factor on the rows, with a
     trailing gene axis, and `weights` the weight product on the block.
+
+    The row forms number the R rows in C order: `cell` is each row's flat
+    (t, a) index, `row_pole`, `pole_sq` and `pole_cube` are (R, 1) columns
+    of the pole and its powers, and `row_weights` is `weights` as (R, genes).
     """
 
     def __init__(self, family: WeightFamily, window):
@@ -267,6 +350,12 @@ class _Support:
         self.pole = family.masked_pole[self.ta][:, :, None]
         self.face_weights = family.face_weights[self.ta]
         self.weights = self.face_weights[:, :, None] * grid.wx[self.x]
+        t, a = np.mgrid[self.ta]
+        self.cell = (t * (grid.na + 1) + a).ravel()
+        self.row_pole = self.pole.reshape(-1, 1)
+        self.pole_sq = self.row_pole**2
+        self.pole_cube = self.row_pole**3
+        self.row_weights = self.weights.reshape(self.cell.size, -1)
 
 
 _SUPPORTS = weakref.WeakKeyDictionary()
@@ -290,10 +379,11 @@ class Draw:
 
     `data` is the terminal datum wT for the main bound and observability,
     the source h for the others; `family` is the weight family of the
-    weighted trials (None for observability).  Every term is built on first
-    use from w, data and the family, by the same expression a trial once
-    evaluated per strength, so it has the same bits.  All arrays live on
-    the full support's (t, a) rows; a window's term is a gene slice of them.
+    weighted trials (None for observability).  The row accessors take an
+    index array of the full support's rows (see `_Support`) and return one
+    gene row per index.  A row's w_x^2 is computed on its first request and
+    kept, so no row's gradient is computed twice; every term has the bits
+    of the expression a trial once evaluated on the whole block.
     """
 
     def __init__(self, w: Field, data, family: WeightFamily | None):
@@ -302,6 +392,12 @@ class Draw:
     @cached_property
     def full(self) -> _Support:
         return _support(self.family)
+
+    @cached_property
+    def finite(self) -> bool:
+        """Whether w and the data hold only finite values."""
+        return bool(np.isfinite(self.w.values).all()) and (
+            self.data is None or bool(np.isfinite(self.data.values).all()))
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -316,37 +412,35 @@ class Draw:
         r2[self.k == 0.0] = 0.0
         return r2
 
-    @cached_property
-    def pole_sq(self) -> np.ndarray:
-        return self.full.pole**2
+    def _rows(self, values: np.ndarray, rows) -> np.ndarray:
+        return values.reshape(-1, values.shape[-1])[self.full.cell[rows]]
+
+    def w_rows(self, rows) -> np.ndarray:
+        return self._rows(self.w.values, rows)
+
+    def data_rows(self, rows) -> np.ndarray:
+        return self._rows(self.data.values, rows)
 
     @cached_property
-    def pole_cube(self) -> np.ndarray:
-        return self.full.pole**3
+    def _wx_sq(self):
+        """w_x^2 on the support's rows, and which rows hold it yet."""
+        return np.empty((self.full.cell.size, self.w.values.shape[-1])), \
+            np.zeros(self.full.cell.size, dtype=bool)
 
-    @cached_property
-    def wx_sq(self) -> np.ndarray:
-        return _gene_gradient(self.w.values[self.full.ta], self.family.grid) ** 2
+    def wx_sq_rows(self, rows) -> np.ndarray:
+        wx_sq, done = self._wx_sq
+        todo = rows[~done[rows]]
+        if todo.size:
+            wx_sq[todo] = _gene_gradient(self.w_rows(todo), self.family.grid) ** 2
+            done[todo] = True
+        return wx_sq[rows]
 
-    @cached_property
-    def log_inner_wx_sq(self) -> np.ndarray:
-        """log w_x^2 on the genes of the inner gradient window."""
-        inner = _support(self.family, self.family.grid.omega_inner)
-        with np.errstate(divide="ignore"):
-            return np.log(self.wx_sq[:, :, inner.x])
-
-    @cached_property
-    def vals_sq(self) -> np.ndarray:
-        return self.w.values[self.full.index] ** 2
-
-    @cached_property
-    def data_sq(self) -> np.ndarray:
-        return self.data.values[self.full.index] ** 2
-
-    @cached_property
-    def log_data_sq(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.data.values[self.full.index] ** 2)
+    def face_wx_sq(self, idx: int) -> np.ndarray:
+        """w_x^2 at the gene endpoint idx (0 or nx) on the support's (t, a)
+        rows, by np.gradient's one-sided end difference."""
+        w = self.w.values[self.full.ta]
+        ends = (w[..., 1] - w[..., 0]) if idx == 0 else (w[..., idx] - w[..., idx - 1])
+        return (ends / self.family.grid.dx) ** 2
 
     @cached_property
     def log_low_age(self) -> float:
@@ -356,21 +450,20 @@ class Draw:
                                        a_mask=_lower_age_mask(grid)))
 
 
-def _weighted_energy(draw: Draw, s: float):
+def _weighted_energy(draw: Draw, s: float, c: np.ndarray) -> float:
     """Log of the weighted energy, the lhs both Carleman bounds share.
 
     The energy is the integral over the full cylinder of
     (s * pole * k * w_x^2 + s^3 * pole^3 * (x-x0)^2/k * w^2) * exp(2 s phi),
-    with (x-x0)^2/k zero at a degenerate node.  Also returns the exponent
-    2 s phi on the support, which the intermediate bound's rhs reuses.
+    with (x-x0)^2/k zero at a degenerate node; `c` is 2 s pole on the rows.
     """
     full = draw.full
-    th = full.pole
-    lhs_poly = (s * th * draw.k * draw.wx_sq
-                + s**3 * draw.pole_cube * draw.r2 * draw.vals_sq)
-    exp_phi = 2.0 * s * th * draw.family.psi_nodes[full.x]
-    log_lhs = _log_integral(lhs_poly, exp_phi, full.weights)
-    return log_lhs, exp_phi
+
+    def poly(rows):
+        return (s * full.row_pole[rows] * draw.k * draw.wx_sq_rows(rows)
+                + s**3 * full.pole_cube[rows] * draw.r2 * draw.w_rows(rows) ** 2)
+
+    return _log_row_integral(full, c, draw.family.psi_nodes, poly, draw.finite)
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +479,15 @@ def carleman_main_trial(draw: Draw, s: float) -> InequalityTrial:
     rhs: integral over the window cylinder of s^3 * pole^3 * w^2 * exp(2 s Phi)
          plus the unweighted terminal mass at ages below the threshold.
     """
-    family = draw.family
-    log_lhs = _weighted_energy(draw, s)[0]
+    family, full = draw.family, draw.full
+    c = 2.0 * s * full.row_pole
+    log_lhs = _weighted_energy(draw, s, c)
 
     window = _support(family, family.grid.omega)
-    rhs_poly = s**3 * draw.pole_cube * draw.vals_sq[:, :, window.x]
-    exp_reg = 2.0 * s * window.pole * family.Psi_nodes[window.x]
-    log_obs = _log_integral(rhs_poly, exp_reg, window.weights)
+    log_obs = _log_row_integral(
+        window, c, family.Psi_nodes[window.x],
+        lambda rows: s**3 * full.pole_cube[rows] * draw.w_rows(rows)[:, window.x] ** 2,
+        draw.finite)
 
     log_rhs = log_add(log_obs, draw.log_low_age)
     return _trial_from_logs(log_lhs, log_rhs)
@@ -407,15 +502,17 @@ def carleman_intermediate_trial(draw: Draw, s: float) -> InequalityTrial:
     profile's sign both fluxes are positive.
     """
     family, full = draw.family, draw.full
-    log_lhs, exp_phi = _weighted_energy(draw, s)
+    c = 2.0 * s * full.row_pole
+    log_lhs = _weighted_energy(draw, s, c)
 
-    log_src = _log_weighted_sum_into(draw.log_data_sq + exp_phi, full.weights)
+    log_src = _log_row_integral(full, c, family.psi_nodes,
+                                lambda rows: draw.data_rows(rows) ** 2, draw.finite)
 
     # boundary fluxes: s * k * pole * |x - x0| * w_x^2 * exp(2 s pole * psi)
     th, x0 = full.pole[:, :, 0], family.coeffs.x0
     log_flux = []
     for idx, lever in ((family.grid.nx, 1.0 - x0), (0, x0)):
-        poly = s * draw.k[idx] * lever * th * draw.wx_sq[:, :, idx]
+        poly = s * draw.k[idx] * lever * th * draw.face_wx_sq(idx)
         exponent = 2.0 * s * th * family.psi_nodes[idx]
         log_flux.append(_log_integral(poly, exponent, full.face_weights))
     log_rhs = log_add(log_src, *log_flux)
@@ -441,18 +538,20 @@ def caccioppoli_trial(draw: Draw, s: float) -> InequalityTrial:
          observation window cylinder.
     The inner window must stay away from the degeneracy point.
     """
-    family = draw.family
+    family, full = draw.family, draw.full
+    c = 2.0 * s * full.row_pole
     inner = _support(family, _inner_window(family))
-    exp_phi = 2.0 * s * inner.pole * family.psi_nodes[inner.x]
-    log_lhs = _log_weighted_sum_into(draw.log_inner_wx_sq + exp_phi, inner.weights)
+    log_lhs = _log_row_integral(inner, c, family.psi_nodes[inner.x],
+                                lambda rows: draw.wx_sq_rows(rows)[:, inner.x], draw.finite)
 
     window = _support(family, family.grid.omega)
-    th = window.pole
-    rhs_poly = s**2 * draw.pole_sq * draw.vals_sq[:, :, window.x] + (
-        0.0 if draw.data is None else draw.data_sq[:, :, window.x]
-    )
-    exp_phi = 2.0 * s * th * family.psi_nodes[window.x]
-    log_rhs = _log_integral(rhs_poly, exp_phi, window.weights)
+
+    def rhs_poly(rows):
+        return s**2 * full.pole_sq[rows] * draw.w_rows(rows)[:, window.x] ** 2 + (
+            0.0 if draw.data is None else draw.data_rows(rows)[:, window.x] ** 2
+        )
+
+    log_rhs = _log_row_integral(window, c, family.psi_nodes[window.x], rhs_poly, draw.finite)
     return _trial_from_logs(log_lhs, log_rhs)
 
 
@@ -628,6 +727,7 @@ def run_caccioppoli(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble for the window gradient bound (renewal-free sources)."""
+    _inner_window(family)  # before the first solve
     return _ensemble("caccioppoli", caccioppoli_trial, coeffs, grid, family,
                      s_values, trials, seed, True)
 

@@ -510,7 +510,7 @@ def inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None):
         wm = w if m is None else w * m
         shape = [1] * prod.ndim
         shape[i] = -1
-        prod = prod * wm.reshape(shape)
+        prod *= wm.reshape(shape)
     return float(np.sum(prod))
 
 

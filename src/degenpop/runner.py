@@ -32,8 +32,8 @@ from .config import ExperimentConfig, initial_datum_values
 from .control import ControlProblem, solve_control, steer, verify_null_reach
 from .fieldio import write_field_csv
 from .forward import ForwardProblem, energy_report, solve_forward
-from .inequalities import grid_signature, run_inequality_lab, weight_sup_check
-from .model import Field, l2_norm
+from .inequalities import _inner_window, grid_signature, run_inequality_lab, weight_sup_check
+from .model import Field, ValidationReport, l2_norm
 
 COMMANDS = ("validate", "simulate", "adjoint", "control", "inequalities", "sweep")
 
@@ -150,6 +150,12 @@ def _initial_field(config: ExperimentConfig) -> Field:
 
 def _run_validate(config, out, seed, artifact):
     reports = config.coeffs.validate(config.grid)
+    if config.grid.omega_inner is not None:
+        # the lab's optional gradient window: listed when the lab rejects it
+        try:
+            _inner_window(config.family)
+        except ValueError as err:
+            reports.append(ValidationReport("gradient window", False, violations=[str(err)]))
     blocks, all_passed = [], True
     for report in reports:
         blocks.append(report.summary())

@@ -4,6 +4,7 @@ import gc
 import itertools
 import re
 import weakref
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -185,6 +186,83 @@ class TestLogDomainPrimitives:
         want = _ref_gathering_log_weighted_sum(logs, weights)
         assert isinstance(got, float)
         assert got.hex() == want.hex()
+
+
+class TestRowIntegral:
+    """`_log_row_integral` on a synthetic block: 40 rows whose factors c_r
+    are 100, 200, ..., 4000 in shuffled order, and a profile that drops by
+    10 per gene, so that entries of one row lie 1000 or more apart and the
+    best entries of rows r and r' lie 100 |r - r'| apart."""
+
+    ROWS, GENES = 40, 5
+
+    def _block(self, live_rows, seed=0):
+        rng = np.random.default_rng(seed)
+        rank = rng.permutation(self.ROWS)  # rank[r]: row r's place by factor
+        c = (100.0 * (rank + 1))[:, None]
+        psi = -(1.0 + 10.0 * np.arange(self.GENES))
+        f = rng.uniform(0.5, 2.0, (self.ROWS, self.GENES))
+        # rows by factor: the first `live_rows` hold the live entries, the
+        # next ones up to 20 are empty, the rest are far below the top
+        f[(rank >= live_rows) & (rank < 20)] = 0.0
+        weights = rng.uniform(0.1, 1.0, (self.ROWS, self.GENES))
+        return SimpleNamespace(row_weights=weights), c, psi, f
+
+    def _run(self, support, c, psi, f, finite=True):
+        from degenpop.inequalities import _log_integral, _log_row_integral
+
+        requests = []
+
+        def integrand(rows):
+            requests.append(np.array(rows))
+            return f[rows]
+
+        got = _log_row_integral(support, c, psi, integrand, finite)
+        want = _log_integral(f, c * psi, support.row_weights)
+        assert got.hex() == want.hex()
+        return requests
+
+    @pytest.mark.parametrize("live_rows", [1, 2])
+    def test_one_or_two_live_entries_read_only_the_head(self, live_rows):
+        requests = self._run(*self._block(live_rows))
+        assert len(requests) == 1 and requests[0].size == 16
+
+    @pytest.mark.parametrize("case", ["three", "eight", "third_far_below_the_top"])
+    def test_more_live_entries_sum_over_all_rows(self, case):
+        support, c, psi, f = self._block({"three": 3, "eight": 8}.get(case, 2))
+        if case == "third_far_below_the_top":
+            # about 700 below the top, in the row of factor 900, whose bound
+            # -900 + 710 clears the cut at the top - 751 by 661
+            f[np.argsort(c[:, 0])[8], 0] = np.exp(100.0)
+        requests = self._run(support, c, psi, f)
+        assert np.array_equal(requests[-1], np.arange(self.ROWS))
+
+    def test_a_head_without_a_finite_entry_sums_over_all_rows(self):
+        support, c, psi, f = self._block(1)
+        f[np.argsort(c[:, 0])[:16]] = 0.0
+        requests = self._run(support, c, psi, f)
+        assert np.array_equal(requests[-1], np.arange(self.ROWS))
+
+    @pytest.mark.parametrize("case", ["not_finite", "zero_factor", "negative_factor"])
+    def test_unbounded_rows_are_all_read_once(self, case):
+        support, c, psi, f = self._block(1)
+        if case == "zero_factor":
+            c[7] = 0.0
+        elif case == "negative_factor":
+            c = -c
+        requests = self._run(support, c, psi, f, finite=case != "not_finite")
+        assert len(requests) == 1 and np.array_equal(requests[0], np.arange(self.ROWS))
+
+    def test_rows_beyond_the_head_within_reach_are_read(self):
+        # a lower bound far below the top bounds: the head's only nonzero
+        # entry is small, and rows beyond the head come within reach
+        support, c, psi, f = self._block(20)
+        f[:] = 0.0
+        by_factor = np.argsort(c[:, 0])
+        f[by_factor[3], 0] = 1e-300
+        f[by_factor[17], 0] = 1.0
+        requests = self._run(support, c, psi, f)
+        assert requests[-1].size > 16 and by_factor[17] in requests[-1]
 
 
 class TestTrialBookkeeping:
@@ -415,6 +493,24 @@ class TestEnsembleRunners:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ineq.run_inequality_lab(bench_coeffs, grid, family, s_values=(5.0,), trials=2,
                                     seed=4127, observability_trials=3)
+        assert solves == []
+
+    @pytest.mark.parametrize("inner, message", [
+        ((0.44, 0.56), "inner gradient window must exclude the degeneracy point x0=0.5"),
+        (None, "grid does not define an inner gradient window"),
+    ], ids=["holds_x0", "missing"])
+    def test_caccioppoli_rejects_its_gradient_window_before_any_solve(
+            self, bench_coeffs, monkeypatch, inner, message):
+        # before, run_caccioppoli on its own solved its first draw first
+        import degenpop.inequalities as ineq
+
+        grid = replace(make_benchmark_grid(50, 20, 8), omega_inner=inner)
+        family = dp.WeightFamily(bench_coeffs, grid, dp.WeightConfig())
+        solves = []
+        monkeypatch.setattr(ineq, "solve_adjoint",
+                            lambda problem: solves.append(problem) or solve_adjoint(problem))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ineq.run_caccioppoli(bench_coeffs, grid, family, (5.0,), trials=2, seed=4127)
         assert solves == []
 
     def test_renewal_free_strips_only_the_fertility(self, bench_coeffs):
@@ -667,7 +763,7 @@ def _ref_weight_sup_check(
 
 def _ref_integrands(trial, w: Field, data: Field, s: float, family: WeightFamily) -> list:
     """The (poly, exponent) pairs of the oracle of `trial`, each on its
-    support block, in the order the trial hands them to `_log_integral`."""
+    support block, in the order the trial integrates them."""
     grid = family.grid
     th = _ref_masked_pole(family)[:, :, None]
     vals = w.values
@@ -677,8 +773,9 @@ def _ref_integrands(trial, w: Field, data: Field, s: float, family: WeightFamily
     exp_phi = 2.0 * s * th * family.psi_nodes[None, None, :]
     full, window = _support(family).index, _support(family, grid.omega).index
     if trial is caccioppoli_trial:
+        inner = _support(family, grid.omega_inner).index
         rhs_poly = s**2 * th**2 * vals**2 + data.values**2
-        return [(rhs_poly[window], exp_phi[window])]
+        return [(wx_sq[inner], exp_phi[inner]), (rhs_poly[window], exp_phi[window])]
     lhs_poly = s * th * k[None, None, :] * wx_sq + s**3 * th**3 * r2 * vals**2
     energy = (lhs_poly[full], exp_phi[full])
     if trial is carleman_main_trial:
@@ -688,7 +785,7 @@ def _ref_integrands(trial, w: Field, data: Field, s: float, family: WeightFamily
     fluxes = [((s * k[idx] * lever * th2 * wx_sq[:, :, idx])[ta],
                (2.0 * s * th2 * family.psi_nodes[idx])[ta])
               for idx, lever in ((grid.nx, 1.0 - x0), (0, x0))]
-    return [energy, *fluxes]
+    return [energy, ((data.values**2)[full], exp_phi[full]), *fluxes]
 
 
 def _as_tuple(s_values) -> tuple:
@@ -972,6 +1069,18 @@ class TestBitLevelOracle:
 # ---------------------------------------------------------------------------
 
 
+def _assert_rows_of_support(gradients, w, family):
+    """The gene rows whose gradient was computed, as a multiset, lie within
+    the support's (t, a) rows of w: no row's gradient was computed twice."""
+    nx = family.grid.nx
+    support = Counter(row.tobytes() for row in
+                      np.ascontiguousarray(w.values[_support(family).ta]).reshape(-1, nx + 1))
+    computed = Counter(row.tobytes() for values in gradients
+                       for row in np.ascontiguousarray(values).reshape(-1, nx + 1))
+    assert computed
+    assert not computed - support
+
+
 def _assert_same_fields(got, want, label):
     assert {k: repr(v) for k, v in asdict(got).items()} == \
         {k: repr(v) for k, v in asdict(want).items()}, label
@@ -1021,22 +1130,35 @@ class TestPerDrawTerms:
                 for s in strengths:
                     for trial, ref in pairs:
                         _assert_same_fields(trial(draw, s), ref(w, data, s, fam), (label, s))
-                # one Draw computes its gradient once, for all its trials
-                assert len(gradients) == 1, label
+                # one Draw computes no support row's gradient twice, for all its trials
+                _assert_rows_of_support(gradients, w, fam)
 
     def test_integrands_match_the_oracle_by_bytes(self, draws, coarse_family,
                                                    monkeypatch):
         # the logs run to 1e6-1e7, whose ulp hides a last-bit change of an
-        # integrand; the polynomial factors and exponents show it
+        # integrand; the polynomial factors and exponents show it, on every
+        # row a weighted integral evaluates
         import degenpop.inequalities as ineq
 
         seen = []
-        log_integral = ineq._log_integral
+        row_integral, log_integral = ineq._log_row_integral, ineq._log_integral
+
+        def recording_row_integral(support, c, psi, integrand, finite):
+            evaluated = []
+
+            def recorded(rows):
+                poly = integrand(rows)
+                evaluated.append((rows, poly))
+                return poly
+
+            seen.append((support.row_weights.shape, c * psi, evaluated))
+            return row_integral(support, c, psi, recorded, finite)
 
         def recording_log_integral(poly, exponent, weights):
-            seen.append((poly, exponent))
+            seen.append((None, exponent, [(None, poly)]))
             return log_integral(poly, exponent, weights)
 
+        monkeypatch.setattr(ineq, "_log_row_integral", recording_row_integral)
         monkeypatch.setattr(ineq, "_log_integral", recording_log_integral)
         fam = coarse_family
         for main, sourced in draws:
@@ -1049,11 +1171,95 @@ class TestPerDrawTerms:
                     trial(draw, s)
                     want = _ref_integrands(trial, w, data, s, fam)
                     assert len(seen) == len(want), trial.__name__
-                    for got_pair, want_pair in zip(seen, want):
-                        for got, ref in zip(got_pair, want_pair):
-                            assert got.shape == ref.shape, (trial.__name__, s)
-                            assert got.tobytes() == \
-                                np.ascontiguousarray(ref).tobytes(), (trial.__name__, s)
+                    for (rows_shape, exponent, evaluated), (poly, exp_ref) in zip(seen, want):
+                        label = (trial.__name__, s)
+                        poly, exp_ref = np.ascontiguousarray(poly), np.ascontiguousarray(exp_ref)
+                        if rows_shape is not None:  # rows of the support, in C order
+                            poly, exp_ref = poly.reshape(rows_shape), exp_ref.reshape(rows_shape)
+                        assert exponent.shape == exp_ref.shape, label
+                        assert exponent.tobytes() == exp_ref.tobytes(), label
+                        assert evaluated, label
+                        for rows, got in evaluated:
+                            want_rows = poly if rows is None else poly[rows]
+                            assert got.shape == want_rows.shape, label
+                            assert np.ascontiguousarray(got).tobytes() == \
+                                want_rows.tobytes(), label
+
+    def test_fast_integrals_have_the_bits_of_all_rows(self, draws, coarse_family,
+                                                      monkeypatch):
+        import degenpop.inequalities as ineq
+
+        strengths = (5.0, 12.5, 20.0, 35.0, 50.0)
+        cases = [(trial, w, data)
+                 for main, sourced in draws
+                 for trial, (w, data) in ((carleman_main_trial, main),
+                                          (carleman_intermediate_trial, sourced),
+                                          (caccioppoli_trial, sourced))]
+        evaluated, row_integral = [], ineq._log_row_integral
+
+        def recording_row_integral(support, c, psi, integrand, finite):
+            def recorded(rows):
+                evaluated.append(len(rows) / support.row_weights.shape[0])
+                return integrand(rows)
+            return row_integral(support, c, psi, recorded, finite)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ineq, "_log_row_integral", recording_row_integral)
+            fast = [[trial(Draw(w, data, coarse_family), s) for s in strengths]
+                    for trial, w, data in cases]
+        # on the lab grid every weighted integral reads a few of its rows
+        assert evaluated and max(evaluated) < 0.1
+        # a draw that is not finite sums every row of every integral
+        monkeypatch.setattr(ineq.Draw, "finite", False)
+        full = [[trial(Draw(w, data, coarse_family), s) for s in strengths]
+                for trial, w, data in cases]
+        for (trial, _, _), got, want in zip(cases, fast, full):
+            for s, got_s, want_s in zip(strengths, got, want):
+                _assert_same_fields(got_s, want_s, (trial.__name__, s))
+
+    def test_more_than_two_live_entries_sum_over_all_rows(self, draws, coarse_family,
+                                                          monkeypatch):
+        # at s = 1e-9 the exponents stay within a few units of each other
+        # over the rows of the smallest pole, so far more than two entries
+        # are live
+        import degenpop.inequalities as ineq
+
+        s, fam = 1e-9, coarse_family
+        rows = _support(fam).cell.size
+        requests, gradients = [], []
+        row_integral = ineq._log_row_integral
+
+        def recording_row_integral(support, c, psi, integrand, finite):
+            mine = []
+            requests.append(mine)
+
+            def recorded(wanted):
+                mine.append(np.array(wanted))
+                return integrand(wanted)
+            return row_integral(support, c, psi, recorded, finite)
+
+        def counting_gradient(values, grid):
+            gradients.append(values)
+            return _gene_gradient(values, grid)
+
+        monkeypatch.setattr(ineq, "_log_row_integral", recording_row_integral)
+        monkeypatch.setattr(ineq, "_gene_gradient", counting_gradient)
+        (main, sourced), _ = draws
+        for trial, ref, (w, data) in (
+                (carleman_main_trial, _ref_carleman_main_trial, main),
+                (carleman_intermediate_trial, _ref_carleman_intermediate_trial, sourced),
+                (caccioppoli_trial, _ref_caccioppoli_trial, sourced)):
+            del requests[:], gradients[:]
+            _assert_same_fields(trial(Draw(w, data, fam), s), ref(w, data, s, fam),
+                                trial.__name__)
+            assert len(requests) == 2, trial.__name__  # the flux faces come after
+            for (poly, exponent), mine in zip(_ref_integrands(trial, w, data, s, fam),
+                                              requests):
+                with np.errstate(divide="ignore"):
+                    density = (np.log(poly) + exponent).ravel()
+                assert np.count_nonzero(density - density.max() >= -750.0) > 2
+                assert np.array_equal(mine[-1], np.arange(rows)), trial.__name__
+            _assert_rows_of_support(gradients, w, fam)
 
     def test_no_draw_outlives_its_trials(self, bench_coeffs, coarse_grid, coarse_family,
                                          monkeypatch):

@@ -107,6 +107,7 @@ class TestPipelines:
         assert art.summary["validate_monotone_envelope"] == "PASS"
         assert art.summary["validate_rate_bounds"] == "PASS"
         assert art.summary["weights_admissible"] == "PASS"
+        assert "validate_gradient_window" not in art.summary  # listed when it fails
         assert "validation.txt" in art.files
         check_artifact_files(art, tmp_path)
 
@@ -422,6 +423,19 @@ class TestCli:
         assert "inner gradient window must exclude the degeneracy point x0=0.5" \
             in capsys.readouterr().err
         assert solves == []
+
+    def test_validate_fails_a_gradient_window_on_x0(self, tmp_path, capsys):
+        # before, validate passed this file and only the lab rejected it
+        bad = tmp_path / "window.ini"
+        bad.write_text(COARSE_CONFIG.replace("gradient_window = 0.56,0.64",
+                                             "gradient_window = 0.44,0.56"))
+        code = cli.main(["validate", "--config", str(bad), "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "validate_gradient_window: FAIL" in out
+        assert "all_passed: false" in out
+        assert "[FAIL] gradient window  (1 violations, first: inner gradient window must " \
+            "exclude the degeneracy point x0=0.5)" in (tmp_path / "out" / "validation.txt").read_text()
 
     def test_out_naming_a_file_exits_one_without_traceback(self, coarse_config_path,
                                                            tmp_path, capsys):
