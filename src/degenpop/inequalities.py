@@ -18,26 +18,29 @@ the faces t = 0, t = T and a = 0 where the pole factor blows up; the true
 integrands vanish there faster than any polynomial.  Gene derivatives use
 central differences inside and one-sided differences at the endpoints.
 
-Each weighted integral is evaluated only on the nodes that carry weight:
-the block of interior (t, a) rows times the gene nodes of its window (all
-of them, the observation window, or the inner gradient window).  The block
-is visited in C order, so the log-sum-exp sees exactly the entries, in the
-order, that a sum over the whole cylinder keeps, and returns the same bits.
+Each weighted integral is one `_log_row_integral` call, evaluated only on
+the nodes that carry weight: the block of interior (t, a) rows times the
+gene nodes of its window (all of them, the observation window, the inner
+gradient window, or the one gene node of a flux face).  The block is
+visited in C order, so the log-sum-exp sees exactly the entries, in the
+order, that a sum over the whole cylinder (or face) keeps, and returns the
+same bits.
 
 Of that block only a few rows can reach the top: the log weight 2 s pole psi
 jumps by thousands or more between neighbouring (t, a) rows (ROADMAP
-item 7).  `_log_row_integral` bounds each row's log density by
+item 12).  `_log_row_integral` bounds each row's log density by
 fl(2 s pole max psi) + 710, above the log of any finite double, takes a
 lower bound `low` on the top from the 16 rows of the largest bounds, and
-evaluates only the rows whose bound reaches low - 751.  No other row holds the top or an entry within 750 of it, so
-these rows give the top and every live term.  One or two live terms sum to
-the same bits in any order; with more, their pairwise sum depends on where
-the dead entries sit, and the integral is summed over all rows, as it is
-when the head rows hold no finite entry, a row factor is not positive, or
-the draw holds a non-finite value.  On the lab's grid an integral reads 16
-of its 950 rows (66 for the source term, whose h vanishes at the gene ends
-where psi peaks); at (100, 100, 40) 20 of 600 integrals fall back.  The two
-flux faces are one gene node each and are summed whole.
+evaluates only the rows whose bound reaches low - 751.  No other row holds
+the top or an entry within 750 of it, so these rows give the top and every
+live term.  One or two live terms sum to the same bits in any order; with
+more, their pairwise sum depends on where the dead entries sit, and the
+integral is summed over all rows by `log_weighted_sum`, as it is when the
+head rows hold no finite entry, a row factor is not positive, or the draw
+holds a non-finite value.  On the lab's grid an integral reads 16 of its
+950 rows (66 for the source term, whose h vanishes at the gene ends where
+psi peaks); at (100, 100, 40) 20 of a pass's 800 integrals fall back, none
+of them a flux face.
 
 The four adjoint ensembles (main and intermediate Carleman, Caccioppoli,
 observability) share one loop, `_ensemble`: per trial it draws the data,
@@ -85,20 +88,16 @@ def log_weighted_sum(log_density: np.ndarray, weights: np.ndarray) -> float:
     no entry contributes, and NaN when any entry with positive weight has a
     NaN log density.  Never forms exp of a large argument, and touches only
     the live entries, whose exp relative to the top is not exactly zero: on
-    these weights that is one or two of tens of thousands, and np.exp takes
-    a slow path for every one that underflows.
+    the lab's weights that is one or two of tens of thousands, and np.exp
+    takes a slow path for every one that underflows.  `_log_row_integral`
+    calls it when it sums all rows.
 
     The result has the bits of the pairwise np.sum over every contributing
     entry, the dead ones as zeros: adding a zero is exact, so one or two
     live terms sum alike in any order, and more are summed at their places
     among the contributing entries.
     """
-    return _log_weighted_sum_into(np.array(log_density, dtype=float), weights)
-
-
-def _log_weighted_sum_into(log_density: np.ndarray, weights) -> float:
-    """`log_weighted_sum` of a float array it may overwrite."""
-    top, shifted, w, live = _shift_to_top(log_density, weights)
+    top, shifted, w, live = _shift_to_top(np.array(log_density, dtype=float), weights)
     if not np.isfinite(top):
         return top
     terms = w[live] * np.exp(shifted[live])
@@ -152,18 +151,6 @@ def _safe_log(value: float) -> float:
         return float(np.log(value))
 
 
-def _log_integral(poly: np.ndarray, exponent, weights: np.ndarray) -> float:
-    """log of the weighted sum of poly * exp(exponent), for poly >= 0.
-
-    Taken as log(poly) + exponent, so a weight far beyond the double range
-    never forms; a zero of poly contributes nothing.
-    """
-    with np.errstate(divide="ignore"):
-        log_density = np.log(poly)
-    log_density += exponent
-    return _log_weighted_sum_into(log_density, weights)
-
-
 #: Above log(DBL_MAX) = 709.78: log(f) stays below it for every finite f.
 _LOG_MAX = 710.0
 
@@ -171,26 +158,25 @@ _LOG_MAX = 710.0
 _HEAD_ROWS = 16
 
 
-def _log_row_integral(support, c: np.ndarray, psi: np.ndarray, integrand,
+def _log_row_integral(weights: np.ndarray, c: np.ndarray, psi, integrand,
                       finite: bool) -> float:
-    """`_log_integral` of integrand(rows) * exp(c_r psi_x) over the support's
-    block, evaluating only the rows that can reach its top.
+    """`log_weighted_sum` of log(integrand(rows)) + c_r psi_x over a block
+    of R rows with the given (R, genes) weights, evaluating only the rows
+    that can reach its top.
 
     The block's (t, a) rows are flattened in C order; `c` holds their factors
-    2 s pole as an (R, 1) column, `psi` the profile on the support's genes,
-    and integrand(rows) returns the factor f >= 0 on the given rows, finite
-    when `finite`.  Every entry of row r is then at most its bound
-    fl(c_r max psi) + _LOG_MAX, as the roundings of a product with c_r > 0
-    and of a sum keep order.  The head rows of the largest bounds give a
-    lower bound `low` on the top; a row whose bound is below low - 751
-    holds neither the top nor a live entry, so the rows at or above it give
-    the full block's top and live terms.  With at most two live terms their
-    sum has the same bits in any order (module docstring); with more, no
-    finite `low`, a c_r that is not positive, or `finite` false, the sum
-    runs over all rows, through the same integrand, as `_log_integral`.
+    2 s pole as an (R, 1) column, `psi` the profile on the block's genes (a
+    scalar for one gene), and integrand(rows) returns the factor f >= 0 on
+    the given rows, finite when `finite`.  Every entry of row r is then at
+    most its bound fl(c_r max psi) + _LOG_MAX, as the roundings of a product
+    with c_r > 0 and of a sum keep order.  The head rows of the largest
+    bounds give a lower bound `low` on the top; a row whose bound is below
+    low - 751 holds neither the top nor a live entry, so the rows at or
+    above it give the full block's top and live terms.  With at most two
+    live terms their sum has the same bits in any order (module docstring);
+    with more, no finite `low`, a c_r that is not positive, or `finite`
+    false, `log_weighted_sum` sums all rows, through the same integrand.
     """
-    weights = support.row_weights
-
     def log_density(rows):
         with np.errstate(divide="ignore"):
             out = np.log(np.ascontiguousarray(integrand(rows)))
@@ -215,7 +201,7 @@ def _log_row_integral(support, c: np.ndarray, psi: np.ndarray, integrand,
             top, shifted, w, live = _shift_to_top(density, weights[rows])
             if np.isfinite(top) and live.size <= 2:
                 return top + float(np.log(np.sum(w[live] * np.exp(shifted[live]))))
-    return _log_weighted_sum_into(log_density(np.arange(c.shape[0])), weights)
+    return log_weighted_sum(log_density(np.arange(c.shape[0])), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +320,12 @@ class _Support:
     `ta` slices the interior (t, a) rows t_1..t_{nt-1}, a_1..a_na, where
     `WeightFamily` puts its face weights, and `x` the gene nodes of the
     window (all of them for None); `index` slices their block, which is read
-    in C order.  `pole` is the masked pole factor on the rows, with a
-    trailing gene axis, and `weights` the weight product on the block.
+    in C order, and `weights` is the weight product on the block.
 
     The row forms number the R rows in C order: `cell` is each row's flat
-    (t, a) index, `row_pole`, `pole_sq` and `pole_cube` are (R, 1) columns
-    of the pole and its powers, and `row_weights` is `weights` as (R, genes).
+    (t, a) index, `row_pole`, `pole_sq`, `pole_cube` and `face_weights` are
+    (R, 1) columns of the masked pole, its powers and the face weights, and
+    `row_weights` is `weights` as (R, genes).
     """
 
     def __init__(self, family: WeightFamily, window):
@@ -347,14 +333,13 @@ class _Support:
         self.ta = (slice(1, grid.nt), slice(1, grid.na + 1))
         self.x = slice(None) if window is None else grid.x_window_slice(window)
         self.index = (*self.ta, self.x)
-        self.pole = family.masked_pole[self.ta][:, :, None]
-        self.face_weights = family.face_weights[self.ta]
-        self.weights = self.face_weights[:, :, None] * grid.wx[self.x]
+        self.weights = family.face_weights[self.ta][:, :, None] * grid.wx[self.x]
         t, a = np.mgrid[self.ta]
         self.cell = (t * (grid.na + 1) + a).ravel()
-        self.row_pole = self.pole.reshape(-1, 1)
+        self.row_pole = family.masked_pole[self.ta].reshape(-1, 1)
         self.pole_sq = self.row_pole**2
         self.pole_cube = self.row_pole**3
+        self.face_weights = family.face_weights[self.ta].reshape(-1, 1)
         self.row_weights = self.weights.reshape(self.cell.size, -1)
 
 
@@ -435,13 +420,6 @@ class Draw:
             done[todo] = True
         return wx_sq[rows]
 
-    def face_wx_sq(self, idx: int) -> np.ndarray:
-        """w_x^2 at the gene endpoint idx (0 or nx) on the support's (t, a)
-        rows, by np.gradient's one-sided end difference."""
-        w = self.w.values[self.full.ta]
-        ends = (w[..., 1] - w[..., 0]) if idx == 0 else (w[..., idx] - w[..., idx - 1])
-        return (ends / self.family.grid.dx) ** 2
-
     @cached_property
     def log_low_age(self) -> float:
         """Log of the data's mass at ages up to the observation threshold."""
@@ -463,7 +441,7 @@ def _weighted_energy(draw: Draw, s: float, c: np.ndarray) -> float:
         return (s * full.row_pole[rows] * draw.k * draw.wx_sq_rows(rows)
                 + s**3 * full.pole_cube[rows] * draw.r2 * draw.w_rows(rows) ** 2)
 
-    return _log_row_integral(full, c, draw.family.psi_nodes, poly, draw.finite)
+    return _log_row_integral(full.row_weights, c, draw.family.psi_nodes, poly, draw.finite)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +463,7 @@ def carleman_main_trial(draw: Draw, s: float) -> InequalityTrial:
 
     window = _support(family, family.grid.omega)
     log_obs = _log_row_integral(
-        window, c, family.Psi_nodes[window.x],
+        window.row_weights, c, family.Psi_nodes[window.x],
         lambda rows: s**3 * full.pole_cube[rows] * draw.w_rows(rows)[:, window.x] ** 2,
         draw.finite)
 
@@ -505,16 +483,18 @@ def carleman_intermediate_trial(draw: Draw, s: float) -> InequalityTrial:
     c = 2.0 * s * full.row_pole
     log_lhs = _weighted_energy(draw, s, c)
 
-    log_src = _log_row_integral(full, c, family.psi_nodes,
+    log_src = _log_row_integral(full.row_weights, c, family.psi_nodes,
                                 lambda rows: draw.data_rows(rows) ** 2, draw.finite)
 
-    # boundary fluxes: s * k * pole * |x - x0| * w_x^2 * exp(2 s pole * psi)
-    th, x0 = full.pole[:, :, 0], family.coeffs.x0
-    log_flux = []
-    for idx, lever in ((family.grid.nx, 1.0 - x0), (0, x0)):
-        poly = s * draw.k[idx] * lever * th * draw.face_wx_sq(idx)
-        exponent = 2.0 * s * th * family.psi_nodes[idx]
-        log_flux.append(_log_integral(poly, exponent, full.face_weights))
+    # boundary fluxes: s * k * pole * |x - x0| * w_x^2 * exp(2 s pole * psi),
+    # each on the one gene column of its face
+    x0, log_flux = family.coeffs.x0, []
+    for face, lever in ((family.grid.nx, 1.0 - x0), (0, x0)):
+        log_flux.append(_log_row_integral(
+            full.face_weights, c, family.psi_nodes[face],
+            lambda rows: (s * draw.k[face] * lever * full.row_pole[rows]
+                          * draw.wx_sq_rows(rows)[:, [face]]),
+            draw.finite))
     log_rhs = log_add(log_src, *log_flux)
     return _trial_from_logs(log_lhs, log_rhs)
 
@@ -541,7 +521,7 @@ def caccioppoli_trial(draw: Draw, s: float) -> InequalityTrial:
     family, full = draw.family, draw.full
     c = 2.0 * s * full.row_pole
     inner = _support(family, _inner_window(family))
-    log_lhs = _log_row_integral(inner, c, family.psi_nodes[inner.x],
+    log_lhs = _log_row_integral(inner.row_weights, c, family.psi_nodes[inner.x],
                                 lambda rows: draw.wx_sq_rows(rows)[:, inner.x], draw.finite)
 
     window = _support(family, family.grid.omega)
@@ -551,7 +531,8 @@ def caccioppoli_trial(draw: Draw, s: float) -> InequalityTrial:
             0.0 if draw.data is None else draw.data_rows(rows)[:, window.x] ** 2
         )
 
-    log_rhs = _log_row_integral(window, c, family.psi_nodes[window.x], rhs_poly, draw.finite)
+    log_rhs = _log_row_integral(window.row_weights, c, family.psi_nodes[window.x], rhs_poly,
+                                draw.finite)
     return _trial_from_logs(log_lhs, log_rhs)
 
 

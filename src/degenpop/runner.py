@@ -150,12 +150,10 @@ def _initial_field(config: ExperimentConfig) -> Field:
 
 def _run_validate(config, out, seed, artifact):
     reports = config.coeffs.validate(config.grid)
-    if config.grid.omega_inner is not None:
-        # the lab's optional gradient window: listed when the lab rejects it
-        try:
-            _inner_window(config.family)
-        except ValueError as err:
-            reports.append(ValidationReport("gradient window", False, violations=[str(err)]))
+    try:  # the lab's gradient window: listed when the lab rejects it or it is missing
+        _inner_window(config.family)
+    except ValueError as err:
+        reports.append(ValidationReport("gradient window", False, violations=[str(err)]))
     blocks, all_passed = [], True
     for report in reports:
         blocks.append(report.summary())

@@ -206,10 +206,10 @@ class TestRowIntegral:
         # next ones up to 20 are empty, the rest are far below the top
         f[(rank >= live_rows) & (rank < 20)] = 0.0
         weights = rng.uniform(0.1, 1.0, (self.ROWS, self.GENES))
-        return SimpleNamespace(row_weights=weights), c, psi, f
+        return weights, c, psi, f
 
-    def _run(self, support, c, psi, f, finite=True):
-        from degenpop.inequalities import _log_integral, _log_row_integral
+    def _run(self, weights, c, psi, f, finite=True):
+        from degenpop.inequalities import _log_row_integral
 
         requests = []
 
@@ -217,8 +217,9 @@ class TestRowIntegral:
             requests.append(np.array(rows))
             return f[rows]
 
-        got = _log_row_integral(support, c, psi, integrand, finite)
-        want = _log_integral(f, c * psi, support.row_weights)
+        got = _log_row_integral(weights, c, psi, integrand, finite)
+        with np.errstate(divide="ignore"):
+            want = log_weighted_sum(np.log(f) + c * psi, weights)
         assert got.hex() == want.hex()
         return requests
 
@@ -229,39 +230,39 @@ class TestRowIntegral:
 
     @pytest.mark.parametrize("case", ["three", "eight", "third_far_below_the_top"])
     def test_more_live_entries_sum_over_all_rows(self, case):
-        support, c, psi, f = self._block({"three": 3, "eight": 8}.get(case, 2))
+        weights, c, psi, f = self._block({"three": 3, "eight": 8}.get(case, 2))
         if case == "third_far_below_the_top":
             # about 700 below the top, in the row of factor 900, whose bound
             # -900 + 710 clears the cut at the top - 751 by 661
             f[np.argsort(c[:, 0])[8], 0] = np.exp(100.0)
-        requests = self._run(support, c, psi, f)
+        requests = self._run(weights, c, psi, f)
         assert np.array_equal(requests[-1], np.arange(self.ROWS))
 
     def test_a_head_without_a_finite_entry_sums_over_all_rows(self):
-        support, c, psi, f = self._block(1)
+        weights, c, psi, f = self._block(1)
         f[np.argsort(c[:, 0])[:16]] = 0.0
-        requests = self._run(support, c, psi, f)
+        requests = self._run(weights, c, psi, f)
         assert np.array_equal(requests[-1], np.arange(self.ROWS))
 
     @pytest.mark.parametrize("case", ["not_finite", "zero_factor", "negative_factor"])
     def test_unbounded_rows_are_all_read_once(self, case):
-        support, c, psi, f = self._block(1)
+        weights, c, psi, f = self._block(1)
         if case == "zero_factor":
             c[7] = 0.0
         elif case == "negative_factor":
             c = -c
-        requests = self._run(support, c, psi, f, finite=case != "not_finite")
+        requests = self._run(weights, c, psi, f, finite=case != "not_finite")
         assert len(requests) == 1 and np.array_equal(requests[0], np.arange(self.ROWS))
 
     def test_rows_beyond_the_head_within_reach_are_read(self):
         # a lower bound far below the top bounds: the head's only nonzero
         # entry is small, and rows beyond the head come within reach
-        support, c, psi, f = self._block(20)
+        weights, c, psi, f = self._block(20)
         f[:] = 0.0
         by_factor = np.argsort(c[:, 0])
         f[by_factor[3], 0] = 1e-300
         f[by_factor[17], 0] = 1.0
-        requests = self._run(support, c, psi, f)
+        requests = self._run(weights, c, psi, f)
         assert requests[-1].size > 16 and by_factor[17] in requests[-1]
 
 
@@ -1028,7 +1029,7 @@ class TestBitLevelOracle:
         assert np.array_equal(covered, product > 0.0)
         assert support.weights.tobytes() == \
             np.ascontiguousarray(product[support.index]).tobytes()
-        assert support.pole[:, :, 0].tobytes() == \
+        assert support.row_pole.tobytes() == \
             np.ascontiguousarray(_ref_masked_pole(coarse_family)[support.ta]).tobytes()
         assert _support(coarse_family, window) is support
 
@@ -1141,9 +1142,9 @@ class TestPerDrawTerms:
         import degenpop.inequalities as ineq
 
         seen = []
-        row_integral, log_integral = ineq._log_row_integral, ineq._log_integral
+        row_integral = ineq._log_row_integral
 
-        def recording_row_integral(support, c, psi, integrand, finite):
+        def recording_row_integral(weights, c, psi, integrand, finite):
             evaluated = []
 
             def recorded(rows):
@@ -1151,15 +1152,10 @@ class TestPerDrawTerms:
                 evaluated.append((rows, poly))
                 return poly
 
-            seen.append((support.row_weights.shape, c * psi, evaluated))
-            return row_integral(support, c, psi, recorded, finite)
-
-        def recording_log_integral(poly, exponent, weights):
-            seen.append((None, exponent, [(None, poly)]))
-            return log_integral(poly, exponent, weights)
+            seen.append((weights.shape, c * psi, evaluated))
+            return row_integral(weights, c, psi, recorded, finite)
 
         monkeypatch.setattr(ineq, "_log_row_integral", recording_row_integral)
-        monkeypatch.setattr(ineq, "_log_integral", recording_log_integral)
         fam = coarse_family
         for main, sourced in draws:
             for trial, (w, data) in ((carleman_main_trial, main),
@@ -1173,14 +1169,14 @@ class TestPerDrawTerms:
                     assert len(seen) == len(want), trial.__name__
                     for (rows_shape, exponent, evaluated), (poly, exp_ref) in zip(seen, want):
                         label = (trial.__name__, s)
-                        poly, exp_ref = np.ascontiguousarray(poly), np.ascontiguousarray(exp_ref)
-                        if rows_shape is not None:  # rows of the support, in C order
-                            poly, exp_ref = poly.reshape(rows_shape), exp_ref.reshape(rows_shape)
+                        # rows of the support, in C order
+                        poly = np.ascontiguousarray(poly).reshape(rows_shape)
+                        exp_ref = np.ascontiguousarray(exp_ref).reshape(rows_shape)
                         assert exponent.shape == exp_ref.shape, label
                         assert exponent.tobytes() == exp_ref.tobytes(), label
                         assert evaluated, label
                         for rows, got in evaluated:
-                            want_rows = poly if rows is None else poly[rows]
+                            want_rows = poly[rows]
                             assert got.shape == want_rows.shape, label
                             assert np.ascontiguousarray(got).tobytes() == \
                                 want_rows.tobytes(), label
@@ -1197,11 +1193,11 @@ class TestPerDrawTerms:
                                           (caccioppoli_trial, sourced))]
         evaluated, row_integral = [], ineq._log_row_integral
 
-        def recording_row_integral(support, c, psi, integrand, finite):
+        def recording_row_integral(weights, c, psi, integrand, finite):
             def recorded(rows):
-                evaluated.append(len(rows) / support.row_weights.shape[0])
+                evaluated.append(len(rows) / weights.shape[0])
                 return integrand(rows)
-            return row_integral(support, c, psi, recorded, finite)
+            return row_integral(weights, c, psi, recorded, finite)
 
         with monkeypatch.context() as patch:
             patch.setattr(ineq, "_log_row_integral", recording_row_integral)
@@ -1229,14 +1225,14 @@ class TestPerDrawTerms:
         requests, gradients = [], []
         row_integral = ineq._log_row_integral
 
-        def recording_row_integral(support, c, psi, integrand, finite):
+        def recording_row_integral(weights, c, psi, integrand, finite):
             mine = []
             requests.append(mine)
 
             def recorded(wanted):
                 mine.append(np.array(wanted))
                 return integrand(wanted)
-            return row_integral(support, c, psi, recorded, finite)
+            return row_integral(weights, c, psi, recorded, finite)
 
         def counting_gradient(values, grid):
             gradients.append(values)
@@ -1252,14 +1248,56 @@ class TestPerDrawTerms:
             del requests[:], gradients[:]
             _assert_same_fields(trial(Draw(w, data, fam), s), ref(w, data, s, fam),
                                 trial.__name__)
-            assert len(requests) == 2, trial.__name__  # the flux faces come after
-            for (poly, exponent), mine in zip(_ref_integrands(trial, w, data, s, fam),
-                                              requests):
+            want = _ref_integrands(trial, w, data, s, fam)
+            # the intermediate bound's two flux faces are row integrals too
+            assert len(requests) == len(want) == \
+                (4 if trial is carleman_intermediate_trial else 2), trial.__name__
+            for (poly, exponent), mine in zip(want, requests):
                 with np.errstate(divide="ignore"):
                     density = (np.log(poly) + exponent).ravel()
                 assert np.count_nonzero(density - density.max() >= -750.0) > 2
                 assert np.array_equal(mine[-1], np.arange(rows)), trial.__name__
             _assert_rows_of_support(gradients, w, fam)
+
+    def test_flux_faces_match_the_whole_face_sum(self, draws, coarse_family, monkeypatch):
+        # each gene-endpoint flux face is one gene column of the row integral:
+        # at the lab strengths it reads a few rows, and at s = 1e-9, where
+        # more than two entries are live, it sums all of them
+        import degenpop.inequalities as ineq
+
+        fam, row_integral = coarse_family, ineq._log_row_integral
+        rows = _support(fam).cell.size
+        face_weights = _ref_face_weights(fam)[_support(fam).ta]
+        faces = []
+
+        def recording_row_integral(weights, c, psi, integrand, finite):
+            read = []
+
+            def recorded(wanted):
+                read.append(np.array(wanted))
+                return integrand(wanted)
+
+            got = row_integral(weights, c, psi, recorded, finite)
+            if weights.shape[1] == 1:
+                faces.append((got, read))
+            return got
+
+        monkeypatch.setattr(ineq, "_log_row_integral", recording_row_integral)
+        for _, (w, h) in draws:
+            draw = Draw(w, h, fam)
+            for s in (5.0, 12.5, 20.0, 35.0, 50.0, 1e-9):
+                del faces[:]
+                carleman_intermediate_trial(draw, s)
+                want = _ref_integrands(carleman_intermediate_trial, w, h, s, fam)[2:]
+                assert len(faces) == len(want) == 2, s
+                for (got, read), (poly, exponent) in zip(faces, want):
+                    with np.errstate(divide="ignore"):
+                        oracle = log_weighted_sum(np.log(poly) + exponent, face_weights)
+                    assert got.hex() == oracle.hex(), s
+                    if s == 1e-9:
+                        assert np.array_equal(read[-1], np.arange(rows)), s
+                    else:
+                        assert np.unique(np.concatenate(read)).size < 0.1 * rows, s
 
     def test_no_draw_outlives_its_trials(self, bench_coeffs, coarse_grid, coarse_family,
                                          monkeypatch):

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 UNCALLED = {
     "TabulatedDispersion": "the only way to pass a general k",
     "TabulatedRate": "the only rate that varies in t, a and x at once",
-    "log_weighted_sum": "the log-sum-exp of every weighted trial, on an input it keeps",
 }
 
 

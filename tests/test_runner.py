@@ -437,6 +437,19 @@ class TestCli:
         assert "[FAIL] gradient window  (1 violations, first: inner gradient window must " \
             "exclude the degeneracy point x0=0.5)" in (tmp_path / "out" / "validation.txt").read_text()
 
+    def test_validate_fails_a_missing_gradient_window(self, tmp_path, capsys):
+        # before, validate passed this file and only the lab rejected it
+        bad = tmp_path / "no_window.ini"
+        bad.write_text(COARSE_CONFIG.replace("gradient_window = 0.56,0.64\n", ""))
+        assert "gradient_window" not in bad.read_text()
+        code = cli.main(["validate", "--config", str(bad), "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "validate_gradient_window: FAIL" in out
+        assert "all_passed: false" in out
+        assert "[FAIL] gradient window  (1 violations, first: grid does not define an " \
+            "inner gradient window)" in (tmp_path / "out" / "validation.txt").read_text()
+
     def test_out_naming_a_file_exits_one_without_traceback(self, coarse_config_path,
                                                            tmp_path, capsys):
         taken = tmp_path / "taken"
