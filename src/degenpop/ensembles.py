@@ -5,8 +5,9 @@ observability and inequality trials) draws Fourier sine sums
 
     sum_{modes} c / |mode|^2 * product of sine factors,   c ~ N(0, 1),
 
-which are smooth, vanish at the gene and age endpoints (or outside a given
-age window), and are reproducible from one seed of numpy's PCG64 generator.
+which are smooth, vanish at the gene and age endpoints (and, for a
+trajectory, at t = 0 and t = T), and are reproducible from one seed of
+numpy's PCG64 generator.
 """
 
 from __future__ import annotations
@@ -40,29 +41,20 @@ def _sine_table(coords, length, modes):
     return table
 
 
-def age_gene_draw(rng, grid, age_window=None):
-    """Random age-gene Field; supported in age_window when given.
-
-    With a window (lo, hi) the age factors are sin(m*pi*(a-lo)/(hi-lo)) on
-    the window and zero outside, so the draw vanishes at both window edges.
-    """
+def age_gene_draw(rng, grid):
+    """Random age-gene Field vanishing at a = 0, a = A, x = 0 and x = 1."""
     coeff = rng.standard_normal((_MODES, _MODES))
     m2 = np.arange(1, _MODES + 1) ** 2
     coeff = coeff / (m2[:, None] + m2[None, :])
-    if age_window is None:
-        age_tab = _sine_table(grid.a_levels, grid.A, _MODES)
-    else:
-        lo, hi = age_window
-        shifted = grid.a_levels - lo
-        age_tab = _sine_table(np.clip(shifted, 0.0, hi - lo), hi - lo, _MODES)
-        age_tab[:, (grid.a_levels <= lo) | (grid.a_levels >= hi)] = 0.0
+    age_tab = _sine_table(grid.a_levels, grid.A, _MODES)
     gene_tab = _sine_table(grid.x_nodes, 1.0, _MODES)
     values = np.einsum("mn,ma,nx->ax", coeff, age_tab, gene_tab)
     return Field(values, "age_gene", grid)
 
 
-def trajectory_draw(rng, grid, modes=4):
+def trajectory_draw(rng, grid):
     """Random trajectory Field, smooth and vanishing on every face."""
+    modes = 4  # sine modes per axis
     coeff = rng.standard_normal((modes, modes, modes))
     m2 = np.arange(1, modes + 1) ** 2
     coeff = coeff / (m2[:, None, None] + m2[None, :, None] + m2[None, None, :])

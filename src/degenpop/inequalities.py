@@ -244,8 +244,9 @@ class InequalityReport:
     ensemble_size: int
     grid_signature: str
     entries: list  # (trial_index, s, InequalityTrial); s is None when unused
-    adjoint_s: float = field(default=0.0, repr=False, compare=False)  # solve wall seconds
-    trial_s: float = field(default=0.0, repr=False, compare=False)  # trial wall seconds
+    # wall seconds of the solves and of the trials, summed by the runners
+    adjoint_s: float = field(default=0.0, init=False, repr=False, compare=False)
+    trial_s: float = field(default=0.0, init=False, repr=False, compare=False)
 
     @property
     def excluded_count(self) -> int:
@@ -584,8 +585,6 @@ class WeightSupReport:
     value: float
     log_value: float
     argmax: tuple  # (t_index, a_index, x_index)
-    strength: float
-    power: int
 
 
 def weight_sup_check(
@@ -628,8 +627,6 @@ def weight_sup_check(
         value=_safe_exp(log_value),
         log_value=log_value,
         argmax=(int(t_idx), int(a_idx), int(x_idx)),
-        strength=strength,
-        power=power,
     )
 
 

@@ -568,7 +568,8 @@ class ValidationReport:
     """Outcome of one hypothesis check.
 
     fitted_gamma / fitted_theta record the exponents actually measured on the
-    grid (when meaningful); violations lists offending nodes with values.
+    grid (when meaningful); violations lists, in words, each offending node
+    or level with its values, and is empty exactly when the check passed.
     """
 
     hypothesis: str
@@ -576,7 +577,6 @@ class ValidationReport:
     fitted_gamma: float | None = None
     fitted_theta: float | None = None
     violations: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
 
     def summary(self):
         status = "PASS" if self.passed else "FAIL"
@@ -619,7 +619,6 @@ def validate_degeneracy(k, gamma, grid):
         hypothesis="weak interior degeneracy",
         passed=not violations,
         fitted_gamma=fitted,
-        details={"gamma": gamma, "max_ratio": fitted},
         violations=violations,
     )
 
@@ -637,7 +636,6 @@ def validate_hp(k, theta, gamma, grid):
             hypothesis="monotone envelope",
             passed=False,
             violations=["gamma=0 leaves no admissible theta in (0, gamma]"],
-            details={"theta": theta, "gamma": gamma, "empty_interval": True},
         )
     if not 0.0 < theta <= gamma:
         raise ValueError(f"theta={theta} must lie in (0, gamma] with gamma={gamma}")
@@ -664,26 +662,31 @@ def validate_hp(k, theta, gamma, grid):
         passed=not violations,
         fitted_theta=theta if not violations else None,
         violations=violations,
-        details={"theta": theta, "gamma": gamma},
     )
 
 
-def fit_hp_theta(k, gamma, grid, count=64):
-    """Largest theta in (0, gamma] passing the monotone-envelope check, or None."""
+def fit_hp_theta(k, gamma, grid):
+    """Largest theta passing the monotone-envelope check, or None.
+
+    The candidates are the 64 equally spaced values gamma, ..., gamma/64,
+    tried from the largest down.
+    """
     if gamma <= 0.0:
         return None
-    for theta in np.linspace(gamma, gamma / count, count):
+    for theta in np.linspace(gamma, gamma / 64, 64):
         if validate_hp(k, float(theta), gamma, grid).passed:
             return float(theta)
     return None
 
 
 def validate_rates(mu, beta, grid):
-    """Nonnegativity and boundedness of the rates; fertility of newborns is zero."""
+    """Finite, nonnegative rates at every time level; zero newborn fertility.
+
+    Each rate reports its first non-finite or negative level; the newborn
+    row beta(., 0, .) is checked at every level.
+    """
     violations = []
-    details = {}
     for name, rate in (("mu", mu), ("beta", beta)):
-        worst = 0.0
         for n in range(grid.nt + 1):
             block = rate.level(n, grid)
             if not np.all(np.isfinite(block)):
@@ -693,18 +696,14 @@ def validate_rates(mu, beta, grid):
             if mn < -TOL_ABS:
                 violations.append(f"{name}: negative value {mn:.6g} at t-level {n}")
                 break
-            worst = max(worst, float(np.max(np.abs(block))))
-        details[f"{name}_sup"] = worst
     # newborn rows of every level, also past a level the loop above stopped at
     b0 = float(np.max(np.abs([beta.level(n, grid)[0] for n in range(grid.nt + 1)])))
-    details["beta_age_zero_sup"] = b0
     if b0 > TOL_ABS:
         violations.append(f"beta(., 0, .) must vanish; found sup {b0:.6g}")
     return ValidationReport(
         hypothesis="rate bounds",
         passed=not violations,
         violations=violations,
-        details=details,
     )
 
 

@@ -44,9 +44,9 @@ class RunArtifact:
 
     command: str
     out_dir: str
-    files: list = dataclass_field(default_factory=list)
-    summary: dict = dataclass_field(default_factory=dict)
-    timings: dict = dataclass_field(default_factory=dict)
+    files: list = dataclass_field(default_factory=list, init=False)
+    summary: dict = dataclass_field(default_factory=dict, init=False)
+    timings: dict = dataclass_field(default_factory=dict, init=False)
 
     def summary_text(self) -> str:
         lines = [f"{key}: {_format_scalar(val)}" for key, val in self.summary.items()]

@@ -55,9 +55,9 @@ def pole_weight(t, a, T, A):
 @dataclass(frozen=True)
 class BumpProfile:
     """sigma(x) = x(1-x)e^{steepness*x}: zero at the ends, positive inside,
-    with its unique critical point at `center` and nonzero slope at 0 and 1."""
+    with nonzero slope at 0 and 1; sup_norm is its maximum.  `build_bump`
+    places the unique critical point."""
 
-    center: float
     steepness: float
     sup_norm: float
 
@@ -83,7 +83,7 @@ def build_bump(center):
         raise ValueError(f"bump center {c} must lie strictly inside (0,1)")
     rho = (2.0 * c - 1.0) / (c * (1.0 - c))
     sup = c * (1.0 - c) * np.exp(rho * c)
-    return BumpProfile(center=c, steepness=rho, sup_norm=float(sup))
+    return BumpProfile(steepness=rho, sup_norm=float(sup))
 
 
 def bump_weight(x, bump: BumpProfile, kappa):

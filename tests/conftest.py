@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import degenpop as dp
+from degenpop.ensembles import _MODES, _sine_table
 
 
 def make_benchmark_grid(nx, na, nt):
@@ -70,8 +71,21 @@ def box_mask(grid):
 
 
 def box_terminal_draw(rng, grid):
-    """Random terminal datum supported in the observation ages (delta, A)."""
-    return dp.age_gene_draw(rng, grid, age_window=(grid.delta, grid.A))
+    """Random terminal datum supported in the observation ages (delta, A).
+
+    It draws as dp.age_gene_draw does, with the age factors
+    sin(m*pi*(a-delta)/(A-delta)) on the window and zero outside it, so the
+    datum vanishes at both window edges.
+    """
+    coeff = rng.standard_normal((_MODES, _MODES))
+    m2 = np.arange(1, _MODES + 1) ** 2
+    coeff = coeff / (m2[:, None] + m2[None, :])
+    lo, hi = grid.delta, grid.A
+    age_tab = _sine_table(np.clip(grid.a_levels - lo, 0.0, hi - lo), hi - lo, _MODES)
+    age_tab[:, (grid.a_levels <= lo) | (grid.a_levels >= hi)] = 0.0
+    gene_tab = _sine_table(grid.x_nodes, 1.0, _MODES)
+    values = np.einsum("mn,ma,nx->ax", coeff, age_tab, gene_tab)
+    return dp.Field(values, "age_gene", grid)
 
 
 def cost_functional(control, y0, epsilon, coeffs, grid):
