@@ -11,9 +11,11 @@ profile underpins the weights' admissibility.
 Each check draws random adjoint data, evaluates both sides of its
 inequality in the log domain (the weights span hundreds of orders of
 magnitude near the pole), and reports the worst ratio over the ensemble as
-an empirical constant.  Finite fitted constants across an ensemble -- and
-stability of those constants under grid refinement, which the acceptance
-suite checks -- are the numerical signature that the estimates hold.
+an empirical constant.  The lab takes the config's weight family alone: the
+family carries the coefficients and the grid it was built for.  Finite
+fitted constants across an ensemble -- and stability of those constants
+under grid refinement, which the acceptance suite checks -- are the
+numerical signature that the estimates hold.
 """
 
 from pathlib import Path
@@ -37,10 +39,8 @@ def main():
 
     print()
     print("running every inequality check (10 trials each, coarse grid)...")
-    reports = dp.run_inequality_lab(
-        config.coeffs, config.grid, family, s_values=(5.0, 20.0, 50.0),
-        trials=10, seed=dp.DEFAULT_SEED,
-    )
+    reports = dp.run_inequality_lab(family, s_values=(5.0, 20.0, 50.0), trials=10,
+                                    seed=dp.DEFAULT_SEED)
     for name, report in reports.items():
         print()
         print(report.summary())

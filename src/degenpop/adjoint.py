@@ -136,8 +136,8 @@ def duhamel_first_case(problem: AdjointProblem, t, a, w_traj: Field):
 
     with S realized by the same implicit stepper (trapezoid in l).  The
     trace rows are taken from `w_traj`, the solver's own trajectory for
-    `problem`, so the comparison isolates the quadrature of the source
-    accumulation.  Returns one gene row.
+    `problem`, read through `checked_values`, so the comparison isolates the
+    quadrature of the source accumulation.  Returns one gene row.
     """
     grid, coeffs = problem.grid, problem.coeffs
     nt, na = grid.nt, grid.na
@@ -147,7 +147,7 @@ def duhamel_first_case(problem: AdjointProblem, t, a, w_traj: Field):
         raise ValueError(
             f"(t,a)=({t},{a}) lies outside the exit region a > t + (A - T)"
         )
-    trace = w_traj.values[:, 0, 1:-1]
+    trace = checked_values("w_traj", w_traj, "trajectory", grid)[:, 0, 1:-1]
     steps = na - j  # characteristic length in cells up to the age boundary
     row = np.zeros(grid.nx + 1)
     if steps == 0:

@@ -225,8 +225,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """A fully validated, resolution-complete experiment description."""
 
-    coeffs: CoefficientSet
-    grid: SpaceTimeGrid
     family: WeightFamily  # built from coeffs, grid and [weights] at parse time
     penalty: float
     penalties: tuple
@@ -238,6 +236,10 @@ class ExperimentConfig:
     strengths: tuple
     out_dir: str
     raw: dict  # {section: {key: original string}}
+
+    # the coefficients and the grid are the weight family's own
+    coeffs = property(lambda self: self.family.coeffs)
+    grid = property(lambda self: self.family.grid)
 
     def snapshot_text(self) -> str:
         """Canonical INI text reproducing this config exactly."""
@@ -410,8 +412,6 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(errors)
 
     return ExperimentConfig(
-        coeffs=coeffs,
-        grid=grid,
         family=family,
         penalty=values["penalty"],
         penalties=values["penalties"],

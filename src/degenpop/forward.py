@@ -137,8 +137,10 @@ def control_norm_sq(control_values, grid):
     The forward step consumes control samples on the foot rectangle
     {(t_n, a_j) : n < nt, j < na}; the matching discrete L2 norm is the
     rectangle rule in (t, a) times the trapezoid rule in the gene variable.
+    `control_values`, a trajectory Field or array, is read through `checked_values`.
     """
-    block = control_values[: grid.nt, : grid.na]
+    values = checked_values("control", control_values, "trajectory", grid)
+    block = values[: grid.nt, : grid.na]
     return _cylinder_quadrature(block * block, grid)
 
 
@@ -148,8 +150,9 @@ def _cylinder_quadrature(values, grid):
 
 
 def energy_report(trajectory: Field, problem: ForwardProblem) -> EnergyReport:
+    """The a-priori estimate for `trajectory`, read through `checked_values`."""
     grid = problem.grid
-    y = trajectory.values
+    y = checked_values("trajectory", trajectory, "trajectory", grid)
     sup_t = max(
         inner_product(y[n], y[n], grid, kind="age_gene") for n in range(grid.nt + 1)
     )

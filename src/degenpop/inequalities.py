@@ -36,11 +36,11 @@ the top or an entry within 750 of it, so these rows give the top and every
 live term.  One or two live terms sum to the same bits in any order; with
 more, their pairwise sum depends on where the dead entries sit, and the
 integral is summed over all rows by `log_weighted_sum`, as it is when the
-head rows hold no finite entry, a row factor is not positive, or the draw
-holds a non-finite value.  On the lab's grid an integral reads 16 of its
-950 rows (66 for the source term, whose h vanishes at the gene ends where
-psi peaks); at (100, 100, 40) 20 of a pass's 800 integrals fall back, none
-of them a flux face.
+head rows hold no finite entry or a row factor is not positive.  A `Draw`
+holds only finite values: it checks its fields once, when it is built.  On
+the lab's grid an integral reads 16 of its 950 rows (66 for the source
+term, whose h vanishes at the gene ends where psi peaks); at (100, 100, 40)
+20 of a pass's 800 integrals fall back, none of them a flux face.
 
 The four adjoint ensembles (main and intermediate Carleman, Caccioppoli,
 observability) share one loop, `_ensemble`: per trial it draws the data,
@@ -68,7 +68,8 @@ import numpy as np
 
 from .adjoint import AdjointProblem, solve_adjoint
 from .ensembles import age_gene_draw, gene_draw, make_rng, trajectory_draw
-from .model import CoefficientSet, ConstantRate, Field, SpaceTimeGrid, inner_product
+from .model import (CoefficientSet, ConstantRate, Field, SpaceTimeGrid, checked_values,
+                    inner_product)
 from .weights import WeightFamily, hardy_weight
 
 
@@ -158,24 +159,24 @@ _LOG_MAX = 710.0
 _HEAD_ROWS = 16
 
 
-def _log_row_integral(weights: np.ndarray, c: np.ndarray, psi, integrand,
-                      finite: bool) -> float:
+def _log_row_integral(weights: np.ndarray, c: np.ndarray, psi, integrand) -> float:
     """`log_weighted_sum` of log(integrand(rows)) + c_r psi_x over a block
     of R rows with the given (R, genes) weights, evaluating only the rows
     that can reach its top.
 
-    The block's (t, a) rows are flattened in C order; `c` holds their factors
-    2 s pole as an (R, 1) column, `psi` the profile on the block's genes (a
-    scalar for one gene), and integrand(rows) returns the factor f >= 0 on
-    the given rows, finite when `finite`.  Every entry of row r is then at
-    most its bound fl(c_r max psi) + _LOG_MAX, as the roundings of a product
-    with c_r > 0 and of a sum keep order.  The head rows of the largest
-    bounds give a lower bound `low` on the top; a row whose bound is below
+    The block's (t, a) rows are flattened in C order; `c` holds their
+    factors 2 s pole as an (R, 1) column, `psi` the profile on the block's
+    genes (a scalar for one gene), and integrand(rows) returns the finite
+    factor f >= 0 on the given rows (the trials build it from a `Draw`,
+    whose fields are finite).  Every entry of row r is then at most its
+    bound fl(c_r max psi) + _LOG_MAX, as the roundings of a product with
+    c_r > 0 and of a sum keep order.  The head rows of the largest bounds
+    give a lower bound `low` on the top; a row whose bound is below
     low - 751 holds neither the top nor a live entry, so the rows at or
     above it give the full block's top and live terms.  With at most two
     live terms their sum has the same bits in any order (module docstring);
-    with more, no finite `low`, a c_r that is not positive, or `finite`
-    false, `log_weighted_sum` sums all rows, through the same integrand.
+    with more, no finite `low` or a c_r that is not positive,
+    `log_weighted_sum` sums all rows, through the same integrand.
     """
     def log_density(rows):
         with np.errstate(divide="ignore"):
@@ -183,7 +184,7 @@ def _log_row_integral(weights: np.ndarray, c: np.ndarray, psi, integrand,
         out += c[rows] * psi
         return out
 
-    if finite and np.all(c > 0.0):
+    if np.all(c > 0.0):
         bound = c[:, 0] * psi.max() + _LOG_MAX
         heads = min(_HEAD_ROWS, bound.size)
         head = np.argpartition(bound, -heads)[-heads:]
@@ -364,26 +365,27 @@ class Draw:
     terms of the trials on it.
 
     `data` is the terminal datum wT for the main bound and observability,
-    the source h for the others; `family` is the weight family of the
-    weighted trials (None for observability).  The row accessors take an
-    index array of the full support's rows (see `_Support`) and return one
-    gene row per index.  A row's w_x^2 is computed on its first request and
-    kept, so no row's gradient is computed twice; every term has the bits
-    of the expression a trial once evaluated on the whole block.
+    the source h (or None) for the others; `family` is the weight family of
+    the weighted trials (None for observability).  Both fields pass
+    `checked_values` on the family's grid, or w's own without one, so every
+    term the trials read is finite.  The row accessors take an index array
+    of the full support's rows (see `_Support`) and return one gene row per
+    index.  A row's w_x^2 is computed on its first request and kept, so no
+    row's gradient is computed twice; every term has the bits of the
+    expression a trial once evaluated on the whole block.
     """
 
     def __init__(self, w: Field, data, family: WeightFamily | None):
+        grid = w.grid if family is None else family.grid
+        checked_values("w", w, "trajectory", grid)
+        if data is not None:
+            kind = "age_gene" if data.kind == "age_gene" else "trajectory"
+            checked_values("data", data, kind, grid)
         self.w, self.data, self.family = w, data, family
 
     @cached_property
     def full(self) -> _Support:
         return _support(self.family)
-
-    @cached_property
-    def finite(self) -> bool:
-        """Whether w and the data hold only finite values."""
-        return bool(np.isfinite(self.w.values).all()) and (
-            self.data is None or bool(np.isfinite(self.data.values).all()))
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -442,7 +444,7 @@ def _weighted_energy(draw: Draw, s: float, c: np.ndarray) -> float:
         return (s * full.row_pole[rows] * draw.k * draw.wx_sq_rows(rows)
                 + s**3 * full.pole_cube[rows] * draw.r2 * draw.w_rows(rows) ** 2)
 
-    return _log_row_integral(full.row_weights, c, draw.family.psi_nodes, poly, draw.finite)
+    return _log_row_integral(full.row_weights, c, draw.family.psi_nodes, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +467,7 @@ def carleman_main_trial(draw: Draw, s: float) -> InequalityTrial:
     window = _support(family, family.grid.omega)
     log_obs = _log_row_integral(
         window.row_weights, c, family.Psi_nodes[window.x],
-        lambda rows: s**3 * full.pole_cube[rows] * draw.w_rows(rows)[:, window.x] ** 2,
-        draw.finite)
+        lambda rows: s**3 * full.pole_cube[rows] * draw.w_rows(rows)[:, window.x] ** 2)
 
     log_rhs = log_add(log_obs, draw.log_low_age)
     return _trial_from_logs(log_lhs, log_rhs)
@@ -485,7 +486,7 @@ def carleman_intermediate_trial(draw: Draw, s: float) -> InequalityTrial:
     log_lhs = _weighted_energy(draw, s, c)
 
     log_src = _log_row_integral(full.row_weights, c, family.psi_nodes,
-                                lambda rows: draw.data_rows(rows) ** 2, draw.finite)
+                                lambda rows: draw.data_rows(rows) ** 2)
 
     # boundary fluxes: s * k * pole * |x - x0| * w_x^2 * exp(2 s pole * psi),
     # each on the one gene column of its face
@@ -494,8 +495,7 @@ def carleman_intermediate_trial(draw: Draw, s: float) -> InequalityTrial:
         log_flux.append(_log_row_integral(
             full.face_weights, c, family.psi_nodes[face],
             lambda rows: (s * draw.k[face] * lever * full.row_pole[rows]
-                          * draw.wx_sq_rows(rows)[:, [face]]),
-            draw.finite))
+                          * draw.wx_sq_rows(rows)[:, [face]])))
     log_rhs = log_add(log_src, *log_flux)
     return _trial_from_logs(log_lhs, log_rhs)
 
@@ -523,7 +523,7 @@ def caccioppoli_trial(draw: Draw, s: float) -> InequalityTrial:
     c = 2.0 * s * full.row_pole
     inner = _support(family, _inner_window(family))
     log_lhs = _log_row_integral(inner.row_weights, c, family.psi_nodes[inner.x],
-                                lambda rows: draw.wx_sq_rows(rows)[:, inner.x], draw.finite)
+                                lambda rows: draw.wx_sq_rows(rows)[:, inner.x])
 
     window = _support(family, family.grid.omega)
 
@@ -532,18 +532,20 @@ def caccioppoli_trial(draw: Draw, s: float) -> InequalityTrial:
             0.0 if draw.data is None else draw.data_rows(rows)[:, window.x] ** 2
         )
 
-    log_rhs = _log_row_integral(window.row_weights, c, family.psi_nodes[window.x], rhs_poly,
-                                draw.finite)
+    log_rhs = _log_row_integral(window.row_weights, c, family.psi_nodes[window.x], rhs_poly)
     return _trial_from_logs(log_lhs, log_rhs)
 
 
-def observability_trial(w: Field, wT: Field, grid: SpaceTimeGrid) -> InequalityTrial:
+def observability_trial(w: Field, wT: Field) -> InequalityTrial:
     """Initial mass vs window observation plus low-age terminal mass.
 
     All three integrals are unweighted, so this check runs in plain floats:
     lhs = ||w(0)||^2 over ages and genes; rhs = ||w||^2 over the window
-    cylinder + ||wT||^2 over ages up to the threshold.
+    cylinder + ||wT||^2 over ages up to the threshold.  The grid is w's; wT
+    must be an age-gene field of it (`checked_values`).
     """
+    grid = w.grid
+    checked_values("wT", wT, "age_gene", grid)
     lhs = inner_product(w.values[0], w.values[0], grid, kind="age_gene")
     window = inner_product(w, w, grid, kind="trajectory", x_mask=grid.omega_mask)
     low_age = inner_product(wT, wT, grid, kind="age_gene", a_mask=_lower_age_mask(grid))
@@ -671,42 +673,36 @@ def _ensemble(name, trial, coeffs, grid, family, s_values, trials, seed, with_so
 
 
 def run_carleman_main(
-    coeffs: CoefficientSet,
-    grid: SpaceTimeGrid,
     family: WeightFamily,
     s_values,
     trials: int = 20,
     seed: int | None = None,
 ) -> InequalityReport:
-    """Ensemble of backward solutions from random terminal data."""
-    return _ensemble("carleman_main", carleman_main_trial, coeffs, grid, family,
-                     s_values, trials, seed, False)
+    """Ensemble of backward solutions from random terminal data, on the family's grid."""
+    return _ensemble("carleman_main", carleman_main_trial, family.coeffs, family.grid,
+                     family, s_values, trials, seed, False)
 
 
 def run_carleman_intermediate(
-    coeffs: CoefficientSet,
-    grid: SpaceTimeGrid,
     family: WeightFamily,
     s_values,
     trials: int = 20,
     seed: int | None = None,
 ) -> InequalityReport:
-    """Ensemble for the renewal-free bound with random sources."""
-    return _ensemble("carleman_intermediate", carleman_intermediate_trial, coeffs, grid,
-                     family, s_values, trials, seed, True)
+    """Ensemble for the renewal-free bound with random sources, on the family's grid."""
+    return _ensemble("carleman_intermediate", carleman_intermediate_trial, family.coeffs,
+                     family.grid, family, s_values, trials, seed, True)
 
 
 def run_caccioppoli(
-    coeffs: CoefficientSet,
-    grid: SpaceTimeGrid,
     family: WeightFamily,
     s_values,
     trials: int = 20,
     seed: int | None = None,
 ) -> InequalityReport:
-    """Ensemble for the window gradient bound (renewal-free sources)."""
+    """Ensemble for the window gradient bound (renewal-free sources), on the family's grid."""
     _inner_window(family)  # before the first solve
-    return _ensemble("caccioppoli", caccioppoli_trial, coeffs, grid, family,
+    return _ensemble("caccioppoli", caccioppoli_trial, family.coeffs, family.grid, family,
                      s_values, trials, seed, True)
 
 
@@ -717,8 +713,7 @@ def run_observability(
     seed: int | None = None,
 ) -> InequalityReport:
     """Ensemble estimate of the observability constant."""
-    return _ensemble("observability",
-                     lambda draw, s: observability_trial(draw.w, draw.data, grid),
+    return _ensemble("observability", lambda draw, s: observability_trial(draw.w, draw.data),
                      coeffs, grid, None, None, trials, seed, False)
 
 
@@ -740,24 +735,19 @@ def run_hardy(
 
 
 def run_inequality_lab(
-    coeffs: CoefficientSet,
-    grid: SpaceTimeGrid,
     family: WeightFamily,
     s_values=(5.0, 12.5, 20.0, 35.0, 50.0),
     trials: int = 20,
     seed: int | None = None,
     observability_trials: int = 50,
 ) -> dict:
-    """Run every inequality check once and collect the reports."""
+    """Run every inequality check once, on the family's grid, and collect the reports."""
     _inner_window(family)  # before the first solve
+    coeffs, grid = family.coeffs, family.grid
     return {
-        "carleman_main": run_carleman_main(coeffs, grid, family, s_values, trials, seed),
-        "carleman_intermediate": run_carleman_intermediate(
-            coeffs, grid, family, s_values, trials, seed
-        ),
-        "caccioppoli": run_caccioppoli(coeffs, grid, family, s_values, trials, seed),
-        "observability": run_observability(
-            coeffs, grid, trials=observability_trials, seed=seed
-        ),
-        "hardy_poincare": run_hardy(coeffs, grid, trials=trials, seed=seed),
+        "carleman_main": run_carleman_main(family, s_values, trials, seed),
+        "carleman_intermediate": run_carleman_intermediate(family, s_values, trials, seed),
+        "caccioppoli": run_caccioppoli(family, s_values, trials, seed),
+        "observability": run_observability(coeffs, grid, observability_trials, seed),
+        "hardy_poincare": run_hardy(coeffs, grid, trials, seed),
     }

@@ -476,7 +476,8 @@ def checked_values(name, f, kind, grid):
     """Values of the input ``name``, a Field or an array; the one check of a solver input.
 
     Raises ValueError naming the input for a Field of another kind, a shape
-    other than ``grid.shape(kind)`` (a Field of another grid), or a non-finite value.
+    other than ``grid.shape(kind)``, a Field of another grid of that shape,
+    or a non-finite value.
     """
     if isinstance(f, Field) and f.kind != kind:
         raise ValueError(f"{name} must be a field of kind {kind!r}, got {f.kind!r}")
@@ -484,6 +485,8 @@ def checked_values(name, f, kind, grid):
     if values.shape != expected:
         raise ValueError(f"{name} must have the {kind.replace('_', '-')} shape "
                          f"{expected}, got {values.shape}")
+    if isinstance(f, Field) and f.grid != grid:
+        raise ValueError(f"{name} is a field of another grid with the same cell counts")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} contains non-finite values")
     return values

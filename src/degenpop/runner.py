@@ -287,8 +287,6 @@ def _export_report(out, report, artifact):
 
 def _run_inequalities(config, out, seed, artifact):
     reports = run_inequality_lab(
-        config.coeffs,
-        config.grid,
         config.family,
         s_values=config.strengths,
         trials=config.trials,

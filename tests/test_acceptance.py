@@ -377,7 +377,7 @@ def test_10_weighted_inequality_ensembles(criterion):
         grid = make_benchmark_grid(nx, na, nt)
         family = dp.WeightFamily(coeffs, grid, dp.WeightConfig())
         for name, runner in runners:
-            report = runner(coeffs, grid, family, s_values, trials=20, seed=SEED)
+            report = runner(family, s_values, trials=20, seed=SEED)
             fitted[name][nx] = report.fitted_constant
             all_defined = (all_defined and report.all_ratios_defined()
                            and report.excluded_count == 0)

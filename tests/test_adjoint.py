@@ -147,6 +147,16 @@ class TestCharacteristicIntegral:
         rel = np.linalg.norm(row - ref) / np.linalg.norm(ref)
         assert rel < 0.10
 
+    def test_trajectory_of_another_grid_is_rejected(self, bench_coeffs):
+        # a (50, 40, 16) trajectory once gave a (50, 20, 8) problem a wrong row
+        g, other = make_benchmark_grid(50, 20, 8), make_benchmark_grid(50, 40, 16)
+        prob = dp.AdjointProblem(bench_coeffs, g, _terminal_draw(g))
+        w_other = dp.solve_adjoint(dp.AdjointProblem(bench_coeffs, other,
+                                                     _terminal_draw(other)))
+        with pytest.raises(ValueError, match=r"^w_traj must have the trajectory shape "
+                                             r"\(9, 21, 51\), got \(17, 41, 51\)$"):
+            dp.duhamel_first_case(prob, g.t_levels[2], g.a_levels[g.na - 2], w_traj=w_other)
+
     def test_reconstruction_vanishes_without_fertility(self, coarse_grid):
         g = coarse_grid
         coeffs = dp.CoefficientSet(dispersion=dp.PowerLawDispersion(0.5, 0.5),
@@ -243,6 +253,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=r"^wT must have the age-gene shape "
                                              r"\(21, 51\), got \(21, 101\)$"):
             dp.AdjointProblem(bench_coeffs, g, wide)
+        # and a wT built on T = 0.8, A = 2 ran on the grid as its own
+        same_cells = dp.age_gene_draw(dp.make_rng(11), replace(g, T=0.8, A=2.0, delta=1.0))
+        with pytest.raises(ValueError, match="^wT is a field of another grid with the same "
+                                             "cell counts$"):
+            dp.AdjointProblem(bench_coeffs, g, same_cells)
 
     @pytest.mark.parametrize("name", ["y_traj", "w_traj", "control", "y0", "wT"])
     def test_duality_residual_rejects_each_field_of_another_grid(self, bench_coeffs, name):

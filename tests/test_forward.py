@@ -193,3 +193,17 @@ class TestEnergyReport:
         vals = np.ones((g.nt + 1, g.na + 1, g.nx + 1))
         # rectangle rule in (t, a) over foot samples, trapezoid in x: T*A*1
         assert np.isclose(dp.control_norm_sq(vals, g), g.T * g.A, rtol=1e-14)
+
+    def test_fields_of_another_grid_are_rejected(self, bench_coeffs):
+        # control_norm_sq once cut a (17, 41, 51) block down to the (9, 21, 51)
+        # grid's foot rectangle, and energy_report failed inside numpy
+        g, other = make_benchmark_grid(50, 20, 8), make_benchmark_grid(50, 40, 16)
+        with pytest.raises(ValueError, match=r"^control must have the trajectory shape "
+                                             r"\(9, 21, 51\), got \(17, 41, 51\)$"):
+            dp.control_norm_sq(np.ones(other.shape("trajectory")), g)
+        prob = dp.ForwardProblem(bench_coeffs, g, _separable_initial(g))
+        state = dp.solve_forward(dp.ForwardProblem(bench_coeffs, other,
+                                                   _separable_initial(other)))
+        with pytest.raises(ValueError, match=r"^trajectory must have the trajectory shape "
+                                             r"\(9, 21, 51\), got \(17, 41, 51\)$"):
+            dp.energy_report(state, prob)

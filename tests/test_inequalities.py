@@ -208,7 +208,7 @@ class TestRowIntegral:
         weights = rng.uniform(0.1, 1.0, (self.ROWS, self.GENES))
         return weights, c, psi, f
 
-    def _run(self, weights, c, psi, f, finite=True):
+    def _run(self, weights, c, psi, f):
         from degenpop.inequalities import _log_row_integral
 
         requests = []
@@ -217,7 +217,7 @@ class TestRowIntegral:
             requests.append(np.array(rows))
             return f[rows]
 
-        got = _log_row_integral(weights, c, psi, integrand, finite)
+        got = _log_row_integral(weights, c, psi, integrand)
         with np.errstate(divide="ignore"):
             want = log_weighted_sum(np.log(f) + c * psi, weights)
         assert got.hex() == want.hex()
@@ -244,14 +244,14 @@ class TestRowIntegral:
         requests = self._run(weights, c, psi, f)
         assert np.array_equal(requests[-1], np.arange(self.ROWS))
 
-    @pytest.mark.parametrize("case", ["not_finite", "zero_factor", "negative_factor"])
+    @pytest.mark.parametrize("case", ["zero_factor", "negative_factor"])
     def test_unbounded_rows_are_all_read_once(self, case):
         weights, c, psi, f = self._block(1)
         if case == "zero_factor":
             c[7] = 0.0
         elif case == "negative_factor":
             c = -c
-        requests = self._run(weights, c, psi, f, finite=case != "not_finite")
+        requests = self._run(weights, c, psi, f)
         assert len(requests) == 1 and np.array_equal(requests[0], np.arange(self.ROWS))
 
     def test_rows_beyond_the_head_within_reach_are_read(self):
@@ -270,7 +270,7 @@ class TestTrialBookkeeping:
     def test_degenerate_trials_are_excluded(self, coarse_grid, bench_coeffs):
         zero = dp.Field.zeros("age_gene", coarse_grid)
         w = dp.solve_adjoint(dp.AdjointProblem(bench_coeffs, coarse_grid, zero))
-        trial = observability_trial(w, zero, coarse_grid)
+        trial = observability_trial(w, zero)
         assert trial.excluded
 
     def test_report_fits_the_largest_ratio(self, coarse_grid):
@@ -285,21 +285,37 @@ class TestTrialBookkeeping:
         rows = list(report.rows())
         assert len(rows) == 3 and rows[0]["trial"] == 0
 
-    def test_nan_in_w_makes_the_weighted_reports_undefined(self, adjoint_data,
-                                                           coarse_family):
-        w, wT, h = adjoint_data
+    @pytest.mark.parametrize("poisoned", ["w", "wT", "h"])
+    def test_draw_rejects_a_non_finite_field(self, adjoint_data, coarse_family, poisoned):
+        # a NaN in w once reached the weighted trials and left their ratios undefined
+        fields = dict(zip(("w", "wT", "h"), adjoint_data))
         grid = coarse_family.grid
-        poisoned = w.values.copy()
-        poisoned[grid.nt // 2, grid.na // 2, int(0.6 * grid.nx)] = np.nan
-        w_nan = Field(poisoned, "trajectory", grid)
-        for trial in (carleman_main_trial(Draw(w_nan, wT, coarse_family), 5.0),
-                      carleman_intermediate_trial(Draw(w_nan, h, coarse_family), 5.0),
-                      caccioppoli_trial(Draw(w_nan, h, coarse_family), 5.0)):
-            report = InequalityReport("poisoned", 1, grid_signature(grid),
-                                      [(0, 5.0, trial)])
-            assert not trial.excluded
-            assert np.isnan(trial.log_ratio)
-            assert not report.all_ratios_defined()
+        values = fields[poisoned].values.copy()
+        values[..., grid.na // 2, int(0.6 * grid.nx)] = np.nan
+        fields[poisoned] = Field(values, fields[poisoned].kind, grid)
+        w, data = fields["w"], fields["h" if poisoned == "h" else "wT"]
+        name = "w" if poisoned == "w" else "data"
+        for family in (coarse_family, None):
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+                Draw(w, data, family)
+
+    def test_draw_rejects_a_field_of_another_grid(self, adjoint_data, coarse_family):
+        # the same cell counts on another horizon and age range
+        w, wT, h = adjoint_data
+        other = replace(coarse_family.grid, T=0.8, A=2.0, delta=1.0)
+        w2, wT2, h2 = (Field(f.values, f.kind, other) for f in (w, wT, h))
+        message = "is a field of another grid with the same cell counts$"
+        for args, name in (((w2, wT, coarse_family), "w"), ((w, wT2, coarse_family), "data"),
+                           ((w, h2, coarse_family), "data"), ((w, wT2, None), "data"),
+                           ((w2, wT, None), "data")):
+            with pytest.raises(ValueError, match=f"^{name} {message}"):
+                Draw(*args)
+        with pytest.raises(ValueError, match=f"^wT {message}"):
+            observability_trial(w, wT2)
+        # a field of other cell counts fails the shape check first
+        small = Field.zeros("trajectory", make_benchmark_grid(50, 20, 8))
+        with pytest.raises(ValueError, match=r"^w must have the trajectory shape"):
+            Draw(small, wT, coarse_family)
 
     def test_zero_numerator_gives_zero_ratio(self):
         from degenpop.inequalities import _trial_from_logs
@@ -354,7 +370,7 @@ class TestWeightedTrials:
         rng = dp.make_rng(13)
         wT = dp.age_gene_draw(rng, coarse_grid)
         w = dp.solve_adjoint(dp.AdjointProblem(bench_coeffs, coarse_grid, wT))
-        trial = observability_trial(w, wT, coarse_grid)
+        trial = observability_trial(w, wT)
         assert not trial.excluded
         assert 0.0 < trial.ratio < 10.0
 
@@ -427,10 +443,9 @@ class TestWeightSupProbe:
 
 
 class TestEnsembleRunners:
-    def test_lab_produces_five_well_formed_reports(self, bench_coeffs, coarse_grid,
-                                                   coarse_family):
-        reports = dp.run_inequality_lab(bench_coeffs, coarse_grid, coarse_family,
-                                        s_values=(5.0, 50.0), trials=2, seed=4127)
+    def test_lab_produces_five_well_formed_reports(self, coarse_family):
+        reports = dp.run_inequality_lab(coarse_family, s_values=(5.0, 50.0), trials=2,
+                                        seed=4127)
         expected = {"carleman_main", "carleman_intermediate", "caccioppoli",
                     "observability", "hardy_poincare"}
         assert set(reports) == expected
@@ -440,16 +455,12 @@ class TestEnsembleRunners:
             assert np.isfinite(rep.fitted_constant), name
         assert reports["observability"].ensemble_size == 50
 
-    def test_runners_are_deterministic(self, bench_coeffs, coarse_grid,
-                                       coarse_family):
-        a = dp.run_caccioppoli(bench_coeffs, coarse_grid, coarse_family, (5.0,),
-                               trials=2, seed=99)
-        b = dp.run_caccioppoli(bench_coeffs, coarse_grid, coarse_family, (5.0,),
-                               trials=2, seed=99)
+    def test_runners_are_deterministic(self, coarse_family):
+        a = dp.run_caccioppoli(coarse_family, (5.0,), trials=2, seed=99)
+        b = dp.run_caccioppoli(coarse_family, (5.0,), trials=2, seed=99)
         assert [r["log_ratio"] for r in a.rows()] == [r["log_ratio"] for r in b.rows()]
 
-    def test_lab_solves_once_per_ensemble_trial(self, bench_coeffs, coarse_grid,
-                                                coarse_family, monkeypatch):
+    def test_lab_solves_once_per_ensemble_trial(self, coarse_family, monkeypatch):
         import degenpop.inequalities as ineq
 
         draws = []
@@ -462,9 +473,8 @@ class TestEnsembleRunners:
 
         monkeypatch.setattr(ineq, "solve_adjoint", counting_solve)
         s_values = (5.0, 50.0)
-        reports = ineq.run_inequality_lab(bench_coeffs, coarse_grid, coarse_family,
-                                          s_values=s_values, trials=2, seed=4127,
-                                          observability_trials=3)
+        reports = ineq.run_inequality_lab(coarse_family, s_values=s_values, trials=2,
+                                          seed=4127, observability_trials=3)
         # main, intermediate and Caccioppoli solve once per trial, observability
         # once per its own trial; main and observability draw the same wT, and
         # intermediate and Caccioppoli the same (wT, h)
@@ -492,8 +502,8 @@ class TestEnsembleRunners:
         monkeypatch.setattr(ineq, "solve_adjoint",
                             lambda problem: solves.append(problem) or solve_adjoint(problem))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ineq.run_inequality_lab(bench_coeffs, grid, family, s_values=(5.0,), trials=2,
-                                    seed=4127, observability_trials=3)
+            ineq.run_inequality_lab(family, s_values=(5.0,), trials=2, seed=4127,
+                                    observability_trials=3)
         assert solves == []
 
     @pytest.mark.parametrize("inner, message", [
@@ -511,7 +521,7 @@ class TestEnsembleRunners:
         monkeypatch.setattr(ineq, "solve_adjoint",
                             lambda problem: solves.append(problem) or solve_adjoint(problem))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ineq.run_caccioppoli(bench_coeffs, grid, family, (5.0,), trials=2, seed=4127)
+            ineq.run_caccioppoli(family, (5.0,), trials=2, seed=4127)
         assert solves == []
 
     def test_renewal_free_strips_only_the_fertility(self, bench_coeffs):
@@ -555,7 +565,7 @@ class TestWeightOnlyPredictions:
         def top(window):
             return psi[grid.x_window_mask(window) > 0.0].max()
 
-        args = (bench_coeffs, grid, family, self.S_VALUES)
+        args = (family, self.S_VALUES)
         main = dp.run_carleman_main(*args, trials=5, seed=4127)
         assert self._worst_slope_error(main, 2.0 * theta * psi.max()) <= 1e-6
         caccioppoli = dp.run_caccioppoli(*args, trials=5, seed=4127)
@@ -1027,20 +1037,19 @@ def _assert_same_rows(new: dict, ref: dict):
 class TestBitLevelOracle:
     def test_lab_rows_match_the_oracle_by_repr(self, bench_coeffs, coarse_grid,
                                                coarse_family):
-        args = (bench_coeffs, coarse_grid, coarse_family)
         kwargs = dict(s_values=(5.0, 50.0), trials=2, seed=4127)
-        new = dp.run_inequality_lab(*args, **kwargs)
-        ref = _ref_run_inequality_lab(*args, **kwargs)
+        new = dp.run_inequality_lab(coarse_family, **kwargs)
+        ref = _ref_run_inequality_lab(bench_coeffs, coarse_grid, coarse_family, **kwargs)
         _assert_same_rows(new, ref)
 
     @pytest.mark.parametrize("seed", [4127, 1])
     def test_lab_rows_match_the_oracle_at_every_benchmark_strength(
             self, bench_coeffs, coarse_grid, coarse_family, seed):
         # the lab grid of the benchmark, (50, 50, 20), with its five strengths
-        args = (bench_coeffs, coarse_grid, coarse_family)
         kwargs = dict(s_values=(5.0, 12.5, 20.0, 35.0, 50.0), trials=2, seed=seed)
-        _assert_same_rows(dp.run_inequality_lab(*args, **kwargs),
-                          _ref_run_inequality_lab(*args, **kwargs))
+        _assert_same_rows(dp.run_inequality_lab(coarse_family, **kwargs),
+                          _ref_run_inequality_lab(bench_coeffs, coarse_grid, coarse_family,
+                                                  **kwargs))
 
     @pytest.mark.parametrize("cells", [(50, 20, 8), (50, 50, 20), (100, 100, 40),
                                        (50, 150, 60)])
@@ -1188,7 +1197,7 @@ class TestPerDrawTerms:
         seen = []
         row_integral = ineq._log_row_integral
 
-        def recording_row_integral(weights, c, psi, integrand, finite):
+        def recording_row_integral(weights, c, psi, integrand):
             evaluated = []
 
             def recorded(rows):
@@ -1197,7 +1206,7 @@ class TestPerDrawTerms:
                 return poly
 
             seen.append((weights.shape, c * psi, evaluated))
-            return row_integral(weights, c, psi, recorded, finite)
+            return row_integral(weights, c, psi, recorded)
 
         monkeypatch.setattr(ineq, "_log_row_integral", recording_row_integral)
         fam = coarse_family
@@ -1237,11 +1246,11 @@ class TestPerDrawTerms:
                                           (caccioppoli_trial, sourced))]
         evaluated, row_integral = [], ineq._log_row_integral
 
-        def recording_row_integral(weights, c, psi, integrand, finite):
+        def recording_row_integral(weights, c, psi, integrand):
             def recorded(rows):
                 evaluated.append(len(rows) / weights.shape[0])
                 return integrand(rows)
-            return row_integral(weights, c, psi, recorded, finite)
+            return row_integral(weights, c, psi, recorded)
 
         with monkeypatch.context() as patch:
             patch.setattr(ineq, "_log_row_integral", recording_row_integral)
@@ -1249,8 +1258,15 @@ class TestPerDrawTerms:
                     for trial, w, data in cases]
         # on the lab grid every weighted integral reads a few of its rows
         assert evaluated and max(evaluated) < 0.1
-        # a draw that is not finite sums every row of every integral
-        monkeypatch.setattr(ineq.Draw, "finite", False)
+        # the same integrals, each summed over all of its rows
+
+        def all_rows(weights, c, psi, integrand):
+            with np.errstate(divide="ignore"):
+                density = np.log(np.ascontiguousarray(integrand(np.arange(c.shape[0]))))
+            density += c * psi
+            return ineq.log_weighted_sum(density, weights)
+
+        monkeypatch.setattr(ineq, "_log_row_integral", all_rows)
         full = [[trial(Draw(w, data, coarse_family), s) for s in strengths]
                 for trial, w, data in cases]
         for (trial, _, _), got, want in zip(cases, fast, full):
@@ -1269,14 +1285,14 @@ class TestPerDrawTerms:
         requests, gradients = [], []
         row_integral = ineq._log_row_integral
 
-        def recording_row_integral(weights, c, psi, integrand, finite):
+        def recording_row_integral(weights, c, psi, integrand):
             mine = []
             requests.append(mine)
 
             def recorded(wanted):
                 mine.append(np.array(wanted))
                 return integrand(wanted)
-            return row_integral(weights, c, psi, recorded, finite)
+            return row_integral(weights, c, psi, recorded)
 
         def counting_gradient(values, grid):
             gradients.append(values)
@@ -1314,14 +1330,14 @@ class TestPerDrawTerms:
         face_weights = _ref_face_weights(fam)[_support(fam).ta]
         faces = []
 
-        def recording_row_integral(weights, c, psi, integrand, finite):
+        def recording_row_integral(weights, c, psi, integrand):
             read = []
 
             def recorded(wanted):
                 read.append(np.array(wanted))
                 return integrand(wanted)
 
-            got = row_integral(weights, c, psi, recorded, finite)
+            got = row_integral(weights, c, psi, recorded)
             if weights.shape[1] == 1:
                 faces.append((got, read))
             return got
@@ -1343,8 +1359,7 @@ class TestPerDrawTerms:
                     else:
                         assert np.unique(np.concatenate(read)).size < 0.1 * rows, s
 
-    def test_no_draw_outlives_its_trials(self, bench_coeffs, coarse_grid, coarse_family,
-                                         monkeypatch):
+    def test_no_draw_outlives_its_trials(self, coarse_family, monkeypatch):
         import degenpop.inequalities as ineq
 
         made = []
@@ -1361,14 +1376,12 @@ class TestPerDrawTerms:
 
         monkeypatch.setattr(ineq, "Draw", recording_draw)
         monkeypatch.setattr(ineq, "solve_adjoint", checking_solve)
-        ineq.run_inequality_lab(bench_coeffs, coarse_grid, coarse_family,
-                                s_values=(5.0, 50.0), trials=2, seed=4127,
+        ineq.run_inequality_lab(coarse_family, s_values=(5.0, 50.0), trials=2, seed=4127,
                                 observability_trials=3)
         assert len(made) == 9
         assert all(ref() is None for ref in made)
 
-    def test_no_solution_outlives_the_lab(self, bench_coeffs, coarse_grid,
-                                          coarse_family, monkeypatch):
+    def test_no_solution_outlives_the_lab(self, coarse_family, monkeypatch):
         import degenpop.inequalities as ineq
 
         values = []
@@ -1379,9 +1392,8 @@ class TestPerDrawTerms:
             return w
 
         monkeypatch.setattr(ineq, "solve_adjoint", recording_solve)
-        reports = ineq.run_inequality_lab(bench_coeffs, coarse_grid, coarse_family,
-                                          s_values=(5.0, 50.0), trials=2, seed=4127,
-                                          observability_trials=3)
+        reports = ineq.run_inequality_lab(coarse_family, s_values=(5.0, 50.0), trials=2,
+                                          seed=4127, observability_trials=3)
         gc.collect()
         assert len(values) == 9
         assert values[-1]() is None
@@ -1389,19 +1401,15 @@ class TestPerDrawTerms:
         assert set(reports) == {"carleman_main", "carleman_intermediate", "caccioppoli",
                                 "observability", "hardy_poincare"}
 
-    def test_reports_time_their_solves_and_trials(self, bench_coeffs, coarse_grid,
-                                                  coarse_family):
-        reports = dp.run_inequality_lab(bench_coeffs, coarse_grid, coarse_family,
-                                        s_values=(5.0,), trials=2, seed=4127,
+    def test_reports_time_their_solves_and_trials(self, coarse_family):
+        reports = dp.run_inequality_lab(coarse_family, s_values=(5.0,), trials=2, seed=4127,
                                         observability_trials=3)
         for name, report in reports.items():
             assert report.trial_s > 0.0, name
             assert (report.adjoint_s > 0.0) == (name != "hardy_poincare"), name
 
-    def test_wall_time_stays_out_of_repr_and_equality(self, bench_coeffs, coarse_grid,
-                                                      coarse_family):
-        report = dp.run_caccioppoli(bench_coeffs, coarse_grid, coarse_family, (5.0,),
-                                    trials=2, seed=99)
+    def test_wall_time_stays_out_of_repr_and_equality(self, coarse_family):
+        report = dp.run_caccioppoli(coarse_family, (5.0,), trials=2, seed=99)
         again = replace(report)  # the timers are not init fields: set them after
         again.adjoint_s, again.trial_s = report.adjoint_s + 1.0, report.trial_s + 1.0
         assert again == report and repr(again) == repr(report)

@@ -1,6 +1,7 @@
 """Coefficients, grid, norms, and hypothesis validators."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +283,14 @@ class TestFieldsAndNorms:
         with pytest.raises(ValueError, match=r"^y0 must have the age-gene shape "
                                              r"\(21, 51\), got \(41, 51\)$"):
             checked_values("y0", dp.Field.zeros("age_gene", other), "age_gene", g)
+        # nor on another grid with the same cell counts, T = 0.8 and A = 2; an
+        # equal grid built apart is the same grid
+        with pytest.raises(ValueError, match="^y0 is a field of another grid with the same "
+                                             "cell counts$"):
+            checked_values("y0", dp.Field.zeros("age_gene", replace(g, T=0.8, A=2.0, delta=1.0)),
+                           "age_gene", g)
+        assert checked_values("y0", dp.Field.zeros("age_gene", replace(g)), "age_gene", g).shape \
+            == g.shape("age_gene")
         with pytest.raises(ValueError, match=r"^wT must have the age-gene shape "
                                              r"\(21, 51\), got \(51,\)$"):
             checked_values("wT", np.zeros(51), "age_gene", g)

@@ -1,5 +1,6 @@
 """Every public name of degenpop, and every parameter of it that has a
-default, has a caller outside the tests."""
+default, has a caller outside the tests; and no public callable that takes a
+weight family also takes the coefficients or the grid the family carries."""
 
 import ast
 import inspect
@@ -109,3 +110,14 @@ def test_every_public_parameter_has_a_caller():
                 for param in signature.parameters.values()
                 if param.default is not param.empty and param.name not in passed[name]}
     assert unpassed == set(UNPASSED), "public parameters no call outside tests/ passes"
+
+
+def test_no_public_callable_takes_a_family_with_its_coeffs_or_grid():
+    takes_family = {name: signature for name, signature in _public_signatures().items()
+                    if any("WeightFamily" in str(param.annotation)
+                           for param in signature.parameters.values())}
+    assert {"run_carleman_main", "run_inequality_lab", "Draw", "ExperimentConfig"} <= \
+        set(takes_family)
+    both = {name for name, signature in takes_family.items()
+            if {"coeffs", "grid"} & set(signature.parameters)}
+    assert both == set(), "public callables that take a WeightFamily and its coeffs or grid"
