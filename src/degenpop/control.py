@@ -114,14 +114,19 @@ def _box_march(probes, start, coeffs: CoefficientSet, grid: SpaceTimeGrid):
 
     Without a probe nothing is added on either side, so the box rows of y
     equal those of the full forward solve byte for byte.  From a zero start
-    the forward rows hold no -0.0 (a Thomas sweep whose rhs holds none
-    stores none), so the added zeros change nothing and the box rows again
-    equal the full composition's byte for byte.  From another start and
-    with the probe -p, against the full adjoint of p and the forward solve
-    driven by -(w * window mask): negation commutes with every operation of
-    a sweep, so w is that control on the window.  The start and w may hold
-    -0.0, where an added zero can flip the sign of a zero; but a sweep only
-    adds, subtracts and multiplies data, so no zero's sign reaches a nonzero
+    the forward rows hold no -0.0: a Thomas sweep whose rhs holds none
+    stores none, since it multiplies the rhs by positive reciprocal pivots
+    (a nonzero product stays nonzero unless it underflows below the
+    smallest subnormal) and then only subtracts from those values (z - h *
+    z_prev down each chain and twice at the twist, y - cp * y_next
+    outward), and a difference is -0.0 only when its first operand is.  So
+    the added zeros change nothing and the box rows again equal the full
+    composition's byte for byte.  From another start and with the probe -p,
+    against the full adjoint of p and the forward solve driven by -(w *
+    window mask): negation commutes with every operation of a sweep, so w
+    is that control on the window.  The start and w may hold -0.0, where an
+    added zero can flip the sign of a zero; but a sweep only adds,
+    subtracts and multiplies data, so no zero's sign reaches a nonzero
     value: every nonzero value is the same, and only zeros may differ in
     sign.  Each scalar `steer` forms squares these values, so the scalars
     are identical.
@@ -131,6 +136,8 @@ def _box_march(probes, start, coeffs: CoefficientSet, grid: SpaceTimeGrid):
     ops = level_operators(coeffs, grid)
 
     def rows(n):
+        if ops[n].batch == 1:
+            return None  # a shared batch ignores rows
         box = _box_rows(grid, n)
         return box if stack == 1 else np.tile(np.arange(box.start, box.stop), stack)
 

@@ -497,11 +497,19 @@ def inner_product(f, g, grid, kind="age_gene", x_mask=None, a_mask=None):
 
     Optional node masks restrict the integral to a window; masked nodes keep
     their full-grid trapezoid weight, so a partition of masks reproduces the
-    unrestricted integral exactly.
+    unrestricted integral exactly.  The kind is that of ``f`` when ``f`` is
+    a Field.  Raises ValueError naming the argument for a Field of another
+    grid than ``grid``, or a Field ``g`` of another kind.
     """
     fv, gv = _as_values(f), _as_values(g)
     if isinstance(f, Field):
         kind = f.kind
+    for name, h in (("f", f), ("g", g)):
+        if isinstance(h, Field):
+            if h.kind != kind:
+                raise ValueError(f"{name} must be a field of kind {kind!r}, got {h.kind!r}")
+            if h.grid != grid:
+                raise ValueError(f"{name} is a field of another grid")
     if fv.shape != gv.shape:
         raise ValueError("inner_product requires fields of identical shape")
     if kind not in FIELD_AXES:

@@ -31,14 +31,19 @@ Computing 5, 1987): gene 0 is eliminated downward and gene m-1 upward at
 the same time, the two chains meet at the twist gene m // 2, and back
 substitution runs outward from it.  The top and bottom rows of each step sit
 next to each other in a pair-major buffer, so one vector call advances both
-ends, and a solve of many rows makes about 5m/2 calls where the textbook
-sweep makes 5m.  A solve of one row (the adjoint's age-zero row, every step
-of the characteristic-integral oracle, the last step of the trace march)
-runs the same recurrence on Python floats, which costs a few microseconds
-where the vector loop would spend more on 1-element slices.  Both loops
-round every element through the same IEEE double operations in the same
-order, with no fused multiply-add, so a row solved alone equals the same
-row of a batched solve bit for bit.
+ends.  The rhs is scaled by the reciprocal pivots in one call up front, and
+the factorization stores each coupling times its reciprocal pivot, so an
+elimination step is two calls (a product and a difference), as is a back
+substitution step: a solve of many rows makes about 2m calls where the
+textbook sweep makes 5m.  Each operator keeps the work buffer of the last
+row count it solved, so a call allocates only the solution it returns (and
+the coefficients that index-array rows select).  A solve of one row (the
+adjoint's age-zero row, every step of the characteristic-integral oracle,
+the last step of the trace march) runs the same recurrence on Python
+floats, which costs a few microseconds where the vector loop would spend
+more on 1-element slices.  Both loops round every element through the same
+IEEE double operations in the same order, with no fused multiply-add, so a
+row solved alone equals the same row of a batched solve bit for bit.
 """
 
 from __future__ import annotations
@@ -61,26 +66,28 @@ class TridiagonalOperator:
     solved from what both chains leave.  An even m gets one decoupled unit
     row as gene m, so that the bottom chain is as long as the top one: its
     rhs and couplings are +0.0, so no operation it enters changes a bit of
-    a real gene.  The coefficients are stored pair-major,
-    as (2k+2, batch) arrays whose rows 2b and 2b+1 hold top gene b and
-    bottom gene 2k - b; row 2k holds the twist gene and row 2k+1 is unused.
-    `_near` is each gene's coupling to the gene eliminated before it (for
-    the twist, rows 2k and 2k+1 hold its couplings to genes k-1 and k+1),
-    `_inv` the reciprocal pivots and `_cp` the coupling inward times the
-    reciprocal pivot, which back substitution subtracts.
+    a real gene.  The coefficients are stored pair-major, in one (3, k+1,
+    2, batch) array `_coef` of the reciprocal pivots inv, h and cp, whose
+    pair b holds top gene b and bottom gene 2k - b; pair k holds the twist
+    gene, its second half used by h only.  h is each gene's coupling to the
+    gene eliminated before it times its reciprocal pivot (for the twist,
+    its couplings to genes k-1 and k+1 times inv_k), and cp the coupling
+    inward times the reciprocal pivot, which back substitution subtracts.
 
-    `solve` has two loops.  A call with several rows copies the rhs once
-    into a pair-major (2k+2, rows) buffer, and each step is one contiguous
-    vector operation over a (2, rows) pair, written in place; a batch of one
-    takes its coefficients from blocks repeated over the rows, since a
-    same-shape operand costs less per call than a scalar or a broadcast
-    one.  A call with a single row runs the same recurrence on Python
-    floats.  Both loops perform, for every element, the same IEEE double
-    operations in the same order, each rounded on its own with no fused
-    multiply-add: z = (r - near * z_prev) * inv down each chain (z = r * inv
-    at its end), z_k = ((r_k - l_k * z_{k-1}) - u_k * z_{k+1}) * inv_k at
-    the twist, then y = z - cp * y_next outward.  A row solved alone
-    therefore equals the same row taken from a batched call.
+    `solve` has two loops.  A call with several rows gathers the rhs into a
+    pair-major (2k+2, rows) work buffer, kept with a (2, rows) product
+    buffer for the next call of as many rows, and each step is one
+    contiguous vector operation over a (2, rows) pair, written in place; a
+    batch of one takes its coefficients from blocks repeated over the rows
+    and kept with the buffer, since a same-shape operand costs less per
+    call than a scalar or a broadcast one.  The solution is a fresh copy
+    out of the buffer.  A call with a single row runs the same recurrence on
+    Python floats.  Both loops perform, for every element, the same IEEE
+    double operations in the same order, each rounded on its own with no
+    fused multiply-add: s = r * inv for every gene, z = s - h * z_prev down
+    each chain (z = s at its end), z_k = (s_k - h_l * z_{k-1}) - h_u *
+    z_{k+1} at the twist, then y = z - cp * y_next outward.  A row solved
+    alone therefore equals the same row taken from a batched call.
     """
 
     def __init__(self, lower, diag, upper):
@@ -105,8 +112,9 @@ class TridiagonalOperator:
         ahead[2 * k:] = 0.0
         d = d[genes].reshape(k + 1, 2, batch)
         near_p, ahead_p = near.reshape(k + 1, 2, 1), ahead.reshape(k + 1, 2, 1)
-        inv = np.empty((k + 1, 2, batch))
-        cp = np.empty((k + 1, 2, batch))
+        # inv, h = near * inv and cp, each (k+1, 2, batch)
+        coef = np.empty((3, k + 1, 2, batch))
+        inv, h, cp = coef
         for b in range(k):
             inv[b] = 1.0 / (d[b] if b == 0 else d[b] - near_p[b] * cp[b - 1])
             cp[b] = ahead_p[b] * inv[b]
@@ -116,33 +124,35 @@ class TridiagonalOperator:
             pivot = pivot - t[0] - t[1]
         inv[k] = 1.0 / pivot
         cp[k] = 0.0
+        np.multiply(near_p, inv, out=h)
         self.m = m
         self.batch = batch
         self._k = k
         self._where = np.argsort(genes[:size])[:m]
         self._genes = np.minimum(genes, m - 1)  # the decoupled row takes any rhs entry
-        self._near = near
-        self._near_list = near.tolist()
-        self._inv = inv.reshape(2 * k + 2, batch)
-        self._cp = cp.reshape(2 * k + 2, batch)
+        self._coef = coef
+        self._row = coef[..., 0].reshape(3, -1).tolist() if batch == 1 else None
         self._slot = None
 
-    def _pairs(self, a):
-        """The k+1 pair views, each (2, n), of a pair-major (2k+2, n) array."""
-        return list(a.reshape(self._k + 1, 2, a.shape[1]))
+    def _workspace(self, n):
+        """The work arrays of a solve of n rows, kept from the last call.
 
-    def _repeated(self, n):
-        """Pair views of the coefficients repeated over n rhs rows.
-
-        `_near` always, and `_inv` and `_cp` too for a batch of one.  One
-        slot: a new row count replaces the blocks of the last one, so an
+        Returns (coef, buf, flat, z, tmp): for a batch of one the
+        coefficients repeated over n rows, h and cp as pair views (None
+        otherwise), the (k+1, 2, n) work buffer, the same as a (2k+2, n)
+        array and as its k+1 pair views, and a (2, n) product buffer.  One
+        slot: a new row count replaces the arrays of the last one, so an
         operator holds at most one set however many row counts it solves.
         """
         slot = self._slot
         if slot is None or slot[0] != n:
-            arrays = [self._near[:, None]] + ([self._inv, self._cp] if self.batch == 1 else [])
-            slot = (n, *(self._pairs(np.repeat(a, n, axis=1)) for a in arrays))
-            self._slot = slot
+            coef = None
+            if self.batch == 1:
+                inv, h, cp = np.repeat(self._coef, n, axis=3)
+                coef = (inv, list(h), list(cp))
+            buf = np.empty((self._k + 1, 2, n))
+            slot = self._slot = (n, coef, buf, buf.reshape(-1, n), list(buf),
+                                 np.empty((2, n)))
         return slot[1:]
 
     def solve(self, rhs, rows=None):
@@ -151,51 +161,52 @@ class TridiagonalOperator:
         `rows` (a slice or an index array) selects which matrices of an
         age-dependent batch line up with the rhs rows, all of them when
         None; r must equal their number.  A shared batch ignores `rows`.
+        The solution is a new array, never a view of the kept buffer.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim != 2 or rhs.shape[1] != self.m:
             raise ValueError(f"rhs must have shape (r, m) with m={self.m}, got {rhs.shape}")
-        inv, cp = self._inv, self._cp
+        coef = self._coef
         n_rows = rhs.shape[0]
         if self.batch > 1:
             if rows is not None:
-                inv, cp = inv[:, rows], cp[:, rows]
-            if inv.shape[1] != n_rows:
-                raise ValueError(f"rhs has {n_rows} rows but {inv.shape[1]} matrices "
+                coef = coef[..., rows]
+            if coef.shape[3] != n_rows:
+                raise ValueError(f"rhs has {n_rows} rows but {coef.shape[3]} matrices "
                                  f"are selected")
         if n_rows == 1:
-            return self._solve_row(rhs[0], inv[:, 0].tolist(), cp[:, 0].tolist())[None, :]
-        if self.batch == 1:
-            near, invs, cps = self._repeated(n_rows)
+            row = self._row if self.batch == 1 else coef[..., 0].reshape(3, -1).tolist()
+            return self._solve_row(rhs[0], *row)[None, :]
+        repeated, buf, flat, z, tmp = self._workspace(n_rows)
+        if repeated is None:
+            inv, h, cp = coef[0], list(coef[1]), list(coef[2])
         else:
-            near, = self._repeated(n_rows)
-            invs, cps = self._pairs(inv), self._pairs(cp)
+            inv, h, cp = repeated
         k = self._k
-        y = rhs.T[self._genes]
-        if self.m % 2 == 0:
-            y[1] = 0.0
-        ys = self._pairs(y)
-        tmp = np.empty((2, n_rows))
         mul, sub = np.multiply, np.subtract
-        y_k = ys[k][0]
+        # mode "clip": the indices are in range, and "raise" copies via a temporary
+        np.take(rhs.T, self._genes, 0, flat, "clip")
+        if self.m % 2 == 0:
+            flat[1] = 0.0
+        mul(buf, inv, buf)
+        z_k = z[k][0]
         if k:
-            prev = mul(ys[0], invs[0], out=ys[0])
-            for yb, nb, ib in zip(ys[1:k], near[1:k], invs[1:k]):
-                mul(nb, prev, out=tmp)
-                sub(yb, tmp, out=yb)
-                prev = mul(yb, ib, out=yb)
-            mul(near[k], prev, out=tmp)
-            sub(y_k, tmp[0], out=y_k)
-            sub(y_k, tmp[1], out=y_k)
-        nxt = mul(y_k, invs[k][0], out=y_k)[None, :]
-        for yb, cb in zip(reversed(ys[:k]), reversed(cps[:k])):
-            mul(cb, nxt, out=tmp)
-            nxt = sub(yb, tmp, out=yb)
-        return y[self._where].T
+            prev = z[0]
+            for zb, hb in zip(z[1:k], h[1:k]):
+                mul(hb, prev, tmp)
+                prev = sub(zb, tmp, zb)
+            mul(h[k], prev, tmp)
+            sub(z_k, tmp[0], z_k)
+            sub(z_k, tmp[1], z_k)
+        nxt = z[k][:1]
+        for zb, cb in zip(reversed(z[:k]), reversed(cp[:k])):
+            mul(cb, nxt, tmp)
+            nxt = sub(zb, tmp, zb)
+        return flat[self._where].T
 
-    def _solve_row(self, r, inv, cp):
+    def _solve_row(self, r, inv, h, cp):
         """The sweep of `solve` for one rhs row, on Python floats."""
-        k, near = self._k, self._near_list
+        k = self._k
         z = r[self._genes].tolist()
         if self.m % 2 == 0:
             z[1] = 0.0
@@ -203,9 +214,9 @@ class TridiagonalOperator:
             for s in (0, 1):  # down from gene 0, then up from gene 2k
                 prev = z[s] = z[s] * inv[s]
                 for q in range(s + 2, 2 * k, 2):
-                    prev = z[q] = (z[q] - near[q] * prev) * inv[q]
-            z[2 * k] = ((z[2 * k] - near[2 * k] * z[2 * k - 2])
-                        - near[2 * k + 1] * z[2 * k - 1]) * inv[2 * k]
+                    prev = z[q] = z[q] * inv[q] - h[q] * prev
+            z[2 * k] = ((z[2 * k] * inv[2 * k] - h[2 * k] * z[2 * k - 2])
+                        - h[2 * k + 1] * z[2 * k - 1])
             for s in (0, 1):  # outward from the twist
                 prev = z[2 * k]
                 for q in range(2 * k - 2 + s, -1, -2):

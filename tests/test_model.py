@@ -321,6 +321,29 @@ class TestFieldsAndNorms:
         with pytest.raises(ValueError, match="identical shape"):
             dp.inner_product(np.zeros(3), np.zeros(4), coarse_grid)
 
+    def test_fields_of_another_grid_or_kind_rejected(self, coarse_grid):
+        g = coarse_grid
+        # same cell counts, T = 0.8 and A = 2: integrated with g's weights,
+        # ones on (0, 2) x (0, 1) gave 1.0 instead of 2.0
+        other = replace(g, T=0.8, A=2.0, delta=1.0)
+        ones = dp.Field(np.ones(other.shape("age_gene")), "age_gene", other)
+        assert dp.l2_norm_sq(ones, other) == pytest.approx(2.0, rel=1e-14)
+        for name, call in [("f", lambda: dp.inner_product(ones, ones, g)),
+                           ("g", lambda: dp.inner_product(ones.values, ones, g)),
+                           ("f", lambda: dp.l2_norm_sq(ones, g)),
+                           ("f", lambda: dp.l2_norm(ones, g))]:
+            with pytest.raises(ValueError, match=f"^{name} is a field of another grid$"):
+                call()
+        # an equal grid built apart is the same grid
+        assert dp.l2_norm_sq(ones, replace(other)) == dp.l2_norm_sq(ones, other)
+        f, trace = dp.Field.zeros("age_gene", g), dp.Field.zeros("time_gene", g)
+        with pytest.raises(ValueError, match="^g must be a field of kind 'age_gene', "
+                                             "got 'time_gene'$"):
+            dp.inner_product(f, trace, g)
+        with pytest.raises(ValueError, match="^g must be a field of kind 'time_gene', "
+                                             "got 'age_gene'$"):
+            dp.inner_product(f.values, f, g, kind="time_gene")
+
     def test_grid_shape_is_the_field_shape(self, coarse_grid):
         for kind in FIELD_AXES:
             assert coarse_grid.shape(kind) == dp.Field.zeros(kind, coarse_grid).values.shape

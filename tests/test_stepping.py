@@ -21,8 +21,13 @@ def _twisted_reference(lower, diag, upper, rhs, rows=None):
 
     Eliminates down from gene 0 to gene k-1 and up from gene m-1 to gene
     k+1, where k = m // 2, solves the twist gene k from what both ends left,
-    and substitutes back outward.  The off-diagonals are shared, shape (m,);
-    any rhs that broadcasts against the selected rows is solved.
+    and substitutes back outward.  The rhs is scaled by the reciprocal
+    pivots first, s = rhs * inv, and each chain step subtracts the coupling
+    times the reciprocal pivot, h = near * inv, times the gene before:
+    z = s - h * z_prev.  The twist gene takes (s_k - h_l * z_{k-1}) - h_u *
+    z_{k+1}, with h_l = lower[k] * inv_k and h_u = upper[k] * inv_k.  The
+    off-diagonals are shared, shape (m,); any rhs that broadcasts against
+    the selected rows is solved.
     """
     diag = np.asarray(diag, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -49,18 +54,19 @@ def _twisted_reference(lower, diag, upper, rhs, rows=None):
         inv, far = inv[rows], far[rows]
     rhs = np.asarray(rhs, dtype=float)
     y = np.empty(np.broadcast_shapes(rhs.shape, inv.shape))
+    s = rhs * inv
     for i in range(k):
-        z = rhs[..., i] if i == 0 else rhs[..., i] - lower[i] * y[..., i - 1]
-        y[..., i] = z * inv[..., i]
+        y[..., i] = (s[..., i] if i == 0
+                     else s[..., i] - lower[i] * inv[..., i] * y[..., i - 1])
     for j in range(m - 1, k, -1):
-        z = rhs[..., j] if j == m - 1 else rhs[..., j] - upper[j] * y[..., j + 1]
-        y[..., j] = z * inv[..., j]
-    z = rhs[..., k]
+        y[..., j] = (s[..., j] if j == m - 1
+                     else s[..., j] - upper[j] * inv[..., j] * y[..., j + 1])
+    z = s[..., k]
     if k > 0:
-        z = z - lower[k] * y[..., k - 1]
+        z = z - lower[k] * inv[..., k] * y[..., k - 1]
     if k < m - 1:
-        z = z - upper[k] * y[..., k + 1]
-    y[..., k] = z * inv[..., k]
+        z = z - upper[k] * inv[..., k] * y[..., k + 1]
+    y[..., k] = z
     for i in range(k - 1, -1, -1):
         y[..., i] -= far[..., i] * y[..., i + 1]
     for j in range(k + 1, m):
@@ -199,6 +205,42 @@ class TestAgeDependentBatch:
         op = TridiagonalOperator(*_diffusion_batch(49, self.NA, rng))
         with pytest.raises(ValueError, match=f"{rhs_rows} rows but {selected} matrices"):
             op.solve(np.zeros((rhs_rows, 49)), rows=rows)
+
+
+class TestReusedBuffer:
+    """A solve works in a buffer kept for its row count; no solution is a view of it."""
+
+    @pytest.mark.parametrize("batch", [1, 40])
+    def test_a_solution_is_unchanged_by_the_next_solve_of_as_many_rows(self, rng, batch):
+        op = TridiagonalOperator(*_diffusion_batch(49, batch, rng))
+        first = op.solve(rng.standard_normal((batch if batch > 1 else 6, 49)))
+        kept = first.copy()
+        second = op.solve(rng.standard_normal(first.shape))
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("batch, calls", [
+        (1, [(None, 6), (None, 9), (None, 6)]),
+        (40, [(np.array([5, 0, 39, 5, 12]), 5), (slice(1, 40), 39),
+              (np.array([7, 7, 3, 30, 2]), 5)]),
+    ], ids=["shared", "age-index"])
+    def test_alternating_row_counts(self, rng, batch, calls):
+        lower, diag, upper = _diffusion_batch(48, batch, rng)
+        op = TridiagonalOperator(lower, diag, upper)
+        solved = []
+        for rows, n_rows in calls:
+            rhs = rng.standard_normal((n_rows, 48))
+            got = op.solve(rhs, rows=rows)
+            solved.append((got, got.copy(), rhs, rows))
+        for got, kept, rhs, rows in solved:
+            assert got.tobytes() == kept.tobytes()
+            want = _twisted_reference(lower, diag, upper, rhs, rows=rows)
+            assert got.tobytes() == want.tobytes()
+        # after the reuse, a row solved alone still equals its row of the batch
+        got, _, rhs, rows = solved[-1]
+        for r in range(rhs.shape[0]):
+            one = None if rows is None else rows[r:r + 1]
+            assert op.solve(rhs[r:r + 1], rows=one)[0].tobytes() == got[r].tobytes()
 
 
 @pytest.mark.parametrize("m", GENE_COUNTS)
