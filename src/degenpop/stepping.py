@@ -184,8 +184,9 @@ class TridiagonalOperator:
             inv, h, cp = repeated
         k = self._k
         mul, sub = np.multiply, np.subtract
-        # mode "clip": the indices are in range, and "raise" copies via a temporary
-        np.take(rhs.T, self._genes, 0, flat, "clip")
+        # mode "clip": the indices are in range, and "raise" copies via a temporary;
+        # the method skips np.take's Python wrapper
+        rhs.T.take(self._genes, 0, flat, "clip")
         if self.m % 2 == 0:
             flat[1] = 0.0
         mul(buf, inv, buf)

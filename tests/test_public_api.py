@@ -1,12 +1,19 @@
 """Every public name of degenpop, and every parameter of it that has a
-default, has a caller outside the tests; and no public callable that takes a
-weight family also takes the coefficients or the grid the family carries."""
+default, has a caller outside the tests; no public callable that takes a
+weight family also takes the coefficients or the grid the family carries; and
+the package namespace loads each layer on first use, reading every name from
+its layer."""
 
 import ast
+import importlib
 import inspect
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import degenpop as dp
 
@@ -121,3 +128,71 @@ def test_no_public_callable_takes_a_family_with_its_coeffs_or_grid():
     both = {name for name, signature in takes_family.items()
             if {"coeffs", "grid"} & set(signature.parameters)}
     assert both == set(), "public callables that take a WeightFamily and its coeffs or grid"
+
+
+def _loaded_after(code: str) -> set:
+    """The degenpop modules a fresh interpreter has loaded after running `code`."""
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})",
+        code,
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'degenpop'))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, timeout=120)
+    return set(done.stdout.split())
+
+
+def _instrumented_modules() -> set:
+    """The modules named in perfbench/tracer.py's INSTRUMENTED table."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    table = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "INSTRUMENTED" for t in node.targets))
+    return {entry.elts[0].value for entry in table.elts}
+
+
+class TestLazyNamespace:
+    def test_parse_config_loads_only_its_layers(self):
+        config = ROOT / "configs" / "benchmark.ini"
+        assert _loaded_after("import degenpop") == {"degenpop"}
+        assert _loaded_after(f"import degenpop\ndegenpop.parse_config({str(config)!r})") == {
+            "degenpop", "degenpop.config", "degenpop.model", "degenpop.weights"}
+
+    def test_runner_loads_every_traced_layer(self):
+        instrumented = _instrumented_modules()
+        assert {"degenpop.stepping", "degenpop.runner", "degenpop.config"} <= instrumented
+        missing = instrumented - _loaded_after("import degenpop.runner")
+        assert missing == set(), "traced layers that importing degenpop.runner leaves unloaded"
+
+    def test_every_name_reads_its_layers_binding(self, monkeypatch):
+        for name in dp.__all__:
+            if name in dp._LAYERS:
+                assert getattr(dp, name) is importlib.import_module(f"degenpop.{name}")
+                continue
+            layer = importlib.import_module(f"degenpop.{dp._HOME[name]}")
+            original = vars(layer)[name]
+            assert getattr(dp, name) is original
+            if hasattr(original, "__module__"):
+                assert original.__module__ == layer.__name__, f"{name} is not defined in its layer"
+            sentinel = object()
+            with monkeypatch.context() as patch:
+                patch.setattr(layer, name, sentinel)
+                assert getattr(dp, name) is sentinel
+            assert getattr(dp, name) is original
+            assert name not in vars(dp), f"{name} is cached in the package namespace"
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from degenpop import *", namespace)
+        assert {name: namespace.get(name) for name in dp.__all__} == \
+            {name: getattr(dp, name) for name in dp.__all__}
+
+    def test_dir_lists_every_public_name(self):
+        listed = dir(dp)
+        assert set(dp.__all__) <= set(listed)
+        assert "__version__" in listed and "__version__" not in dp.__all__
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'degenpop' has no attribute"):
+            getattr(dp, "no_such_name")
+        assert not hasattr(dp, "_no_such_private_name")
