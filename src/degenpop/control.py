@@ -19,19 +19,18 @@ to the CG residual, which yields a direct optimality check.
 
 Neither r nor the Gram operator depends on epsilon.  A `ControlProblem`
 holds the coefficients, the grid and the initial datum, and computes r and
-the preconditioner's block on first use; every `solve_control` on that
+the preconditioner's blocks on first use; every `solve_control` on that
 problem, one per penalty, reuses both.
 
 The CG is preconditioned.  The Gram operator is block-diagonal by box age
-row, and when one implicit-step matrix serves every level its block has a
-closed form (`box_gram_block`), eigendecomposed once per problem, so that
+row, and each row's block has a closed form in the row's gene-mean
+mortality (`box_gram_block`), eigendecomposed once per problem, so that
 (block + epsilon I)^-1 costs two small matrix products per application.
-The block is only the preconditioner: every iteration still applies the
+The blocks are only the preconditioner: every iteration still applies the
 true `gram_apply` once, and convergence is judged on the unpreconditioned
-residual.  With mortality constant in t and a the block is the operator's
-own, up to round-off, and one iteration reaches round-off; otherwise the
-block takes the mean mortality of the box characteristics, and a few
-iterations remain.
+residual.  With mortality independent of x the blocks are the operator's
+own, up to round-off, and one iteration reaches round-off; gene-dependent
+mortality leaves a few.
 
 None of r, CG and the steering after it runs the full solvers.  The grid
 enforces T < delta and dt == da, so a characteristic that ends in the box
@@ -183,52 +182,50 @@ def gram_apply(probe, coeffs: CoefficientSet, grid: SpaceTimeGrid) -> np.ndarray
 
 
 def box_gram_block(coeffs: CoefficientSet, grid: SpaceTimeGrid):
-    """The closed-form Gram block of one box row, eigendecomposed.
+    """The closed-form Gram blocks of the box rows, eigendecomposed.
 
-    Returns (q, sigma), q orthogonal (m, m) and sigma (m,), with the block
-    q diag(sigma) q^T on the m interior genes.  One implicit-step matrix
-    M = V diag(lam) V^T stands for every level, so the block is
+    Returns (q, sigma, rows): block b is q[b] diag(sigma[b]) q[b]^T on the m
+    interior genes, q (B, m, m) orthogonal and sigma (B, m), and rows[i] is
+    the block of box row i (rows of `_box_rows` order).  Row i steps at level
+    n with M0 + dt mu_ni I, M0 = V diag(lam) V^T the step matrix without
+    mortality and mu_ni the gene mean of the row's mortality, so its block is
 
-        V [(V^T P V) o K] V^T,     K_ij = dt * sum_{k=1..nt} (lam_i lam_j)^-k,
+        V [(V^T P V) o dt S^T S] V^T,   S[n, p] = prod_{l=n..nt-1} 1 / (lam_p + dt mu_li),
 
-    with P the window projector; the series is summed in closed form with
-    expm1, which stays accurate where lam_i lam_j is near 1.  M carries the
-    mortality of the box characteristics, exactly when it is the same on all
-    of them (constant in t and a: then every box row of `gram_apply` applies
-    this block, up to round-off) and as their mean otherwise.
+    with P the window projector.  Rows with one mortality history share one
+    block, so constant mortality builds one.  For mortality independent of x
+    each block is that of `gram_apply` on its rows, up to round-off.
     """
     nt, dt = grid.nt, grid.dt
-    first = coeffs.mu.level(0, grid)[_box_rows(grid, 0).start, 1:-1]
-    total = np.zeros_like(first)
-    same = True
-    for n in range(nt):
-        rows = coeffs.mu.level(n, grid)[_box_rows(grid, n), 1:-1]
-        same = same and bool(np.all(rows == first))
-        total += rows.sum(axis=0)
-    mu = first if same else total / (nt * rows.shape[0])
-
-    lower, diag, upper = step_matrix(coeffs, grid, mu)
+    mu = [coeffs.mu.level(n, grid)[_box_rows(grid, n), 1:-1].mean(axis=1) for n in range(nt)]
+    histories, rows = np.unique(np.transpose(mu), axis=0, return_inverse=True)
+    lower, diag, upper = step_matrix(coeffs, grid, 0.0)
     lam, v = np.linalg.eigh(np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1))
-    s = np.log(lam)[:, None] + np.log(lam)[None, :]
-    series = np.full_like(s, float(nt))
-    np.divide(-np.expm1(-nt * s), np.expm1(s), out=series, where=s > 0.0)
+    # S by suffix products: a cumulative product over the levels reversed
+    s = np.cumprod(1.0 / (lam + dt * histories[:, ::-1, None]), axis=1)[:, ::-1]
     window = grid.x_window_slice(grid.omega)
     v_w = v[window.start - 1:window.stop - 1]
-    sigma, u = np.linalg.eigh((v_w.T @ v_w) * (dt * series))
-    return v @ u, sigma
+    # one (B, m, m) buffer holds the Hadamard product, then the eigenvectors,
+    # so that no more than two such arrays are alive at once
+    q = np.matmul(s.transpose(0, 2, 1), s)
+    q *= dt * (v_w.T @ v_w)
+    sigma, u = np.linalg.eigh(q)
+    return np.matmul(v, u, out=q), sigma, rows
 
 
 def box_precondition(r, block, epsilon: float, grid: SpaceTimeGrid) -> np.ndarray:
     """Apply (block + epsilon I)^-1 to every box row of an (na+1, nx+1) array.
 
-    ``block`` is the (q, sigma) of `box_gram_block`; sigma is clipped at 0,
-    so the map is symmetric and positive in the box inner product for any
-    epsilon > 0.  Values outside the box rows and interior genes become 0.
+    ``block`` is the (q, sigma, rows) of `box_gram_block`, and each box row
+    takes its own block; sigma is clipped at 0, so the map is symmetric and
+    positive in the box inner product for any epsilon > 0.  Values outside
+    the box rows and interior genes become 0.
     """
-    q, sigma = block
-    d = grid.delta_index
+    q, sigma, rows = block
     z = np.zeros_like(r)
-    z[d:, 1:-1] = ((r[d:, 1:-1] @ q) / (np.maximum(sigma, 0.0) + epsilon)) @ q.T
+    box, out = r[grid.delta_index:, 1:-1], z[grid.delta_index:, 1:-1]
+    for b, scale in enumerate(np.maximum(sigma, 0.0) + epsilon):
+        out[rows == b] = ((box[rows == b] @ q[b]) / scale) @ q[b].T
     return z
 
 
@@ -239,7 +236,7 @@ class ControlProblem:
     y0 is an age_gene Field of finite values on the problem's grid.
     `target` and `block` are built on first use and kept, so a penalty sweep
     on one problem makes one free march of the box characteristics and at
-    most one block build.
+    most one build of the blocks.
     """
 
     coeffs: CoefficientSet
@@ -263,7 +260,7 @@ class ControlProblem:
 
     @cached_property
     def block(self):
-        """The (q, sigma) of `box_gram_block` for this problem's coefficients.
+        """The (q, sigma, rows) of `box_gram_block` for this problem's coefficients.
 
         `solve_control` reads it only when the target is nonzero, so a
         problem that needs no control never builds it.
